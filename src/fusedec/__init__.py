@@ -54,6 +54,7 @@ from .scorer import (
     TableScorer,
     ToyLasModel,
     Utterance,
+    coverage_count,
     load_checkpoint,
     loss_and_gradients,
     save_checkpoint,

@@ -176,7 +176,7 @@ def _cmd_decode(args: argparse.Namespace) -> RunManifest:
     resources, resource_inputs = _load_resources(args)
     task = load_task(args.task)
     scorer, utts = _task_scorer(args, task)
-    results = decode_batch(scorer, resources, utts, config, jobs=args.jobs)
+    results = decode_batch(scorer, resources, utts, config)
     text = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in results)
     Path(args.out).write_text(text, encoding="utf-8")
     inputs = [args.task, *resource_inputs] + ([args.scorer] if args.scorer else [])
@@ -213,7 +213,7 @@ def _cmd_sweep(args: argparse.Namespace) -> RunManifest:
     lm = read_arpa(args.lm)
     resources = DecodeResources(compile_lexicon(lex, args.eow_mode), lm_to_fst(lm))
     task = load_task(args.task)
-    result = sweep_lmw(task, resources, config, grid, args.which, jobs=args.jobs)
+    result = sweep_lmw(task, resources, config, grid, args.which)
     write_sweep_csv(result, args.out)
     inputs = [args.task, args.lexicon, args.lm]
     return RunManifest(Path(f"{args.out}.manifest.json"), "sweep", _config_echo(args), inputs, None)
@@ -223,14 +223,21 @@ def _cmd_score(args: argparse.Namespace) -> RunManifest:
     task = load_task(args.task)
     refs = {utt.uid: utt.words for utt in task.utterances}
     pairs = []
-    for line in _read_text(args.results).splitlines():
+    for lineno, line in enumerate(_read_text(args.results).splitlines(), 1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        uid = record["uid"]
+        where = f"{args.results}:{lineno}"
+        try:
+            record = json.loads(line)
+        except ValueError as err:
+            raise ValueError(f"{where}: not a JSON line: {err}") from err
+        fields = record if isinstance(record, dict) else {}
+        uid, words = fields.get("uid"), fields.get("words")
+        if not isinstance(uid, str) or not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise ValueError(f"{where}: expected an object with a string 'uid' and a list of string 'words'")
         if uid not in refs:
-            raise ValueError(f"results mention {uid!r} which is not in the task")
-        pairs.append((refs[uid], record["words"]))
+            raise ValueError(f"{where}: results mention {uid!r} which is not in the task")
+        pairs.append((refs[uid], words))
     breakdown = corpus_wer(pairs)
     payload = {
         "deletions": breakdown.deletions,
@@ -257,7 +264,6 @@ def _add_decode_flags(p: argparse.ArgumentParser) -> None:
                    help="whether word boundaries must be emitted")
     p.add_argument("--coverage-threshold", type=float, default=0.5,
                    help="attention mass for a frame to count as covered")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (1 keeps runs bitwise reproducible)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,6 @@ lexicon-grammar machine; the scorer supplies the per-step distributions.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,14 +23,7 @@ from .fst import (
     relabel,
     shortest_paths,
 )
-from .scorer import (
-    EOS,
-    TableScorer,
-    ToyLasModel,
-    Utterance,
-    coverage_count,
-    step_distributions,
-)
+from .scorer import EOS, Utterance, coverage_count, step_distributions
 
 FUSION_MODES = ("none", "nbest", "beam", "both")
 EOW_MODES = ("required", "optional")
@@ -232,21 +224,18 @@ class DecodeResources:
         return graph
 
 
-def _token_limit(scorer, utt: Utterance) -> int:
-    """Longest token string (<eos> excluded) the scorer can grade."""
-    if isinstance(scorer, TableScorer):
-        return scorer.max_prefix(utt) - 1
-    if isinstance(scorer, ToyLasModel):
-        return scorer.max_prefix
-    raise DecodeError(f"unsupported scorer type {type(scorer).__name__}")
-
-
 def _hyp_key(h: Hypothesis) -> tuple[float, tuple[int, ...]]:
     return (h.total_cost, h.tokens)
 
 
 def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | None) -> NBestList:
-    """Shared beam core; ``graph`` None gives the plain model-score search."""
+    """Shared beam core; ``graph`` None gives the plain model-score search.
+
+    A live entry is (total_cost, tokens, hypothesis, scorer state): the
+    leading pair is ``_hyp_key``, unique per entry, so entries sort natively;
+    the state is the parent's after the parent's step, so every expansion is
+    one scorer step.
+    """
     alphabet = scorer.alphabet
     try:
         eos = alphabet.id(EOS)
@@ -254,21 +243,18 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
         raise DecodeError(f"scorer alphabet lacks {EOS}: {e}") from e
     lam = config.lm_weight if graph is not None else 0.0
     eta = config.coverage_weight
-    steps = min(config.max_steps, _token_limit(scorer, utt))
+    steps = min(config.max_steps, scorer.token_limit(utt))
     start_state = graph.start if graph is not None else None
     start_cost = graph.best(start_state) if graph is not None else 0.0
-    live = [Hypothesis((), 0.0, start_cost, 0, lam * start_cost, False, start_state)]
+    root = Hypothesis((), 0.0, start_cost, 0, lam * start_cost, False, start_state)
+    live = [(root.total_cost, (), root, scorer.start(utt))]
     finished: list[Hypothesis] = []
     for depth in range(steps + 1):
         extend = depth < steps
-        candidates: list[Hypothesis] = []
-        for hyp in live:
-            dist = step_distributions(scorer, utt, hyp.tokens)
-            cov = (
-                coverage_count(scorer, utt, (*hyp.tokens, eos), config.coverage_threshold)
-                if eta > 0.0
-                else 0
-            )
+        candidates: list[tuple[float, tuple[int, ...], Hypothesis, object]] = []
+        for _, _, hyp, state in live:
+            dist, state = step_distributions(scorer, state, hyp.tokens[-1] if hyp.tokens else None)
+            cov = coverage_count(scorer, state, config.coverage_threshold) if eta > 0.0 else 0
             for tid in np.flatnonzero(dist > 0.0):
                 tid = int(tid)
                 score = hyp.model_score + math.log(dist[tid])
@@ -290,18 +276,17 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
                     else:
                         nxt, ahead = None, 0.0
                     total = -score + lam * ahead - eta * cov
-                    candidates.append(
-                        Hypothesis((*hyp.tokens, tid), score, ahead, cov, total, False, nxt)
-                    )
+                    tokens = (*hyp.tokens, tid)
+                    child = Hypothesis(tokens, score, ahead, cov, total, False, nxt)
+                    candidates.append((total, tokens, child, state))
         if not extend or not candidates:
             break
-        candidates.sort(key=_hyp_key)
+        candidates.sort()
         live = candidates[: config.beam_width]
     finished.sort(key=_hyp_key)
     if finished:
         return NBestList(tuple(finished[: config.nbest_size]), True)
-    live = sorted(live, key=_hyp_key)
-    return NBestList(tuple(live[: config.nbest_size]), False)
+    return NBestList(tuple(hyp for _, _, hyp, _ in live[: config.nbest_size]), False)
 
 
 def beam_search(scorer, utt: Utterance, config: DecodeConfig) -> NBestList:
@@ -497,20 +482,10 @@ def decode(
 
 
 def decode_batch(
-    scorer,
-    resources: DecodeResources | None,
-    utts: list[Utterance],
-    config: DecodeConfig,
-    jobs: int = 1,
+    scorer, resources: DecodeResources | None, utts: list[Utterance], config: DecodeConfig
 ) -> list[DecodeResult]:
-    """Decode many utterances; results follow input order regardless of
-    how many workers run."""
-    if jobs < 1:
-        raise DecodeError(f"jobs must be positive, got {jobs}")
+    """Decode many utterances, one :func:`decode` each, in input order; a
+    scorer the fusion graph does not fit fails before the first decode."""
     if config.fusion != "none" and resources is not None:
         resources.graph_for(scorer.alphabet)
-    if jobs == 1 or len(utts) <= 1:
-        return [decode(scorer, resources, u, config) for u in utts]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(decode, scorer, resources, u, config) for u in utts]
-        return [f.result() for f in futures]
+    return [decode(scorer, resources, u, config) for u in utts]

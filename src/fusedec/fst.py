@@ -370,6 +370,22 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     return _trim(len(ids), 0, finals, arcs, a.isyms, b.osyms)
 
 
+def _coaccessible(arcs: Iterable[Arc], finals: Iterable[int]) -> set[int]:
+    """States from which some final state is reachable."""
+    reverse: dict[int, list[int]] = {}
+    for arc in arcs:
+        reverse.setdefault(arc.dst, []).append(arc.src)
+    alive = set(finals)
+    stack = list(alive)
+    while stack:
+        q = stack.pop()
+        for p in reverse.get(q, ()):
+            if p not in alive:
+                alive.add(p)
+                stack.append(p)
+    return alive
+
+
 def _trim(
     num_states: int,
     start: int,
@@ -379,17 +395,7 @@ def _trim(
     osyms: SymbolTable,
 ) -> WeightedFst:
     """Drop states that cannot reach a final state; renumber densely."""
-    reverse: dict[int, list[int]] = {}
-    for arc in arcs:
-        reverse.setdefault(arc.dst, []).append(arc.src)
-    alive = set(finals)
-    stack = list(finals)
-    while stack:
-        q = stack.pop()
-        for p in reverse.get(q, ()):
-            if p not in alive:
-                alive.add(p)
-                stack.append(p)
+    alive = _coaccessible(arcs, finals)
     if start not in alive:
         return WeightedFst(1, 0, {}, [], isyms, osyms)
     renum = {old: new for new, old in enumerate(sorted(alive))}
@@ -411,21 +417,6 @@ def _require_nonnegative(f: WeightedFst, op: str) -> None:
             raise FstError(f"{op} requires non-negative weights; final {q} has {w}")
 
 
-def _coaccessible(f: WeightedFst) -> set[int]:
-    reverse: dict[int, list[int]] = {}
-    for arc in f.arcs:
-        reverse.setdefault(arc.dst, []).append(arc.src)
-    alive = set(f._finals)
-    stack = list(alive)
-    while stack:
-        q = stack.pop()
-        for p in reverse.get(q, ()):
-            if p not in alive:
-                alive.add(p)
-                stack.append(p)
-    return alive
-
-
 def shortest_paths(f: WeightedFst, n: int) -> list[FstPath]:
     """The ``n`` lowest-weight accepting paths, ascending.
 
@@ -437,7 +428,7 @@ def shortest_paths(f: WeightedFst, n: int) -> list[FstPath]:
     if n < 1:
         raise FstError(f"n must be positive, got {n}")
     _require_nonnegative(f, "shortest_paths")
-    alive = _coaccessible(f)
+    alive = _coaccessible(f.arcs, f._finals)
     if f.start not in alive:
         return []
 

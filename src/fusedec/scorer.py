@@ -1,14 +1,29 @@
 """Step-distribution scorers for the decoder: a trainable toy
 listener/attender/speller and a deterministic table-backed stand-in.
 
-Both expose the same contract through :func:`step_distributions` and
-:func:`coverage_count`: given an utterance and a symbol prefix, produce the
-next-symbol distribution over the scorer's alphabet.  Distributions are dense
-float64 arrays indexed by symbol id; epsilon and ``<sos>`` positions are
-structurally zero since a decode step can never produce them.
+Both implement one incremental protocol, so the beam never needs to know
+which scorer it holds:
 
-Everything runs in float64 so the analytic gradients can be checked against
-central finite differences at tight tolerance.
+- ``scorer.token_limit(utt)``: the longest token string (``<eos>`` not
+  counted) the scorer can grade for this utterance;
+- ``scorer.start(utt) -> state``: per-utterance work, done once (the model
+  encodes the features here);
+- ``scorer.step(state, token) -> (dist, state)``: consume ``token``
+  (``None`` on the first step, which the model reads as ``<sos>``) and
+  return the next-symbol distribution with the state after it;
+- ``scorer.covered(state, threshold) -> int``: how many encoder frames the
+  hypothesis at ``state`` will have covered once it is closed with
+  ``<eos>``.
+
+The decoder reaches the last two through :func:`step_distributions` and
+:func:`coverage_count`.  States are never mutated, so a beam keeps one per
+live hypothesis and every survivor of pruning steps once from its parent's
+state: no prefix is replayed and no utterance is encoded twice.
+
+Distributions are dense float64 arrays indexed by symbol id; epsilon and
+``<sos>`` positions are structurally zero since a decode step can never
+produce them.  Everything runs in float64 so the analytic gradients can be
+checked against central finite differences at tight tolerance.
 """
 
 from __future__ import annotations
@@ -79,7 +94,9 @@ class TableScorer:
 
     The k-th row is the distribution after a prefix of length k, regardless
     of what the prefix contains.  Rows must be non-negative, sum to 1 within
-    1e-9, and put no mass on epsilon or ``<sos>``.
+    1e-9, and put no mass on epsilon or ``<sos>``.  A state is the triple
+    (uid, rows, steps taken); the table has no attention, so each step
+    stands for one covered frame.
     """
 
     def __init__(self, alphabet: SymbolTable, rows: Mapping[str, np.ndarray | Sequence[Sequence[float]]]):
@@ -106,27 +123,68 @@ class TableScorer:
             table[uid] = arr
         self.rows = table
 
-    def max_prefix(self, utt: Utterance) -> int:
-        return len(self._rows_for(utt))
-
     def _rows_for(self, utt: Utterance) -> np.ndarray:
         try:
             return self.rows[utt.uid]
         except KeyError:
             raise ScorerError(f"no step rows stored for utterance {utt.uid!r}") from None
 
+    def token_limit(self, utt: Utterance) -> int:
+        return len(self._rows_for(utt)) - 1
+
+    def start(self, utt: Utterance) -> tuple[str, np.ndarray, int]:
+        return utt.uid, self._rows_for(utt), 0
+
+    def step(self, state: tuple[str, np.ndarray, int], token: int | None):
+        uid, rows, k = state
+        if k >= len(rows):
+            raise ScorerError(f"prefix of length {k} exceeds the {len(rows)} stored steps for {uid!r}")
+        return rows[k], (uid, rows, k + 1)
+
+    def covered(self, state: tuple[str, np.ndarray, int], threshold: float) -> int:
+        return state[2]
+
 
 @dataclass(frozen=True)
 class DecoderStepState:
     """Carried between decode steps: the recurrent vector, the symbol just
-    consumed, the per-head contexts used for it, and how much attention mass
-    each encoder frame has accumulated so far (non-decreasing)."""
+    consumed, the per-head contexts used for it, how much attention mass
+    each encoder frame has accumulated so far (non-decreasing), and how many
+    steps have been taken."""
 
     h_enc: np.ndarray
     s: np.ndarray
     y_prev: int
     contexts: np.ndarray
     cum_attention: np.ndarray
+    steps: int = 0
+
+
+def _param_shapes(vocab, feat_dim, enc_hidden, dec_hidden, att_dim, embed_dim, n_heads, n_enc_layers):
+    """Every ``ToyLasModel`` parameter's shape, from the model dimensions."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for layer in range(n_enc_layers):
+        d_in = feat_dim if layer == 0 else enc_hidden
+        h = enc_hidden
+        shapes.update({
+            f"enc{layer}_Wz": (d_in, h), f"enc{layer}_Uz": (h, h), f"enc{layer}_bz": (h,),
+            f"enc{layer}_Wh": (d_in, h), f"enc{layer}_Uh": (h, h), f"enc{layer}_bh": (h,),
+        })
+    for head in range(n_heads):
+        shapes.update({
+            f"att{head}_Wq": (dec_hidden, att_dim),
+            f"att{head}_Wk": (enc_hidden, att_dim),
+            f"att{head}_v": (att_dim,),
+        })
+    d_dec = embed_dim + n_heads * enc_hidden
+    h = dec_hidden
+    shapes.update({
+        "emb": (vocab, embed_dim),
+        "dec_Wz": (d_dec, h), "dec_Uz": (h, h), "dec_bz": (h,),
+        "dec_Wh": (d_dec, h), "dec_Uh": (h, h), "dec_bh": (h,),
+        "out_W": (h, vocab), "out_b": (vocab,),
+    })
+    return shapes
 
 
 def _cell_forward(x, h_prev, Wz, Uz, bz, Wh, Uh, bh):
@@ -200,7 +258,8 @@ class ToyLasModel:
         self.sos_id = alphabet.id(SOS)
         self.eos_id = alphabet.id(EOS)
         self.emit_mask = _emit_mask(alphabet)
-        expected = self._param_shapes()
+        expected = _param_shapes(len(alphabet), feat_dim, enc_hidden, dec_hidden, att_dim,
+                                 embed_dim, n_heads, n_enc_layers)
         if set(params) != set(expected):
             missing = sorted(set(expected) - set(params))
             extra = sorted(set(params) - set(expected))
@@ -209,32 +268,6 @@ class ToyLasModel:
             if params[k].shape != shape:
                 raise ScorerError(f"parameter {k} has shape {params[k].shape}, expected {shape}")
         self.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-
-    def _param_shapes(self) -> dict[str, tuple[int, ...]]:
-        shapes: dict[str, tuple[int, ...]] = {}
-        for layer in range(self.n_enc_layers):
-            d_in = self.feat_dim if layer == 0 else self.enc_hidden
-            h = self.enc_hidden
-            shapes.update({
-                f"enc{layer}_Wz": (d_in, h), f"enc{layer}_Uz": (h, h), f"enc{layer}_bz": (h,),
-                f"enc{layer}_Wh": (d_in, h), f"enc{layer}_Uh": (h, h), f"enc{layer}_bh": (h,),
-            })
-        for head in range(self.n_heads):
-            shapes.update({
-                f"att{head}_Wq": (self.dec_hidden, self.att_dim),
-                f"att{head}_Wk": (self.enc_hidden, self.att_dim),
-                f"att{head}_v": (self.att_dim,),
-            })
-        v = len(self.alphabet)
-        d_dec = self.embed_dim + self.n_heads * self.enc_hidden
-        h = self.dec_hidden
-        shapes.update({
-            "emb": (v, self.embed_dim),
-            "dec_Wz": (d_dec, h), "dec_Uz": (h, h), "dec_bz": (h,),
-            "dec_Wh": (d_dec, h), "dec_Uh": (h, h), "dec_bh": (h,),
-            "out_W": (h, v), "out_b": (v,),
-        })
-        return shapes
 
     @classmethod
     def init(
@@ -252,32 +285,12 @@ class ToyLasModel:
         seed: int = 0,
     ) -> "ToyLasModel":
         """Fresh model with uniform [-0.1, 0.1] parameters from the seed."""
+        dims = dict(enc_hidden=enc_hidden, dec_hidden=dec_hidden, att_dim=att_dim,
+                    embed_dim=embed_dim, n_heads=n_heads, n_enc_layers=n_enc_layers)
         rng = np.random.default_rng(seed)
-        shapes = cls._shapes_static(
-            alphabet, feat_dim, enc_hidden, dec_hidden, att_dim, embed_dim,
-            n_heads, n_enc_layers,
-        )
+        shapes = _param_shapes(len(alphabet), feat_dim, **dims)
         params = {k: rng.uniform(-0.1, 0.1, size=shape) for k, shape in shapes.items()}
-        return cls(
-            alphabet, feat_dim, params,
-            enc_hidden=enc_hidden, dec_hidden=dec_hidden, att_dim=att_dim,
-            embed_dim=embed_dim, n_heads=n_heads, n_enc_layers=n_enc_layers,
-            max_prefix=max_prefix,
-        )
-
-    @staticmethod
-    def _shapes_static(alphabet, feat_dim, enc_hidden, dec_hidden, att_dim,
-                       embed_dim, n_heads, n_enc_layers):
-        dummy = object.__new__(ToyLasModel)
-        dummy.alphabet = alphabet
-        dummy.feat_dim = feat_dim
-        dummy.enc_hidden = enc_hidden
-        dummy.dec_hidden = dec_hidden
-        dummy.att_dim = att_dim
-        dummy.embed_dim = embed_dim
-        dummy.n_heads = n_heads
-        dummy.n_enc_layers = n_enc_layers
-        return ToyLasModel._param_shapes(dummy)
+        return cls(alphabet, feat_dim, params, **dims, max_prefix=max_prefix)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Run the recurrent encoder; returns one hidden vector per frame."""
@@ -334,6 +347,25 @@ class ToyLasModel:
             caches.append((u, alpha))
         return contexts, weights, caches
 
+    def token_limit(self, utt: Utterance) -> int:
+        return self.max_prefix
+
+    def start(self, utt: Utterance) -> DecoderStepState:
+        return self.init_state(self.encode(utt.features))
+
+    def step(self, state: DecoderStepState, token: int | None):
+        """``decode_step`` on ``token``, or on <sos> when it is None; the
+        prefix may grow to ``max_prefix`` symbols."""
+        if state.steps > self.max_prefix:
+            raise ScorerError(f"prefix of length {state.steps} exceeds max_prefix={self.max_prefix}")
+        return self.decode_step(state, self.sos_id if token is None else token)
+
+    def covered(self, state: DecoderStepState, threshold: float) -> int:
+        """Frames above ``threshold`` after one more step, whose attention
+        depends only on ``state`` and not on the symbol it consumes."""
+        _, weights = self.attend(state.h_enc, state.s)
+        return int(np.count_nonzero(state.cum_attention + weights.mean(axis=0) > threshold))
+
     def init_state(self, h_enc: np.ndarray) -> DecoderStepState:
         return DecoderStepState(
             h_enc=h_enc,
@@ -366,50 +398,20 @@ class ToyLasModel:
             y_prev=y_prev,
             contexts=contexts,
             cum_attention=state.cum_attention + weights.mean(axis=0),
+            steps=state.steps + 1,
         )
         return dist, new_state, (att_caches, cell_cache, dist, contexts, weights)
 
 
-def step_distributions(scorer, utt: Utterance, prefix: Sequence[int]) -> np.ndarray:
-    """Next-symbol distribution after consuming ``prefix`` (ids, no <sos>)."""
-    prefix = tuple(int(y) for y in prefix)
-    if isinstance(scorer, TableScorer):
-        rows = scorer._rows_for(utt)
-        if len(prefix) >= len(rows):
-            raise ScorerError(
-                f"prefix of length {len(prefix)} exceeds the {len(rows)} stored steps for {utt.uid!r}"
-            )
-        return rows[len(prefix)]
-    if isinstance(scorer, ToyLasModel):
-        if len(prefix) > scorer.max_prefix:
-            raise ScorerError(f"prefix of length {len(prefix)} exceeds max_prefix={scorer.max_prefix}")
-        state = scorer.init_state(scorer.encode(utt.features))
-        dist, state = scorer.decode_step(state, scorer.sos_id)
-        for y in prefix:
-            dist, state = scorer.decode_step(state, y)
-        return dist
-    raise ScorerError(f"unsupported scorer type {type(scorer).__name__}")
+def step_distributions(scorer, state, token: int | None):
+    """One protocol step: the distribution after ``token`` and the state
+    that follows it (``token`` None on a hypothesis's first step)."""
+    return scorer.step(state, token)
 
 
-def coverage_count(scorer, utt: Utterance, prefix: Sequence[int], threshold: float) -> int:
-    """How many encoder frames have accumulated attention mass above the
-    threshold after ``len(prefix)`` decode steps.
-
-    The table scorer has no attention; each of its steps stands for one
-    covered frame, which keeps the count independent of the symbols chosen,
-    exactly like the model's count is independent of the candidate symbol
-    appended at the current step.
-    """
-    prefix = tuple(int(y) for y in prefix)
-    if isinstance(scorer, TableScorer):
-        return len(prefix)
-    if isinstance(scorer, ToyLasModel):
-        state = scorer.init_state(scorer.encode(utt.features))
-        _, state = scorer.decode_step(state, scorer.sos_id)
-        for y in prefix:
-            _, state = scorer.decode_step(state, y)
-        return int(np.count_nonzero(state.cum_attention > threshold))
-    raise ScorerError(f"unsupported scorer type {type(scorer).__name__}")
+def coverage_count(scorer, state, threshold: float) -> int:
+    """Frames the hypothesis at ``state`` covers once closed with <eos>."""
+    return scorer.covered(state, threshold)
 
 
 def _validate_reference(model: ToyLasModel, utt: Utterance) -> None:

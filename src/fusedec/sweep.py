@@ -80,7 +80,6 @@ def sweep_lmw(
     *,
     scorer=None,
     utterances=None,
-    jobs: int = 1,
 ) -> SweepResult:
     """Decode the whole task at every grid point and score each curve entry.
 
@@ -112,7 +111,7 @@ def sweep_lmw(
     for entry in grid:
         cfg, lb, ln = _point_config(config, which, entry)
         try:
-            results = decode_batch(scorer, resources, utterances, cfg, jobs=jobs)
+            results = decode_batch(scorer, resources, utterances, cfg)
             breakdown = corpus_wer([(r, res.words) for r, res in zip(refs, results)])
             points.append(SweepPoint(lb, ln, breakdown))
         except ValueError as e:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from fusedec.fst import WeightedFst
+from fusedec.fst import WeightedFst, string_weight
+from fusedec.scorer import TableScorer
 
 
 def enumerate_paths(
@@ -193,8 +194,6 @@ def fused_argmin_bruteforce(rows, eos_id, max_len, lam=0.0, eta=0.0, graph=None)
     when the graph accepts it.  Returns (total_cost, tokens) with ties going
     to the lexicographically smaller token tuple.
     """
-    from fusedec.fst import string_weight
-
     n_rows = len(rows)
     best = None
 
@@ -224,4 +223,65 @@ def fused_argmin_bruteforce(rows, eos_id, max_len, lam=0.0, eta=0.0, graph=None)
                 grow(tokens + (t,), score + math.log(row[t]))
 
     grow((), 0.0)
+    return best
+
+
+def replay_distribution(scorer, utt, prefix):
+    """Next-symbol distribution after ``prefix`` (ids, no <sos>), rebuilt
+    from scratch: a table scorer reads row ``len(prefix)``, an attention
+    model re-encodes the utterance and steps from <sos> through the prefix."""
+    prefix = tuple(int(y) for y in prefix)
+    if isinstance(scorer, TableScorer):
+        return scorer.rows[utt.uid][len(prefix)]
+    state = scorer.init_state(scorer.encode(utt.features))
+    dist, state = scorer.decode_step(state, scorer.sos_id)
+    for y in prefix:
+        dist, state = scorer.decode_step(state, y)
+    return dist
+
+
+def replay_coverage(scorer, utt, prefix, threshold):
+    """Encoder frames whose accumulated attention exceeds ``threshold`` after
+    the steps that consume <sos> and ``prefix``; a table scorer counts one
+    frame per prefix symbol."""
+    prefix = tuple(int(y) for y in prefix)
+    if isinstance(scorer, TableScorer):
+        return len(prefix)
+    state = scorer.init_state(scorer.encode(utt.features))
+    _, state = scorer.decode_step(state, scorer.sos_id)
+    for y in prefix:
+        _, state = scorer.decode_step(state, y)
+    return int(sum(1 for a in state.cum_attention if a > threshold))
+
+
+def scorer_argmin_bruteforce(scorer, utt, max_len, lam, eta, threshold, graph):
+    """Definitional fused argmin for any scorer: every token string of length
+    <= max_len that ``graph`` accepts, its model score summed from replayed
+    distributions, its coverage replayed over the string plus <eos>.
+
+    Returns (total_cost, tokens), ties going to the smaller token tuple.
+    """
+    alphabet = scorer.alphabet
+    eos = alphabet.id("<eos>")
+    symbols = [t for t in range(1, len(alphabet)) if alphabet.sym(t) not in ("<sos>", "<eos>")]
+    best = None
+
+    def walk(tokens):
+        nonlocal best
+        lattice = string_weight(graph, tokens)
+        if lattice is not None:
+            score = 0.0
+            for i, y in enumerate((*tokens, eos)):
+                p = replay_distribution(scorer, utt, tokens[:i])[y]
+                score = score + math.log(p) if p > 0.0 else -math.inf
+            if score > -math.inf:
+                cov = replay_coverage(scorer, utt, (*tokens, eos), threshold)
+                key = (-score + lam * lattice - eta * cov, tokens)
+                if best is None or key < best:
+                    best = key
+        if len(tokens) < max_len:
+            for t in symbols:
+                walk((*tokens, t))
+
+    walk(())
     return best

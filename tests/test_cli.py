@@ -258,6 +258,30 @@ class TestScoreCommand:
         assert code == 1
         assert "utt9999" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"uid": "utt0000"}',
+            '{"words": ["I"]}',
+            "[1,2]",
+            '{"uid": "utt0000", "words": ["I"]',
+        ],
+        ids=["missing-words", "missing-uid", "not-an-object", "bad-json"],
+    )
+    def test_malformed_results_line_names_file_and_line(self, pipeline, tmp_path, capsys, line):
+        results = tmp_path / "bad.jsonl"
+        good = json.dumps({"uid": "utt0000", "words": ["I"]})
+        results.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
+        code = main([
+            "score", "--task", str(pipeline / "task"), "--results", str(results),
+            "--out", str(tmp_path / "s.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {results}:3: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s.json").exists()
+
 
 class TestTrainScorerCommand:
     def test_training_writes_checkpoint_and_trace(self, pipeline, tmp_path):

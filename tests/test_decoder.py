@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fusedec import decoder as decoder_mod
 from fusedec.decoder import (
     DecodeConfig,
     DecodeError,
@@ -20,9 +21,9 @@ from fusedec.decoder import (
 from fusedec.fst import SymbolTable, string_weight
 from fusedec.lexicon import EOW, compile_lexicon, parse_lexicon
 from fusedec.ngram import lm_to_fst, score_sequence, train_ngram
-from fusedec.scorer import EOS, SOS, TableScorer, Utterance
+from fusedec.scorer import EOS, SOS, TableScorer, ToyLasModel, Utterance
 
-from oracles import fused_argmin_bruteforce
+from oracles import fused_argmin_bruteforce, scorer_argmin_bruteforce
 
 
 def make_alphabet(*symbols: str) -> SymbolTable:
@@ -364,6 +365,62 @@ class TestFusedSearch:
             assert f.model_score == pytest.approx(p.model_score, abs=1e-12)
 
 
+class TestAttentionScorerSearch:
+    """The fused beam over a real attention model, coverage reward included."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exhaustive_matches_bruteforce(self, homophone, seed):
+        _, resources, alphabet = homophone
+        graph = resources.graph_for(alphabet)
+        model = ToyLasModel.init(
+            alphabet, 3, enc_hidden=4, dec_hidden=4, att_dim=3, embed_dim=3,
+            n_heads=2, seed=seed,
+        )
+        for k in model.params:
+            model.params[k] *= 8.0
+        utt = Utterance("u0", np.random.default_rng(300 + seed).normal(size=(5, 3)), (1,))
+        cfg = DecodeConfig(
+            fusion="beam",
+            lm_weight=0.3,
+            coverage_weight=2.0,
+            coverage_threshold=1.0,
+            beam_width=4096,
+            max_steps=4,
+            nbest_size=1,
+        )
+        nb = fused_beam_search(model, graph, utt, cfg)
+        expect = scorer_argmin_bruteforce(model, utt, 4, 0.3, 2.0, 1.0, graph.fst)
+        # without the coverage reward these models stop at once; with it
+        # every seed here ends on a longer, lattice-accepted string
+        assert expect[1] != ()
+        assert nb.complete
+        assert nb.entries[0].tokens == expect[1]
+        assert nb.entries[0].total_cost == pytest.approx(expect[0], abs=1e-9)
+
+    def test_one_encode_and_one_model_step_per_expansion(self, homophone, monkeypatch):
+        _, resources, alphabet = homophone
+        model = ToyLasModel.init(alphabet, 3, enc_hidden=4, dec_hidden=4, att_dim=3, embed_dim=3)
+        counts = {"encode": 0, "decode_step": 0, "expand": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(model, "encode", counted("encode", model.encode))
+        monkeypatch.setattr(model, "decode_step", counted("decode_step", model.decode_step))
+        monkeypatch.setattr(
+            decoder_mod, "step_distributions", counted("expand", decoder_mod.step_distributions)
+        )
+        utt = Utterance("u0", np.random.default_rng(7).normal(size=(4, 3)), (1,))
+        cfg = DecodeConfig(fusion="beam", lm_weight=0.2, coverage_weight=0.5, beam_width=3, max_steps=6)
+        decode(model, resources, utt, cfg)
+        assert counts["encode"] == 1
+        assert counts["expand"] > 6
+        assert counts["decode_step"] == counts["expand"]
+
+
 class TestNBestRescore:
     def point_scorer(self, alphabet):
         rows = point_rows(alphabet, ["ay", EOW, "ae", "m", EOW, EOS])
@@ -585,15 +642,9 @@ class TestDecode:
             tables[uid] = random_rows(alphabet, rng, 4)
         scorer = TableScorer(alphabet, tables)
         cfg = DecodeConfig(fusion="both", lm_weight=0.1, lm_weight_nbest=0.1)
-        seq = decode_batch(scorer, resources, utts, cfg, jobs=1)
-        par = decode_batch(scorer, resources, utts, cfg, jobs=4)
-        assert [r.uid for r in seq] == [u.uid for u in utts]
-        assert seq == par
-
-    def test_batch_rejects_bad_jobs(self, homophone):
-        _, resources, _ = homophone
-        with pytest.raises(DecodeError, match="jobs"):
-            decode_batch(None, resources, [], DecodeConfig(), jobs=0)
+        batch = decode_batch(scorer, resources, utts, cfg)
+        assert [r.uid for r in batch] == [u.uid for u in utts]
+        assert batch == [decode(scorer, resources, u, cfg) for u in utts]
 
 
 class TestEowStrictness:

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusedec.fst import SymbolTable
 from fusedec.scorer import (
@@ -21,6 +23,8 @@ from fusedec.scorer import (
     train_model,
     write_loss_trace,
 )
+
+from oracles import replay_coverage, replay_distribution
 
 
 @pytest.fixture
@@ -42,6 +46,15 @@ def tiny_model(alphabet, *, n_heads=1, n_enc_layers=1, seed=0, scale=1.0):
 def make_utt(alphabet, rng, uid="u0", T=4, words="a b"):
     ref = tuple(alphabet.id(w) for w in words.split()) + (alphabet.id("<eos>"),)
     return Utterance(uid, rng.normal(size=(T, 3)), ref)
+
+
+def chain(scorer, utt, prefix):
+    """Step a scorer from its start state through ``prefix``; returns the
+    distribution after the last step and the state that follows it."""
+    dist, state = step_distributions(scorer, scorer.start(utt), None)
+    for y in prefix:
+        dist, state = step_distributions(scorer, state, y)
+    return dist, state
 
 
 class TestUtterance:
@@ -70,16 +83,18 @@ class TestTableScorer:
         rows[:, abc_alphabet.id("<eos>")] = [0.0, 0.0, 1.0]
         ts = TableScorer(abc_alphabet, {"u0": rows})
         utt = Utterance("u0", np.zeros((3, 2)), (1,))
-        np.testing.assert_array_equal(step_distributions(ts, utt, []), rows[0])
-        np.testing.assert_array_equal(step_distributions(ts, utt, [1, 2]), rows[2])
+        np.testing.assert_array_equal(chain(ts, utt, [])[0], rows[0])
+        np.testing.assert_array_equal(chain(ts, utt, [1, 2])[0], rows[2])
+        assert ts.token_limit(utt) == 2
 
     def test_prefix_beyond_rows(self, abc_alphabet):
         rows = np.zeros((2, len(abc_alphabet)))
         rows[:, abc_alphabet.id("a")] = 1.0
         ts = TableScorer(abc_alphabet, {"u0": rows})
         utt = Utterance("u0", np.zeros((2, 2)), (1,))
+        _, state = chain(ts, utt, [1])
         with pytest.raises(ScorerError, match="exceeds the 2 stored steps"):
-            step_distributions(ts, utt, [1, 1])
+            step_distributions(ts, state, 1)
 
     def test_bad_row_sum(self, abc_alphabet):
         rows = np.zeros((1, len(abc_alphabet)))
@@ -104,7 +119,9 @@ class TestTableScorer:
         ts = TableScorer(abc_alphabet, {})
         utt = Utterance("ghost", np.zeros((1, 2)), (1,))
         with pytest.raises(ScorerError, match="ghost"):
-            step_distributions(ts, utt, [])
+            ts.start(utt)
+        with pytest.raises(ScorerError, match="ghost"):
+            ts.token_limit(utt)
 
     def test_alphabet_needs_eos(self):
         with pytest.raises(ScorerError, match="<eos>"):
@@ -115,7 +132,8 @@ class TestTableScorer:
         rows[:, abc_alphabet.id("a")] = 1.0
         ts = TableScorer(abc_alphabet, {"u0": rows})
         utt = Utterance("u0", np.zeros((4, 2)), (1,))
-        assert coverage_count(ts, utt, [1, 1, 2], 0.5) == 3
+        _, state = chain(ts, utt, [1, 1])
+        assert coverage_count(ts, state, 0.5) == 3
 
 
 def sigmoid(x):
@@ -291,18 +309,20 @@ class TestDecodeStep:
         dist, state = m.decode_step(state, m.sos_id)
         for y in prefix:
             dist, state = m.decode_step(state, y)
-        np.testing.assert_array_equal(step_distributions(m, utt, prefix), dist)
+        np.testing.assert_array_equal(chain(m, utt, prefix)[0], dist)
 
     def test_prefix_limit(self, abc_alphabet):
         m = ToyLasModel.init(abc_alphabet, 3, enc_hidden=4, dec_hidden=4, att_dim=3,
                              embed_dim=3, max_prefix=2)
         utt = make_utt(abc_alphabet, np.random.default_rng(14))
+        assert m.token_limit(utt) == 2
+        _, state = chain(m, utt, [1, 1])
         with pytest.raises(ScorerError, match="max_prefix"):
-            step_distributions(m, utt, [1, 1, 1])
+            step_distributions(m, state, 1)
 
     def test_teacher_forced_nll_recomputes(self, abc_alphabet):
-        # the training loss must equal an independent chain of
-        # step_distributions probabilities
+        # the training loss must equal the probabilities of a chain of
+        # protocol steps
         m = tiny_model(abc_alphabet, seed=15, scale=2.0)
         rng = np.random.default_rng(16)
         utts = [make_utt(abc_alphabet, rng, "u0", 4, "a b"),
@@ -310,10 +330,12 @@ class TestDecodeStep:
         loss, _ = loss_and_gradients(m, utts)
         total, tokens = 0.0, 0
         for utt in utts:
-            for i, y in enumerate(utt.reference):
-                dist = step_distributions(m, utt, utt.reference[:i])
+            state, prev = m.start(utt), None
+            for y in utt.reference:
+                dist, state = step_distributions(m, state, prev)
                 total += -math.log(dist[y])
                 tokens += 1
+                prev = y
         assert loss == pytest.approx(total / tokens, abs=1e-12)
 
 
@@ -415,15 +437,58 @@ class TestCoverage:
     def test_threshold_extremes(self, abc_alphabet):
         m = tiny_model(abc_alphabet, seed=28)
         utt = make_utt(abc_alphabet, np.random.default_rng(29), T=5)
-        assert coverage_count(m, utt, [1, 2], -1.0) == 5
-        assert coverage_count(m, utt, [1, 2], 1e9) == 0
+        _, state = chain(m, utt, [1])
+        assert coverage_count(m, state, -1.0) == 5
+        assert coverage_count(m, state, 1e9) == 0
 
     def test_monotone_in_prefix_length(self, abc_alphabet):
         m = tiny_model(abc_alphabet, seed=30)
         utt = make_utt(abc_alphabet, np.random.default_rng(31), T=6)
         prefix = [1, 2, 1, 2]
-        counts = [coverage_count(m, utt, prefix[:k], 0.3) for k in range(5)]
+        counts = [coverage_count(m, chain(m, utt, prefix[:k])[1], 0.3) for k in range(5)]
         assert counts == sorted(counts)
+
+
+class TestProtocolMatchesReplay:
+    """Stepping a state forward must give exactly what rebuilding the
+    utterance from scratch gives, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_heads=st.integers(1, 2),
+        n_enc_layers=st.integers(1, 2),
+        frames=st.integers(1, 5),
+        prefix=st.lists(st.integers(1, 3), max_size=5),
+        threshold=st.floats(0.0, 2.0),
+    )
+    def test_model_chain_equals_replay(self, seed, n_heads, n_enc_layers, frames, prefix, threshold):
+        alphabet = SymbolTable(["a", "b", "c", "<sos>", "<eos>"])
+        m = tiny_model(alphabet, n_heads=n_heads, n_enc_layers=n_enc_layers, seed=seed, scale=6.0)
+        utt = Utterance("u", np.random.default_rng(seed).normal(size=(frames, 3)), (5,))
+        state, prev = m.start(utt), None
+        for k in range(len(prefix) + 1):
+            dist, state = step_distributions(m, state, prev)
+            assert np.array_equal(dist, replay_distribution(m, utt, prefix[:k]))
+            want = replay_coverage(m, utt, (*prefix[:k], m.eos_id), threshold)
+            assert coverage_count(m, state, threshold) == want
+            prev = prefix[k] if k < len(prefix) else None
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), steps=st.integers(1, 6), prefix=st.lists(st.integers(1, 2), max_size=5))
+    def test_table_chain_equals_replay(self, seed, steps, prefix):
+        alphabet = SymbolTable(["a", "b", "<sos>", "<eos>"])
+        rows = np.random.default_rng(seed).random((steps, len(alphabet)))
+        rows[:, [0, alphabet.id("<sos>")]] = 0.0
+        ts = TableScorer(alphabet, {"u": rows / rows.sum(axis=1, keepdims=True)})
+        utt = Utterance("u", np.zeros((1, 1)), (1,))
+        eos = alphabet.id("<eos>")
+        prefix = prefix[: ts.token_limit(utt)]
+        state = ts.start(utt)
+        for k, prev in enumerate((None, *prefix)):
+            dist, state = step_distributions(ts, state, prev)
+            assert np.array_equal(dist, replay_distribution(ts, utt, prefix[:k]))
+            assert coverage_count(ts, state, 0.5) == replay_coverage(ts, utt, (*prefix[:k], eos), 0.5)
 
 
 class TestCheckpoint:
@@ -438,9 +503,7 @@ class TestCheckpoint:
         for k, v in m.params.items():
             np.testing.assert_array_equal(back.params[k], v)
         utt = make_utt(abc_alphabet, np.random.default_rng(33))
-        np.testing.assert_array_equal(
-            step_distributions(back, utt, [1]), step_distributions(m, utt, [1])
-        )
+        np.testing.assert_array_equal(chain(back, utt, [1])[0], chain(m, utt, [1])[0])
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -101,10 +101,10 @@ class TestCurves:
         _, _, resources = setup
         real = sweep_mod.decode_batch
 
-        def flaky(scorer, res, utts, cfg, jobs=1):
+        def flaky(scorer, res, utts, cfg):
             if cfg.lm_weight == 0.1:
                 raise ValueError("synthetic failure")
-            return real(scorer, res, utts, cfg, jobs=jobs)
+            return real(scorer, res, utts, cfg)
 
         monkeypatch.setattr(sweep_mod, "decode_batch", flaky)
         result = sweep_lmw(clean_task, resources, DecodeConfig(), [0.0, 0.1, 0.2], "beam")
