@@ -8,6 +8,7 @@ lexicon-grammar machine; the scorer supplies the per-step distributions.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +48,8 @@ class DecodeConfig:
     must be set exactly for those strategies.  ``coverage_weight`` rewards
     attended encoder frames and only makes sense when the search itself is
     fused.  ``max_steps`` caps the token length of a hypothesis, the final
-    <eos> not counted.
+    <eos> not counted; it is a cap, not the usual search depth, since the
+    beam stops as soon as no live hypothesis can still reach the n-best.
     """
 
     beam_width: int = 8
@@ -155,6 +157,11 @@ class FusionGraph:
             raise DecodeError(f"fusion graph incompatible with the scorer alphabet: {e}") from e
         self.alphabet = alphabet
         self.start = _freeze(_eps_closure(self.fst, {self.fst.start: 0.0}))
+        # Prefix costs never fall when no weight is negative; the beam's
+        # threshold pruning is exact only then.
+        self.nonnegative = all(a.weight >= 0.0 for a in self.fst.arcs) and all(
+            w >= 0.0 for w in self.fst.finals.values()
+        )
 
     def advance(
         self, states: tuple[tuple[int, float], ...], label: int
@@ -235,6 +242,23 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     leading pair is ``_hyp_key``, unique per entry, so entries sort natively;
     the state is the parent's after the parent's step, so every expansion is
     one scorer step.
+
+    Threshold pruning keeps the returned list exactly the unpruned beam's.
+    Once ``nbest_size`` hypotheses have finished, the bar is the cost of the
+    ``nbest_size``-th of them.  Along any path ``-score + lm_weight *
+    lm_cost`` never falls: each step adds ``-log p >= 0``, and ``graph.best``
+    and ``graph.final_best`` cannot fall while every arc and final weight is
+    non-negative (a graph with a negative weight turns pruning off).  The
+    coverage reward takes at most ``coverage_weight * cap`` off a cost,
+    where ``cap = max(steps + 1, frames)`` bounds what ``covered()`` can
+    reach.  So a live entry whose ``-score + lm_weight * lm_cost -
+    coverage_weight * cap`` is strictly above the bar can only finish behind
+    the n-best.  Without a coverage reward that bound is the entry's own
+    cost: the beam drops its entries above the bar, and those it keeps are
+    the ones the unpruned beam keeps at or under it.  With a coverage reward
+    a cost can fall along a path, so a dropped entry's children might have
+    pushed kept ones out of the beam; the search then only stops once every
+    live entry is above the bar.
     """
     alphabet = scorer.alphabet
     try:
@@ -244,11 +268,15 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     lam = config.lm_weight if graph is not None else 0.0
     eta = config.coverage_weight
     steps = min(config.max_steps, scorer.token_limit(utt))
+    prune = graph is None or graph.nonnegative
+    slack = eta * max(steps + 1, utt.features.shape[0])
+    nbest = config.nbest_size
     start_state = graph.start if graph is not None else None
     start_cost = graph.best(start_state) if graph is not None else 0.0
     root = Hypothesis((), 0.0, start_cost, 0, lam * start_cost, False, start_state)
     live = [(root.total_cost, (), root, scorer.start(utt))]
     finished: list[Hypothesis] = []
+    cheapest: list[float] = []  # the nbest cheapest finished costs, negated (a max-heap)
     for depth in range(steps + 1):
         extend = depth < steps
         candidates: list[tuple[float, tuple[int, ...], Hypothesis, object]] = []
@@ -267,6 +295,10 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
                         stop = 0.0
                     total = -score + lam * stop - eta * cov
                     finished.append(Hypothesis(hyp.tokens, score, stop, cov, total, True))
+                    if len(cheapest) < nbest:
+                        heapq.heappush(cheapest, -total)
+                    elif total < -cheapest[0]:
+                        heapq.heapreplace(cheapest, -total)
                 elif extend:
                     if graph is not None:
                         nxt = graph.advance(hyp.lm_state, tid)
@@ -283,6 +315,15 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
             break
         candidates.sort()
         live = candidates[: config.beam_width]
+        if prune and len(cheapest) == nbest:
+            bar = -cheapest[0]
+            if eta == 0.0:
+                while live and live[-1][0] > bar:
+                    live.pop()
+            elif all(-h.model_score + lam * h.lm_cost - slack > bar for _, _, h, _ in live):
+                live = []
+            if not live:
+                break
     finished.sort(key=_hyp_key)
     if finished:
         return NBestList(tuple(finished[: config.nbest_size]), True)

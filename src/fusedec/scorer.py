@@ -13,14 +13,16 @@ which scorer it holds:
   return the next-symbol distribution with the state after it;
 - ``scorer.covered(state, threshold) -> int``: how many encoder frames the
   hypothesis at ``state`` will have covered once it is closed with
-  ``<eos>``.
+  ``<eos>``; never more than the larger of the steps taken and the
+  utterance's frame count, which the beam's threshold pruning relies on.
 
 The decoder reaches the last two through :func:`step_distributions` and
 :func:`coverage_count`.  States are never mutated, so a beam keeps one per
 live hypothesis and every survivor of pruning steps once from its parent's
 state: no prefix is replayed and no utterance is encoded twice.
 
-Distributions are dense float64 arrays indexed by symbol id; epsilon and
+Distributions are dense float64 arrays of probabilities (at most 1, so no
+step lowers a hypothesis's cost) indexed by symbol id; epsilon and
 ``<sos>`` positions are structurally zero since a decode step can never
 produce them.  Everything runs in float64 so the analytic gradients can be
 checked against central finite differences at tight tolerance.
@@ -93,8 +95,9 @@ class TableScorer:
     """Explicit per-step rows, keyed by utterance id.
 
     The k-th row is the distribution after a prefix of length k, regardless
-    of what the prefix contains.  Rows must be non-negative, sum to 1 within
-    1e-9, and put no mass on epsilon or ``<sos>``.  A state is the triple
+    of what the prefix contains.  Rows must hold probabilities (in [0, 1],
+    so no step lowers a hypothesis's cost), sum to 1 within 1e-9, and put no
+    mass on epsilon or ``<sos>``.  A state is the triple
     (uid, rows, steps taken); the table has no attention, so each step
     stands for one covered frame.
     """
@@ -113,6 +116,8 @@ class TableScorer:
                 )
             if np.any(arr < 0):
                 raise ScorerError(f"{uid}: negative probability in step rows")
+            if np.any(arr > 1):
+                raise ScorerError(f"{uid}: probability above 1 in step rows")
             sums = arr.sum(axis=1)
             bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
             if bad.size:
@@ -524,11 +529,14 @@ def train_model(
     """Full-batch training; mutates the model and returns the loss trace.
 
     The trace records the loss evaluated at the start of each epoch, so a
-    zero learning rate yields a constant trace.  A non-finite loss aborts
-    with the epoch number in the error.
+    zero learning rate yields a constant trace.  The learning rate must be
+    finite and non-negative.  A non-finite loss aborts with the epoch number
+    in the error, and so do non-finite parameters after the last update.
     """
     if epochs < 1:
         raise ScorerError(f"epochs must be >= 1, got {epochs}")
+    if not math.isfinite(lr) or lr < 0:
+        raise ScorerError(f"lr must be finite and non-negative, got {lr}")
     if optimizer not in ("sgd", "adam"):
         raise ScorerError(f"optimizer must be 'sgd' or 'adam', got {optimizer!r}")
     trace: list[float] = []
@@ -551,6 +559,8 @@ def train_model(
                 m_hat = adam_m[k] / (1 - b1**t)
                 v_hat = adam_v[k] / (1 - b2**t)
                 model.params[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    if not all(np.isfinite(v).all() for v in model.params.values()):
+        raise ScorerError(f"training diverged at epoch {epochs - 1}: non-finite parameters")
     return trace
 
 

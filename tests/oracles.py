@@ -10,8 +10,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from fusedec.fst import WeightedFst, string_weight
-from fusedec.scorer import TableScorer
+import numpy as np
+
+from fusedec.decoder import DecodeConfig, DecodeError, FusionGraph, Hypothesis, NBestList, _hyp_key
+from fusedec.fst import FstError, WeightedFst, string_weight
+from fusedec.scorer import EOS, TableScorer, Utterance, coverage_count, step_distributions
 
 
 def enumerate_paths(
@@ -285,3 +288,67 @@ def scorer_argmin_bruteforce(scorer, utt, max_len, lam, eta, threshold, graph):
 
     walk(())
     return best
+
+
+def reference_expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | None) -> NBestList:
+    """The decoder's beam core as it was before threshold pruning: every
+    depth up to ``min(max_steps, token_limit)`` is searched, whatever the
+    finished hypotheses already cost.  ``graph`` None gives the plain
+    model-score search.
+
+    A live entry is (total_cost, tokens, hypothesis, scorer state): the
+    leading pair is ``_hyp_key``, unique per entry, so entries sort natively;
+    the state is the parent's after the parent's step, so every expansion is
+    one scorer step.
+    """
+    alphabet = scorer.alphabet
+    try:
+        eos = alphabet.id(EOS)
+    except FstError as e:
+        raise DecodeError(f"scorer alphabet lacks {EOS}: {e}") from e
+    lam = config.lm_weight if graph is not None else 0.0
+    eta = config.coverage_weight
+    steps = min(config.max_steps, scorer.token_limit(utt))
+    start_state = graph.start if graph is not None else None
+    start_cost = graph.best(start_state) if graph is not None else 0.0
+    root = Hypothesis((), 0.0, start_cost, 0, lam * start_cost, False, start_state)
+    live = [(root.total_cost, (), root, scorer.start(utt))]
+    finished: list[Hypothesis] = []
+    for depth in range(steps + 1):
+        extend = depth < steps
+        candidates: list[tuple[float, tuple[int, ...], Hypothesis, object]] = []
+        for _, _, hyp, state in live:
+            dist, state = step_distributions(scorer, state, hyp.tokens[-1] if hyp.tokens else None)
+            cov = coverage_count(scorer, state, config.coverage_threshold) if eta > 0.0 else 0
+            for tid in np.flatnonzero(dist > 0.0):
+                tid = int(tid)
+                score = hyp.model_score + math.log(dist[tid])
+                if tid == eos:
+                    if graph is not None:
+                        stop = graph.final_best(hyp.lm_state)
+                        if stop is None:
+                            continue
+                    else:
+                        stop = 0.0
+                    total = -score + lam * stop - eta * cov
+                    finished.append(Hypothesis(hyp.tokens, score, stop, cov, total, True))
+                elif extend:
+                    if graph is not None:
+                        nxt = graph.advance(hyp.lm_state, tid)
+                        if nxt is None:
+                            continue
+                        ahead = graph.best(nxt)
+                    else:
+                        nxt, ahead = None, 0.0
+                    total = -score + lam * ahead - eta * cov
+                    tokens = (*hyp.tokens, tid)
+                    child = Hypothesis(tokens, score, ahead, cov, total, False, nxt)
+                    candidates.append((total, tokens, child, state))
+        if not extend or not candidates:
+            break
+        candidates.sort()
+        live = candidates[: config.beam_width]
+    finished.sort(key=_hyp_key)
+    if finished:
+        return NBestList(tuple(finished[: config.nbest_size]), True)
+    return NBestList(tuple(hyp for _, _, hyp, _ in live[: config.nbest_size]), False)

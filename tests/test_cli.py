@@ -302,6 +302,19 @@ class TestTrainScorerCommand:
         assert code == 0
         assert len(out.read_text().splitlines()) == 12
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-1"])
+    def test_bad_learning_rate_is_runtime_failure(self, pipeline, tmp_path, capsys, lr):
+        ckpt = tmp_path / "model.npz"
+        code = main([
+            "train-scorer", "--task", str(pipeline / "task"),
+            "--epochs", "1", "--lr", lr, "--out", str(ckpt),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lr must be finite and non-negative")
+        assert err.count("\n") == 1
+        assert not ckpt.exists()
+
 
 class TestSynthDeterminism:
     def test_same_seed_same_bytes(self, pipeline, tmp_path):

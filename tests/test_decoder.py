@@ -1,8 +1,12 @@
 import json
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusedec import decoder as decoder_mod
 from fusedec.decoder import (
@@ -18,12 +22,13 @@ from fusedec.decoder import (
     fused_beam_search,
     nbest_rescore,
 )
-from fusedec.fst import SymbolTable, string_weight
+from fusedec.fst import Arc, SymbolTable, build_fst, string_weight
 from fusedec.lexicon import EOW, compile_lexicon, parse_lexicon
 from fusedec.ngram import lm_to_fst, score_sequence, train_ngram
 from fusedec.scorer import EOS, SOS, TableScorer, ToyLasModel, Utterance
 
-from oracles import fused_argmin_bruteforce, scorer_argmin_bruteforce
+import oracles
+from oracles import fused_argmin_bruteforce, reference_expand, scorer_argmin_bruteforce
 
 
 def make_alphabet(*symbols: str) -> SymbolTable:
@@ -698,3 +703,264 @@ class TestBeamMonotonicity:
             assert nb.complete
             totals.append(nb.entries[0].total_cost)
         assert all(a >= b - 1e-12 for a, b in zip(totals, totals[1:]))
+
+
+@contextmanager
+def counted_steps():
+    """Count the scorer steps of the decoder and of the reference beam
+    inside the block."""
+    calls = [0]
+    real = decoder_mod.step_distributions
+
+    def wrapper(*args):
+        calls[0] += 1
+        return real(*args)
+
+    with mock.patch.object(decoder_mod, "step_distributions", wrapper), \
+            mock.patch.object(oracles, "step_distributions", wrapper):
+        yield calls
+
+
+def pruned_and_reference(scorer, resources, utt, cfg):
+    """``decode`` as shipped and with the unpruned reference beam, each with
+    its scorer-step count."""
+    with counted_steps() as pruned_calls:
+        pruned = decode(scorer, resources, utt, cfg).to_dict()
+    with counted_steps() as ref_calls, mock.patch.object(decoder_mod, "_expand", reference_expand):
+        ref = decode(scorer, resources, utt, cfg).to_dict()
+    return pruned, ref, pruned_calls[0], ref_calls[0]
+
+
+def peaked_rows(alphabet: SymbolTable, rng, steps: int, sharpness: float) -> np.ndarray:
+    """Random rows raised to ``sharpness``: large values give near point
+    masses, so some hypotheses finish early and pruning has work to do."""
+    rows = random_rows(alphabet, rng, steps) ** sharpness
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def random_resources(rng, eow_mode: str) -> DecodeResources:
+    """A random lexicon over phones a, b, c and a bigram from random
+    sentences over its words (each word also spoken alone once)."""
+    phones = ["a", "b", "c"]
+    words = [f"w{i}" for i in range(int(rng.integers(2, 5)))]
+    text = "".join(
+        f"{w}\t{' '.join(rng.choice(phones, size=int(rng.integers(1, 3))))}\n" for w in words
+    )
+    corpus = [[w] for w in words] + [
+        [str(w) for w in rng.choice(words, size=int(rng.integers(1, 4)))] for _ in range(6)
+    ]
+    lm = train_ngram(corpus, order=2, smoothing="absdisc")
+    return DecodeResources(compile_lexicon(parse_lexicon(text), eow_mode=eow_mode), lm_to_fst(lm))
+
+
+class ScriptedScorer:
+    """Protocol scorer with hand-set distributions and coverage per prefix;
+    a prefix with no script stops with certainty and keeps its parent's
+    coverage."""
+
+    def __init__(self, alphabet, dists, covered):
+        self.alphabet = alphabet
+        self.dists = {k: rows_for(alphabet, [d])[0] for k, d in dists.items()}
+        self.cov = covered
+
+    def token_limit(self, utt):
+        return 3
+
+    def start(self, utt):
+        return None
+
+    def step(self, state, token):
+        prefix = () if token is None else (*state, token)
+        stop = rows_for(self.alphabet, [{EOS: 1.0}])[0]
+        return self.dists.get(prefix, stop), prefix
+
+    def covered(self, state, threshold):
+        while state not in self.cov:
+            state = state[:-1]
+        return self.cov[state]
+
+
+class TestThresholdPruning:
+    """The beam stops stepping hypotheses that can no longer reach the
+    n-best, and returns exactly what the unpruned reference beam returns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        steps=st.integers(1, 8),
+        beam_width=st.integers(1, 6),
+        nbest_size=st.integers(1, 6),
+        sharpness=st.sampled_from([1.0, 3.0, 8.0]),
+    )
+    def test_random_tables_match_reference(self, seed, steps, beam_width, nbest_size, sharpness):
+        alphabet = make_alphabet("a", "b", "<space>")
+        rows = peaked_rows(alphabet, np.random.default_rng(seed), steps, sharpness)
+        scorer = TableScorer(alphabet, {"u0": rows})
+        cfg = DecodeConfig(beam_width=beam_width, nbest_size=nbest_size)
+        pruned, ref, calls, ref_calls = pruned_and_reference(scorer, None, make_utt(), cfg)
+        assert pruned == ref
+        assert calls <= ref_calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        fusion=st.sampled_from(["nbest", "beam", "both"]),
+        eow_mode=st.sampled_from(["required", "optional"]),
+        lam=st.floats(0.01, 2.0),
+        eta=st.sampled_from([0.0, 0.3, 1.5]),
+        beam_width=st.integers(1, 6),
+        nbest_size=st.integers(1, 5),
+        sharpness=st.sampled_from([1.0, 3.0, 8.0]),
+    )
+    def test_random_graphs_match_reference(
+        self, seed, fusion, eow_mode, lam, eta, beam_width, nbest_size, sharpness
+    ):
+        rng = np.random.default_rng(seed)
+        resources = random_resources(rng, eow_mode)
+        alphabet = make_alphabet("a", "b", "c", EOW)
+        assert resources.graph_for(alphabet).nonnegative
+        rows = peaked_rows(alphabet, rng, int(rng.integers(2, 8)), sharpness)
+        scorer = TableScorer(alphabet, {"u0": rows})
+        searched = fusion != "nbest"
+        cfg = DecodeConfig(
+            fusion=fusion,
+            lm_weight=lam if searched else 0.0,
+            lm_weight_nbest=None if fusion == "beam" else lam,
+            coverage_weight=eta if searched else 0.0,
+            eow_mode=eow_mode,
+            beam_width=beam_width,
+            nbest_size=nbest_size,
+        )
+        pruned, ref, calls, ref_calls = pruned_and_reference(scorer, resources, make_utt(), cfg)
+        assert pruned == ref
+        assert calls <= ref_calls
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        fusion=st.sampled_from(["beam", "both"]),
+        eta=st.floats(0.05, 2.0),
+        threshold=st.floats(0.1, 1.2),
+        frames=st.integers(1, 6),
+        max_steps=st.integers(1, 6),
+        beam_width=st.integers(1, 4),
+        nbest_size=st.integers(1, 4),
+    )
+    def test_attention_models_with_coverage_match_reference(
+        self, homophone, seed, fusion, eta, threshold, frames, max_steps, beam_width, nbest_size
+    ):
+        _, resources, alphabet = homophone
+        rng = np.random.default_rng(seed)
+        model = ToyLasModel.init(
+            alphabet, 3, enc_hidden=4, dec_hidden=4, att_dim=3, embed_dim=3,
+            n_heads=int(rng.integers(1, 3)), seed=seed,
+        )
+        for k in model.params:
+            model.params[k] *= float(rng.uniform(1.0, 8.0))
+        utt = Utterance("u0", rng.normal(size=(frames, 3)), (1,))
+        cfg = DecodeConfig(
+            fusion=fusion,
+            lm_weight=0.3,
+            lm_weight_nbest=None if fusion == "beam" else 0.2,
+            coverage_weight=eta,
+            coverage_threshold=threshold,
+            beam_width=beam_width,
+            max_steps=max_steps,
+            nbest_size=nbest_size,
+        )
+        pruned, ref, calls, ref_calls = pruned_and_reference(model, resources, utt, cfg)
+        assert pruned == ref
+        assert calls <= ref_calls
+
+    def test_negative_weight_turns_pruning_off(self):
+        # Stopping at once (<eos> costs 0.51) beats "a" (0.92) so far, but
+        # the -10 arc makes "a a" the cheapest finished string.
+        alphabet = make_alphabet("a")
+        syms = SymbolTable(["a"])
+        lg = build_fst(
+            [Arc(0, 1, 1, 1, 0.0), Arc(1, 2, 1, 1, -10.0)], 0, {0: 0.0, 1: 0.0, 2: 0.0}, syms, syms
+        )
+        graph = FusionGraph(lg, alphabet)
+        assert not graph.nonnegative
+        rows = rows_for(alphabet, [{EOS: 0.6, "a": 0.4}, {EOS: 0.5, "a": 0.5}, {EOS: 1.0}])
+        scorer = TableScorer(alphabet, {"u0": rows})
+        cfg = DecodeConfig(fusion="beam", lm_weight=1.0, nbest_size=1)
+        ref = reference_expand(scorer, make_utt(), cfg, graph)
+        a = alphabet.id("a")
+        assert ref.entries[0].tokens == (a, a)
+        assert fused_beam_search(scorer, graph, make_utt(), cfg) == ref
+        # the same search with the pruning gate forced open stops after the
+        # first depth and misses the answer
+        graph.nonnegative = True
+        assert fused_beam_search(scorer, graph, make_utt(), cfg).entries[0].tokens == ()
+
+    def test_coverage_reward_stops_only_when_every_entry_is_out(self):
+        # After the first depth the bar is 0.69 (stopping at once).  "b"
+        # costs 11.5 and can earn at most 10 back, so it cannot finish under
+        # the bar, but its children (2.2 each, 10 frames covered) would push
+        # "a a" (5.3, none covered yet) out of a two-wide beam; "a a" then
+        # covers 10 frames and finishes at -4.7.  Dropping "b" alone would
+        # keep "a a" and return it; the unpruned beam returns the empty string.
+        alphabet = make_alphabet("a", "b")
+        a, b = alphabet.id("a"), alphabet.id("b")
+        scorer = ScriptedScorer(
+            alphabet,
+            {(): {EOS: 0.5, "a": 0.5 - 1e-5, "b": 1e-5}, (a,): {EOS: 0.99, "a": 0.01},
+             (b,): {"a": 0.5, "b": 0.5}},
+            {(): 0, (a,): 0, (b,): 10, (a, a): 10},
+        )
+        graph = FusionGraph(
+            build_fst([Arc(0, 0, 1, 1, 0.0), Arc(0, 0, 2, 2, 0.0)], 0, {0: 0.0},
+                      SymbolTable(["a", "b"]), SymbolTable(["a", "b"])),
+            alphabet,
+        )
+        utt = Utterance("u0", np.zeros((10, 1)), (1,))
+        cfg = DecodeConfig(fusion="beam", coverage_weight=1.0, beam_width=2, nbest_size=1)
+        ref = reference_expand(scorer, utt, cfg, graph)
+        assert ref.entries[0].tokens == ()
+        assert fused_beam_search(scorer, graph, utt, cfg) == ref
+
+    def test_early_eos_stops_after_one_step(self):
+        alphabet = make_alphabet("a", "b", "<space>")
+        rows = rows_for(
+            alphabet,
+            [{EOS: 0.9, "a": 0.05, "b": 0.05}] + [{"a": 0.45, "b": 0.45, EOS: 0.1}] * 40,
+        )
+        scorer = TableScorer(alphabet, {"u0": rows})
+        limit = scorer.token_limit(make_utt())
+        cfg = DecodeConfig(beam_width=4, nbest_size=1)
+        pruned, ref, calls, ref_calls = pruned_and_reference(scorer, None, make_utt(), cfg)
+        assert pruned == ref
+        assert pruned["nbest"][0]["words"] == []
+        assert calls == 1
+        assert ref_calls >= limit + 1
+
+    @pytest.mark.parametrize("kind", ["table", "model"])
+    @pytest.mark.parametrize("threshold", [-1.0, 0.3])
+    def test_coverage_stays_within_the_pruning_cap(self, homophone, kind, threshold):
+        # _expand bounds the coverage reward by max(steps + 1, frames)
+        _, resources, alphabet = homophone
+        rng = np.random.default_rng(41)
+        if kind == "table":
+            scorer = TableScorer(alphabet, {"u0": random_rows(alphabet, rng, 7)})
+            frames = 2
+        else:
+            scorer = ToyLasModel.init(alphabet, 3, enc_hidden=4, dec_hidden=4, att_dim=3, embed_dim=3)
+            frames = 9
+        utt = Utterance("u0", rng.normal(size=(frames, 3)), (1,))
+        cfg = DecodeConfig(fusion="beam", coverage_weight=0.5, coverage_threshold=threshold,
+                           beam_width=3, max_steps=5)
+        cap = max(min(cfg.max_steps, scorer.token_limit(utt)) + 1, frames)
+        seen: list[int] = []
+        real = decoder_mod.coverage_count
+
+        def recorded(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        with mock.patch.object(oracles, "coverage_count", recorded):
+            reference_expand(scorer, utt, cfg, resources.graph_for(alphabet))
+        assert seen
+        assert max(seen) <= cap
+        if kind == "model" and threshold < 0:
+            assert max(seen) == cap == frames

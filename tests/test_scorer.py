@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusedec import scorer as scorer_mod
 from fusedec.fst import SymbolTable
 from fusedec.scorer import (
     ScorerError,
@@ -107,6 +108,14 @@ class TestTableScorer:
         rows[0, abc_alphabet.id("a")] = 1.5
         rows[0, abc_alphabet.id("b")] = -0.5
         with pytest.raises(ScorerError, match="negative"):
+            TableScorer(abc_alphabet, {"u0": rows})
+
+    def test_probability_above_one(self, abc_alphabet):
+        # within the 1e-9 sum tolerance, but log p > 0 would let a step
+        # lower a hypothesis's cost and break the beam's threshold pruning
+        rows = np.zeros((1, len(abc_alphabet)))
+        rows[0, abc_alphabet.id("a")] = 1.0 + 4e-10
+        with pytest.raises(ScorerError, match="above 1"):
             TableScorer(abc_alphabet, {"u0": rows})
 
     def test_mass_on_sos_rejected(self, abc_alphabet):
@@ -420,6 +429,32 @@ class TestTraining:
         bad = Utterance("u", np.full((2, 3), np.nan), (1, abc_alphabet.id("<eos>")))
         with pytest.raises(ScorerError, match="epoch 0"):
             train_model(m, [bad], 3)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_rejects_bad_learning_rate(self, abc_alphabet, lr, optimizer):
+        m = tiny_model(abc_alphabet, seed=29)
+        before = {k: v.copy() for k, v in m.params.items()}
+        utt = make_utt(abc_alphabet, np.random.default_rng(30))
+        with pytest.raises(ScorerError, match="lr must be finite and non-negative"):
+            train_model(m, [utt], 1, lr=lr, optimizer=optimizer)
+        assert all(np.array_equal(m.params[k], v) for k, v in before.items())
+
+    def test_non_finite_parameters_after_last_update_fail(self, abc_alphabet, monkeypatch):
+        # the loss is checked before each update, so a bad last update only
+        # shows in the parameters it leaves behind
+        m = tiny_model(abc_alphabet, seed=31)
+        utt = make_utt(abc_alphabet, np.random.default_rng(32))
+        real = scorer_mod.loss_and_gradients
+
+        def nan_gradients(model, corpus):
+            loss, grads = real(model, corpus)
+            grads["out_b"][:] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(scorer_mod, "loss_and_gradients", nan_gradients)
+        with pytest.raises(ScorerError, match="epoch 0: non-finite parameters"):
+            train_model(m, [utt], 1, lr=0.1)
 
     def test_bad_optimizer(self, abc_alphabet):
         m = tiny_model(abc_alphabet)
