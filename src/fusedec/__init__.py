@@ -26,6 +26,7 @@ from .fst import (
     build_fst,
     compose,
     linear_fst,
+    output_weights,
     read_fst_text,
     relabel,
     shortest_paths,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# linear_fst and shortest_paths are unused here, but bench/tracing.py wraps them by name.
 from .fst import (
     FstError,
     SymbolTable,
@@ -21,6 +22,7 @@ from .fst import (
     _eps_closure,
     compose,
     linear_fst,
+    output_weights,
     relabel,
     shortest_paths,
 )
@@ -29,10 +31,6 @@ from .scorer import EOS, Utterance, coverage_count, step_distributions
 FUSION_MODES = ("none", "nbest", "beam", "both")
 EOW_MODES = ("required", "optional")
 SPACE = "<space>"
-
-# Paths requested per hypothesis when recovering word sequences; generous
-# headroom over nbest_size so homophone fan-out is not cut off early.
-_WORD_PATHS_PER_HYP = 64
 
 
 class DecodeError(ValueError):
@@ -351,12 +349,6 @@ def fused_beam_search(
     return _expand(scorer, utt, config, graph)
 
 
-def _word_paths(tokens: tuple[int, ...], graph: FusionGraph, n: int):
-    """Accepting word paths for one token string, cheapest first."""
-    chain = linear_fst(tokens, graph.fst.isyms)
-    return shortest_paths(compose(chain, graph.fst), n)
-
-
 def nbest_rescore(
     nbest: NBestList,
     graph: FusionGraph,
@@ -367,30 +359,27 @@ def nbest_rescore(
 ) -> RescoreResult:
     """Turn token hypotheses into ranked word hypotheses.
 
-    Every distinct word path of a hypothesis competes separately, each with
-    its own lattice cost, so homophones are resolved by the combined cost
-    rather than collapsed before ranking.  Hypotheses with no accepting path
-    are dropped and counted.
+    Every distinct word string a hypothesis spells competes separately, at
+    its cheapest lattice cost, so homophones are resolved by the combined
+    cost rather than collapsed before ranking.  Hypotheses with no accepting
+    path are dropped and counted.  The graph must have no negative weight.
     """
+    if not graph.nonnegative:
+        raise DecodeError("word recovery requires a fusion graph with no negative weight")
     pool: list[WordHypothesis] = []
     unparsed = 0
     for entry in nbest.entries:
-        paths = _word_paths(entry.tokens, graph, _WORD_PATHS_PER_HYP)
-        if not paths:
+        weights = output_weights(graph.fst, entry.tokens)
+        if not weights:
             unparsed += 1
-            continue
-        seen: set[tuple[int, ...]] = set()
-        for p in paths:
-            if p.olabels in seen:
-                continue
-            seen.add(p.olabels)
-            total = -entry.model_score + lm_weight * p.weight - coverage_weight * entry.coverage
+        for olabels, lm_cost in weights.items():
+            total = -entry.model_score + lm_weight * lm_cost - coverage_weight * entry.coverage
             pool.append(
                 WordHypothesis(
-                    words=graph.fst.osyms.decode(p.olabels),
+                    words=graph.fst.osyms.decode(olabels),
                     total_cost=total,
                     model_score=entry.model_score,
-                    lm_cost=p.weight,
+                    lm_cost=lm_cost,
                     coverage=entry.coverage,
                     source_tokens=entry.tokens,
                 )
@@ -424,12 +413,13 @@ def _split_graphemes(entry: Hypothesis, alphabet: SymbolTable) -> WordHypothesis
 
 
 def _best_words(entry: Hypothesis, graph: FusionGraph) -> WordHypothesis | None:
-    """The cheapest word path for one fused hypothesis; None if none accepts."""
-    paths = _word_paths(entry.tokens, graph, 1)
-    if not paths:
+    """The cheapest word string for one fused hypothesis; None if none accepts."""
+    weights = output_weights(graph.fst, entry.tokens)
+    if not weights:
         return None
+    _, olabels = min((w, olabels) for olabels, w in weights.items())
     return WordHypothesis(
-        words=graph.fst.osyms.decode(paths[0].olabels),
+        words=graph.fst.osyms.decode(olabels),
         total_cost=entry.total_cost,
         model_score=entry.model_score,
         lm_cost=entry.lm_cost,
@@ -496,22 +486,14 @@ def decode(
     if resources is None:
         raise DecodeError(f"fusion {config.fusion!r} requires decode resources")
     graph = resources.graph_for(scorer.alphabet)
-    if config.fusion == "nbest":
-        nb = _expand(scorer, utt, config, None)
-        res = nbest_rescore(nb, graph, config.lm_weight_nbest, nbest_size=config.nbest_size)
-    elif config.fusion == "beam":
-        nb = _expand(scorer, utt, config, graph)
-        kept: list[WordHypothesis] = []
-        unparsed = 0
-        for entry in nb.entries:
-            wh = _best_words(entry, graph)
-            if wh is None:
-                unparsed += 1
-            else:
-                kept.append(wh)
-        res = RescoreResult(tuple(kept), unparsed)
-    else:
-        nb = _expand(scorer, utt, config, graph)
+    if not graph.nonnegative:
+        raise DecodeError("word recovery requires a fusion graph with no negative weight")
+    nb = _expand(scorer, utt, config, None if config.fusion == "nbest" else graph)
+    if config.fusion == "beam":
+        found = [_best_words(entry, graph) for entry in nb.entries]
+        kept = tuple(wh for wh in found if wh is not None)
+        res = RescoreResult(kept, len(found) - len(kept))
+    else:  # nbest, where lm_weight and coverage_weight are 0, or both
         res = nbest_rescore(
             nb,
             graph,

@@ -468,27 +468,45 @@ def shortest_paths(f: WeightedFst, n: int) -> list[FstPath]:
     return results
 
 
+def output_weights(f: WeightedFst, ilabels: Sequence[str | int]) -> dict[tuple[int, ...], float]:
+    """The cheapest weight of each distinct epsilon-free output string among
+    the accepting paths whose epsilon-free input reads ``ilabels``.
+
+    One Dijkstra over (labels read, state, output so far), each key settled
+    once: exact weights when none is negative, all strings either way.  Only
+    an input-epsilon cycle that writes output lets a path reading n labels
+    write (n + 1) * num_states labels; that raises ``FstError``.
+    """
+    ids = f.isyms.encode(ilabels)
+    cap = (len(ids) + 1) * f.num_states
+    out: dict[tuple[int, ...], float] = {}
+    done: set[tuple[int, int, tuple[int, ...]]] = set()
+    heap = [(0.0, 0, f.start, ())]
+    while heap:
+        w, k, q, ols = heapq.heappop(heap)
+        if (k, q, ols) in done:
+            continue
+        done.add((k, q, ols))
+        if k == len(ids) and w + f.final(q) < out.get(ols, math.inf):
+            out[ols] = w + f.final(q)
+        for arc in f.arcs_from(q):
+            if arc.ilabel and (k == len(ids) or arc.ilabel != ids[k]):
+                continue
+            key = (k + 1 if arc.ilabel else k, arc.dst, ols + (arc.olabel,) if arc.olabel else ols)
+            if len(key[2]) > cap:
+                raise FstError("an input-epsilon cycle writes output, so the outputs are unbounded")
+            if key not in done:
+                heapq.heappush(heap, (w + arc.weight, *key))
+    return out
+
+
 def string_weight(f: WeightedFst, ilabels: Sequence[str | int]) -> float | None:
     """Minimum weight of an accepting path whose epsilon-free input reads
-    ``ilabels``; ``None`` when no such path exists."""
-    ids = f.isyms.encode(ilabels)
+    ``ilabels``; ``None`` when no such path exists.  Weights must be
+    non-negative, and an input-epsilon cycle that writes output raises
+    ``FstError`` (see :func:`output_weights`)."""
     _require_nonnegative(f, "string_weight")
-    layer = _eps_closure(f, {f.start: 0.0})
-    for label in ids:
-        nxt: dict[int, float] = {}
-        for q, w in layer.items():
-            for arc in f.arcs_from(q):
-                if arc.ilabel == label:
-                    cand = w + arc.weight
-                    if cand < nxt.get(arc.dst, math.inf):
-                        nxt[arc.dst] = cand
-        if not nxt:
-            return None
-        layer = _eps_closure(f, nxt)
-    best = math.inf
-    for q, w in layer.items():
-        best = min(best, w + f.final(q))
-    return best if best < math.inf else None
+    return min(output_weights(f, ilabels).values(), default=None)
 
 
 def _eps_closure(f: WeightedFst, seeds: Mapping[int, float]) -> dict[int, float]:

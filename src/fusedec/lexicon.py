@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fst import Arc, SymbolTable, WeightedFst, build_fst, compose, linear_fst, shortest_paths
+from .fst import Arc, SymbolTable, WeightedFst, build_fst, output_weights
 
 EOW = "<eow>"
 
@@ -126,18 +126,8 @@ def compile_lexicon(lex: PronLexicon, eow_mode: str) -> WeightedFst:
 
 
 def phones_to_words(
-    lexicon_fst: WeightedFst,
-    phones: list[str] | tuple[str, ...],
-    limit: int = 1000,
+    lexicon_fst: WeightedFst, phones: list[str] | tuple[str, ...]
 ) -> list[tuple[str, ...]]:
     """All distinct word sequences the lexicon transducer assigns to a phone
-    string, in lexicographic order.
-
-    ``limit`` caps the number of underlying paths examined; the compiled
-    machine is unweighted, so the cap only matters for pathological fan-out.
-    """
-    acceptor = linear_fst(list(phones), lexicon_fst.isyms)
-    composed = compose(acceptor, lexicon_fst)
-    paths = shortest_paths(composed, limit)
-    out = {composed.osyms.decode(p.olabels) for p in paths}
-    return sorted(out)
+    string, in lexicographic order, however many paths spell each one."""
+    return sorted(lexicon_fst.osyms.decode(o) for o in output_weights(lexicon_fst, phones))

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -155,7 +155,8 @@ class DecoderStepState:
     """Carried between decode steps: the recurrent vector, the symbol just
     consumed, the per-head contexts used for it, how much attention mass
     each encoder frame has accumulated so far (non-decreasing), and how many
-    steps have been taken."""
+    steps have been taken.  The attention of the step leaving the state is
+    filled in on first use, so siblings and ``covered()`` share it."""
 
     h_enc: np.ndarray
     s: np.ndarray
@@ -163,6 +164,7 @@ class DecoderStepState:
     contexts: np.ndarray
     cum_attention: np.ndarray
     steps: int = 0
+    _attention: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _param_shapes(vocab, feat_dim, enc_hidden, dec_hidden, att_dim, embed_dim, n_heads, n_enc_layers):
@@ -368,7 +370,7 @@ class ToyLasModel:
     def covered(self, state: DecoderStepState, threshold: float) -> int:
         """Frames above ``threshold`` after one more step, whose attention
         depends only on ``state`` and not on the symbol it consumes."""
-        _, weights = self.attend(state.h_enc, state.s)
+        _, weights, _ = self._state_attention(state)
         return int(np.count_nonzero(state.cum_attention + weights.mean(axis=0) > threshold))
 
     def init_state(self, h_enc: np.ndarray) -> DecoderStepState:
@@ -387,8 +389,14 @@ class ToyLasModel:
         dist, new_state, _ = self._decode_step_cached(state, y_prev)
         return dist, new_state
 
+    def _state_attention(self, state: DecoderStepState):
+        """``_attend_cached`` for the step leaving ``state``, once per state."""
+        if state._attention is None:
+            object.__setattr__(state, "_attention", self._attend_cached(state.h_enc, state.s))
+        return state._attention
+
     def _decode_step_cached(self, state: DecoderStepState, y_prev: int):
-        contexts, weights, att_caches = self._attend_cached(state.h_enc, state.s)
+        contexts, weights, att_caches = self._state_attention(state)
         x = np.concatenate([self.params["emb"][y_prev], contexts.ravel()])
         p = self.params
         s_new, cell_cache = _cell_forward(

@@ -14,7 +14,9 @@ import numpy as np
 import fusedec
 from fusedec.decoder import DecodeConfig, DecodeResources, decode_batch
 from fusedec.fst import SymbolTable
-from fusedec.scorer import ToyLasModel, Utterance
+from fusedec.lexicon import EOW, compile_lexicon, parse_lexicon
+from fusedec.ngram import lm_to_fst, train_ngram
+from fusedec.scorer import TableScorer, ToyLasModel, Utterance
 
 _TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -56,3 +58,35 @@ def test_tracer_wraps_every_name_and_sees_the_scorer_steps():
     assert calls["scorer.encode"] == 2
     assert calls["scorer.step"] > 2
     assert calls["scorer.model_step"] == calls["scorer.step"]
+
+
+def test_word_recovery_composes_nothing_under_the_tracer():
+    tracing = _load_tracing()
+    lex = parse_lexicon("I\tay\neye\tay\nam\tae m\n")
+    lm = train_ngram([["I", "am"]] * 3 + [["eye"]], order=2, smoothing="absdisc")
+    alphabet = SymbolTable(["ay", "ae", "m", EOW, "<sos>", "<eos>"])
+    rows = np.zeros((6, len(alphabet)))
+    for t, sym in enumerate(["ay", EOW, "ae", "m", EOW, "<eos>"]):
+        rows[t, alphabet.id(sym)] = 1.0
+    scorer = TableScorer(alphabet, {"u0": rows})
+    utts = [Utterance("u0", np.zeros((1, 1)), (1,))]
+    configs = [
+        DecodeConfig(fusion="nbest", lm_weight_nbest=0.1),
+        DecodeConfig(fusion="beam", lm_weight=0.1),
+        DecodeConfig(fusion="both", lm_weight=0.05, lm_weight_nbest=0.05),
+    ]
+    tracer = tracing.Tracer()
+    tracing.install(tracer, fusedec)
+    try:
+        resources = DecodeResources(compile_lexicon(lex, "required"), lm_to_fst(lm))
+        tracer.active, tracer.phase = True, "decode"
+        results = [decode_batch(scorer, resources, utts, cfg)[0] for cfg in configs]
+        calls = tracer.take().calls
+    finally:
+        tracer.restore()
+    assert all(r.words == ("I", "am") for r in results)
+    assert calls["decode"] == 3
+    assert calls["words.rescore"] == 2
+    assert calls["words.best"] > 0
+    for name in ("words.compose", "words.chain", "words.shortest_paths"):
+        assert calls.get(name, 0) == 0

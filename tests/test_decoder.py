@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -22,13 +24,27 @@ from fusedec.decoder import (
     fused_beam_search,
     nbest_rescore,
 )
-from fusedec.fst import Arc, SymbolTable, build_fst, string_weight
+from fusedec.fst import (
+    Arc,
+    SymbolTable,
+    build_fst,
+    compose,
+    linear_fst,
+    output_weights,
+    shortest_paths,
+    string_weight,
+)
 from fusedec.lexicon import EOW, compile_lexicon, parse_lexicon
 from fusedec.ngram import lm_to_fst, score_sequence, train_ngram
 from fusedec.scorer import EOS, SOS, TableScorer, ToyLasModel, Utterance
 
 import oracles
-from oracles import fused_argmin_bruteforce, reference_expand, scorer_argmin_bruteforce
+from oracles import (
+    fused_argmin_bruteforce,
+    reference_expand,
+    relation_table,
+    scorer_argmin_bruteforce,
+)
 
 
 def make_alphabet(*symbols: str) -> SymbolTable:
@@ -425,6 +441,38 @@ class TestAttentionScorerSearch:
         assert counts["expand"] > 6
         assert counts["decode_step"] == counts["expand"]
 
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_one_attention_per_distinct_state(self, homophone, monkeypatch, eta):
+        _, resources, alphabet = homophone
+        model = ToyLasModel.init(alphabet, 3, enc_hidden=4, dec_hidden=4, att_dim=3, embed_dim=3)
+        attends, states = [0], []  # states stepped or covered, held so no id is reused
+
+        def attend(*args):
+            attends[0] += 1
+            return ToyLasModel._attend_cached(model, *args)
+
+        def seen(fn):
+            def wrapper(state, *args):
+                states.append(state)
+                return fn(state, *args)
+            return wrapper
+
+        monkeypatch.setattr(model, "_attend_cached", attend)
+        monkeypatch.setattr(model, "step", seen(model.step))
+        monkeypatch.setattr(model, "covered", seen(model.covered))
+        utt = Utterance("u0", np.random.default_rng(7).normal(size=(4, 3)), (1,))
+        cfg = DecodeConfig(fusion="beam", lm_weight=0.2, coverage_weight=eta, beam_width=3, max_steps=6)
+        decode(model, resources, utt, cfg)
+        # siblings step from their parent's state, which covered() also reads
+        distinct = len({id(s) for s in states})
+        assert distinct < len(states)
+        assert attends[0] == distinct
+        # the memo is invisible to equality and repr
+        state = model.start(utt)
+        twin, before = dataclasses.replace(state), repr(state)
+        model.covered(state, 0.5)
+        assert state == twin and repr(state) == before
+
 
 class TestNBestRescore:
     def point_scorer(self, alphabet):
@@ -520,6 +568,53 @@ class TestNBestRescore:
             per_source.setdefault(h.source_tokens, []).append(h.words)
         for words in per_source.values():
             assert len(words) == len(set(words))
+
+
+class TestWordRecovery:
+    """Words come from one pass over the lattice per token string."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), eow_mode=st.sampled_from(["required", "optional"]))
+    def test_output_weights_match_relation_table_on_lexicon_bigram_graphs(self, seed, eow_mode):
+        rng = np.random.default_rng(seed)
+        graph = random_resources(rng, eow_mode).graph_for(make_alphabet("a", "b", "c", EOW))
+        rel = relation_table(graph.fst, 40, 3)
+        probes = {ils for ils, _ in rel}
+        probes |= {tuple(int(t) for t in rng.integers(1, 5, size=n)) for n in range(4)}
+        for ils in probes:
+            want = {ols: w for (i, ols), w in rel.items() if i == ils}
+            got = output_weights(graph.fst, ils)
+            assert got.keys() == want.keys()
+            for ols, w in want.items():
+                assert got[ols] == pytest.approx(w, abs=1e-9)
+
+    def test_backoff_paths_do_not_crowd_out_a_word_string(self):
+        # x and y are homophones.  x is followed by many words, so backing
+        # off after it costs little, and each word string of seven x-or-y has
+        # up to 2^8 lattice paths: the 64 cheapest spell only three strings.
+        fillers = [f"f{i}" for i in range(6)]
+        lex = parse_lexicon("x\tp\ny\tp\n" + "".join(f"{f}\tq\n" for f in fillers))
+        lm = train_ngram(
+            [["x"] * 7] * 3 + [["x", f] for f in fillers] + [["y"]], order=2, smoothing="absdisc"
+        )
+        resources = DecodeResources(compile_lexicon(lex, "required"), lm_to_fst(lm))
+        alphabet = make_alphabet("p", "q", EOW)
+        graph = resources.graph_for(alphabet)
+        spoken = ["p", EOW] * 7
+        paths = shortest_paths(compose(linear_fst(spoken, alphabet), graph.fst), 64)
+        crowded = {graph.fst.osyms.decode(p.olabels) for p in paths}
+        assert len(crowded) == 3
+        scorer = TableScorer(alphabet, {"u0": point_rows(alphabet, [*spoken, EOS])})
+        cfg = DecodeConfig(
+            fusion="both", lm_weight=0.5, lm_weight_nbest=0.5, nbest_size=4, max_steps=len(spoken)
+        )
+        got = decode(scorer, resources, make_utt(), cfg).hypotheses
+        # an order-2 grammar prices every word string exactly
+        spelled = sorted(-score_sequence(lm, list(w)) for w in itertools.product("xy", repeat=7))
+        assert [h.lm_cost for h in got] == pytest.approx(spelled[:4], abs=1e-9)
+        for h in got:
+            assert h.lm_cost == pytest.approx(-score_sequence(lm, list(h.words)), abs=1e-9)
+        assert got[3].words not in crowded
 
 
 class TestDecode:
@@ -893,6 +988,31 @@ class TestThresholdPruning:
         # first depth and misses the answer
         graph.nonnegative = True
         assert fused_beam_search(scorer, graph, make_utt(), cfg).entries[0].tokens == ()
+
+    @pytest.mark.parametrize("fusion", ["nbest", "beam", "both"])
+    def test_word_recovery_refuses_a_negative_weight_graph(self, fusion):
+        # the graph above, reached through decode: no word string can be
+        # priced by a search that assumes costs never fall
+        alphabet = make_alphabet("a")
+        syms = SymbolTable(["a"])
+        lg = build_fst(
+            [Arc(0, 1, 1, 1, 0.0), Arc(1, 2, 1, 1, -10.0)], 0, {0: 0.0, 1: 0.0, 2: 0.0}, syms, syms
+        )
+        resources = DecodeResources(lg, build_fst([Arc(0, 0, 1, 1, 0.0)], 0, {0: 0.0}, syms, syms))
+        graph = resources.graph_for(alphabet)
+        assert not graph.nonnegative
+        rows = rows_for(alphabet, [{EOS: 0.6, "a": 0.4}, {EOS: 0.5, "a": 0.5}, {EOS: 1.0}])
+        scorer = TableScorer(alphabet, {"u0": rows})
+        cfg = DecodeConfig(
+            fusion=fusion,
+            lm_weight=0.0 if fusion == "nbest" else 1.0,
+            lm_weight_nbest=None if fusion == "beam" else 1.0,
+            nbest_size=1,
+        )
+        with pytest.raises(DecodeError, match="negative weight"):
+            decode(scorer, resources, make_utt(), cfg)
+        with pytest.raises(DecodeError, match="negative weight"):
+            nbest_rescore(beam_search(scorer, make_utt(), DecodeConfig()), graph, 1.0)
 
     def test_coverage_reward_stops_only_when_every_entry_is_out(self):
         # After the first depth the bar is 0.69 (stopping at once).  "b"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusedec.fst import (
     EPSILON,
@@ -13,6 +15,7 @@ from fusedec.fst import (
     build_fst,
     compose,
     linear_fst,
+    output_weights,
     read_fst_text,
     relabel,
     shortest_paths,
@@ -144,6 +147,46 @@ class TestStringWeight:
         # 0 -a-> 1 -eps-> 2 (final); the epsilon arc costs but reads nothing.
         f = build_fst([(0, 1, 1, 1, 0.5), (1, 2, 0, 0, 0.25)], 0, {2: 0.0}, abc_syms, abc_syms)
         assert string_weight(f, ["a"]) == pytest.approx(0.75)
+
+
+class TestOutputWeights:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**16), eps_prob=st.sampled_from([0.25, 0.5, 0.8]))
+    def test_matches_relation_table_on_random_dags(self, seed, eps_prob):
+        # epsilon-input arcs of these machines mostly write output
+        syms_in, syms_out = SymbolTable(["a", "b", "c"]), SymbolTable(["x", "y", "z"])
+        f = random_dag_fst(np.random.default_rng(seed), syms_in, syms_out, eps_prob=eps_prob)
+        rel = relation_table(f, f.num_states)
+        probes = {ils for ils, _ in rel} | {(), (1,), (2, 1), (3, 3, 3)}
+        for ils in probes:
+            want = {ols: w for (i, ols), w in rel.items() if i == ils}
+            got = output_weights(f, ils)
+            assert got.keys() == want.keys()
+            for ols, w in want.items():
+                assert got[ols] == pytest.approx(w, abs=1e-9)
+
+    def test_cyclic_machine_keeps_each_output_string_once(self, abc_syms, xyz_syms):
+        # "a" loops through two routes writing x; the cheaper one counts
+        f = build_fst(
+            [(0, 0, 1, 1, 1.0), (0, 1, 1, 1, 0.25), (1, 0, 0, 0, 0.25), (0, 0, 2, 2, 0.5)],
+            0, {0: 0.0}, abc_syms, xyz_syms,
+        )
+        assert output_weights(f, ["a", "b", "a"]) == {(1, 2, 1): pytest.approx(1.5)}
+        assert output_weights(f, []) == {(): 0.0}
+        assert output_weights(f, ["c"]) == {}
+
+    def test_epsilon_cycle_writing_output_raises(self, abc_syms, xyz_syms):
+        f = build_fst([(0, 0, 0, 1, 0.5), (0, 1, 1, 1, 0.0)], 0, {1: 0.0}, abc_syms, xyz_syms)
+        with pytest.raises(FstError, match="input-epsilon cycle"):
+            output_weights(f, ["a"])
+        with pytest.raises(FstError, match="input-epsilon cycle"):
+            string_weight(f, ["a"])
+
+    def test_epsilon_cycle_writing_nothing_is_fine(self, abc_syms, xyz_syms):
+        f = build_fst(
+            [(0, 1, 0, 0, 0.5), (1, 0, 0, 0, 0.5), (1, 2, 1, 2, 0.0)], 0, {2: 0.0}, abc_syms, xyz_syms
+        )
+        assert output_weights(f, ["a"]) == {(2,): 0.5}
 
 
 class TestCompose:

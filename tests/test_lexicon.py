@@ -95,6 +95,13 @@ class TestCompile:
         f = compile_lexicon(parse_lexicon(HOMOPHONES), "optional")
         assert phones_to_words(f, ["ay", "ae", "m"]) == [("I", "am"), ("eye", "am")]
 
+    def test_every_word_string_is_listed_however_many_paths(self):
+        # four homophones over five words spell 1024 strings, one path each
+        lex = parse_lexicon("".join(f"w{i}\tp\n" for i in range(4)))
+        f = compile_lexicon(lex, "required")
+        got = phones_to_words(f, ["p", EOW] * 5)
+        assert got == sorted(itertools.product(lex.words, repeat=5))
+
     def test_empty_sequence_accepted(self):
         f = compile_lexicon(parse_lexicon(THE_CAT), "required")
         assert phones_to_words(f, []) == [()]
