@@ -48,6 +48,8 @@ class DecodeConfig:
     fused.  ``max_steps`` caps the token length of a hypothesis, the final
     <eos> not counted; it is a cap, not the usual search depth, since the
     beam stops as soon as no live hypothesis can still reach the n-best.
+    ``eow_mode`` only labels the results: the search never reads it, since
+    boundary handling is fixed when ``compile_lexicon`` builds the lexicon.
     """
 
     beam_width: int = 8
@@ -141,10 +143,15 @@ class FusionGraph:
     """The lexicon-grammar machine, relabeled to a scorer's token ids.
 
     Decoding tracks weighted state sets closed under input epsilons, so
-    backoff and word-boundary arcs never block a token transition.
+    backoff and word-boundary arcs never block a token transition.  Every
+    arc and final weight must be non-negative, so that prefix costs never
+    fall: the epsilon closure, the beam's threshold pruning and word
+    recovery all rely on it, and a negative epsilon cycle would never close.
     """
 
     def __init__(self, lg: WeightedFst, alphabet: SymbolTable):
+        if any(a.weight < 0.0 for a in lg.arcs) or any(w < 0.0 for w in lg.finals.values()):
+            raise DecodeError("the fusion graph has a negative weight; its costs must never fall")
         emittable = {alphabet.sym(i) for i in range(1, len(alphabet))}
         used = {lg.isyms.sym(a.ilabel) for a in lg.arcs if a.ilabel != 0}
         if not used & emittable:
@@ -155,11 +162,6 @@ class FusionGraph:
             raise DecodeError(f"fusion graph incompatible with the scorer alphabet: {e}") from e
         self.alphabet = alphabet
         self.start = _freeze(_eps_closure(self.fst, {self.fst.start: 0.0}))
-        # Prefix costs never fall when no weight is negative; the beam's
-        # threshold pruning is exact only then.
-        self.nonnegative = all(a.weight >= 0.0 for a in self.fst.arcs) and all(
-            w >= 0.0 for w in self.fst.finals.values()
-        )
 
     def advance(
         self, states: tuple[tuple[int, float], ...], label: int
@@ -207,10 +209,8 @@ class DecodeResources:
     ):
         if (lexicon_fst is None) != (lm_fst is None):
             raise DecodeError("lexicon and language model must be provided together")
-        self.lexicon_fst = lexicon_fst
-        self.lm_fst = lm_fst
         self.lg: WeightedFst | None = None
-        if lexicon_fst is not None and lm_fst is not None:
+        if lexicon_fst is not None:
             try:
                 self.lg = compose(relabel(lexicon_fst, osyms=lm_fst.isyms), lm_fst)
             except FstError as e:
@@ -245,13 +245,12 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     Once ``nbest_size`` hypotheses have finished, the bar is the cost of the
     ``nbest_size``-th of them.  Along any path ``-score + lm_weight *
     lm_cost`` never falls: each step adds ``-log p >= 0``, and ``graph.best``
-    and ``graph.final_best`` cannot fall while every arc and final weight is
-    non-negative (a graph with a negative weight turns pruning off).  The
-    coverage reward takes at most ``coverage_weight * cap`` off a cost,
-    where ``cap = max(steps + 1, frames)`` bounds what ``covered()`` can
-    reach.  So a live entry whose ``-score + lm_weight * lm_cost -
-    coverage_weight * cap`` is strictly above the bar can only finish behind
-    the n-best.  Without a coverage reward that bound is the entry's own
+    and ``graph.final_best`` cannot fall, as :class:`FusionGraph` refuses a
+    negative weight.  The coverage reward takes at most ``coverage_weight *
+    cap`` off a cost, where ``cap = max(steps + 1, frames)`` bounds what
+    ``covered()`` can reach.  So a live entry whose ``-score + lm_weight *
+    lm_cost - coverage_weight * cap`` is strictly above the bar can only
+    finish behind the n-best.  Without a coverage reward that bound is the entry's own
     cost: the beam drops its entries above the bar, and those it keeps are
     the ones the unpruned beam keeps at or under it.  With a coverage reward
     a cost can fall along a path, so a dropped entry's children might have
@@ -266,7 +265,6 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     lam = config.lm_weight if graph is not None else 0.0
     eta = config.coverage_weight
     steps = min(config.max_steps, scorer.token_limit(utt))
-    prune = graph is None or graph.nonnegative
     slack = eta * max(steps + 1, utt.features.shape[0])
     nbest = config.nbest_size
     start_state = graph.start if graph is not None else None
@@ -313,7 +311,7 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
             break
         candidates.sort()
         live = candidates[: config.beam_width]
-        if prune and len(cheapest) == nbest:
+        if len(cheapest) == nbest:
             bar = -cheapest[0]
             if eta == 0.0:
                 while live and live[-1][0] > bar:
@@ -362,10 +360,8 @@ def nbest_rescore(
     Every distinct word string a hypothesis spells competes separately, at
     its cheapest lattice cost, so homophones are resolved by the combined
     cost rather than collapsed before ranking.  Hypotheses with no accepting
-    path are dropped and counted.  The graph must have no negative weight.
+    path are dropped and counted.
     """
-    if not graph.nonnegative:
-        raise DecodeError("word recovery requires a fusion graph with no negative weight")
     pool: list[WordHypothesis] = []
     unparsed = 0
     for entry in nbest.entries:
@@ -486,8 +482,6 @@ def decode(
     if resources is None:
         raise DecodeError(f"fusion {config.fusion!r} requires decode resources")
     graph = resources.graph_for(scorer.alphabet)
-    if not graph.nonnegative:
-        raise DecodeError("word recovery requires a fusion graph with no negative weight")
     nb = _expand(scorer, utt, config, None if config.fusion == "nbest" else graph)
     if config.fusion == "beam":
         found = [_best_words(entry, graph) for entry in nb.entries]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .fst import EPSILON, Arc, SymbolTable, WeightedFst, build_fst
 
@@ -45,7 +45,7 @@ class NGramModel:
     vocab: SymbolTable
     probs: dict[tuple[int, ...], float]
     backoffs: dict[tuple[int, ...], float]
-    contexts: frozenset[tuple[int, ...]] = field(default=frozenset())
+    contexts: frozenset[tuple[int, ...]] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "contexts", frozenset(g[:-1] for g in self.probs))
@@ -70,24 +70,33 @@ class NGramModel:
         distribution charges its backoff weight when shortening, while an
         unknown context shortens freely.
         """
-        ctx = tuple(context)
-        if self.order > 1:
-            ctx = ctx[-(self.order - 1):]
-        else:
-            ctx = ()
-        acc = 0.0
-        while True:
-            p = self.probs.get(ctx + (word_id,))
-            if p is not None:
-                return acc + p
-            if not ctx:
+        ctx = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
+        return _backoff_logp(self.probs, self.backoffs, self.contexts, ctx, word_id)
+
+
+def _backoff_logp(
+    probs: Mapping[tuple[int, ...], float],
+    backoffs: Mapping[tuple[int, ...], float],
+    contexts: Container[tuple[int, ...]],
+    ctx: tuple[int, ...],
+    word_id: int,
+) -> float:
+    """The backoff walk from ``ctx``: the longest stored gram ending in
+    ``word_id``, plus the backoff weight of every stored context shortened
+    on the way; a stored context without one ends the walk at ``-inf``."""
+    acc = 0.0
+    while True:
+        p = probs.get(ctx + (word_id,))
+        if p is not None:
+            return acc + p
+        if not ctx:
+            return NEG_INF
+        if ctx in contexts:
+            bow = backoffs.get(ctx)
+            if bow is None:
                 return NEG_INF
-            if ctx in self.contexts:
-                bow = self.backoffs.get(ctx)
-                if bow is None:
-                    return NEG_INF
-                acc += bow
-            ctx = ctx[1:]
+            acc += bow
+        ctx = ctx[1:]
 
 
 def _normalize_corpus(corpus: Sequence[str | Sequence[str]]) -> list[list[str]]:
@@ -189,19 +198,6 @@ def _estimate_absdisc(
     probs: dict[tuple[int, ...], float] = {}
     backoffs: dict[tuple[int, ...], float] = {}
     contexts: set[tuple[int, ...]] = set()
-
-    def resolve(ctx: tuple[int, ...], wid: int) -> float:
-        acc = 0.0
-        while True:
-            p = probs.get(ctx + (wid,))
-            if p is not None:
-                return acc + p
-            if not ctx:
-                return NEG_INF
-            if ctx in contexts:
-                acc += backoffs[ctx]
-            ctx = ctx[1:]
-
     uni = by_level[1]
     total = sum(uni.values())
     gamma = discount * len(uni) / total
@@ -220,7 +216,7 @@ def _estimate_absdisc(
             backoffs[ctx] = math.log(gamma)
             contexts.add(ctx)
             for wid, c in conts:
-                lower = resolve(ctx[1:], wid)
+                lower = _backoff_logp(probs, backoffs, contexts, ctx[1:], wid)
                 probs[ctx + (wid,)] = math.log((c - discount) / tot + gamma * math.exp(lower))
     return probs, backoffs
 
@@ -242,13 +238,10 @@ def score_sequence(lm: NGramModel, words: Sequence[str]) -> float:
             if wid is None:
                 return NEG_INF
         ids.append(wid)
-    hist: tuple[int, ...] = (lm.bos_id,)
+    padded = (lm.bos_id, *ids, lm.eos_id)
     total = 0.0
-    for wid in [*ids, lm.eos_id]:
-        total += lm.conditional_logp(hist, wid)
-        hist = hist + (wid,)
-        if lm.order > 1:
-            hist = hist[-(lm.order - 1):]
+    for i in range(1, len(padded)):
+        total += lm.conditional_logp(padded[:i], padded[i])
     return total
 
 
@@ -296,12 +289,9 @@ def lm_to_fst(lm: NGramModel) -> WeightedFst:
     for ctx in sorted(lm.backoffs, key=lambda c: (len(c), c)):
         arcs.append(Arc(state_of[ctx], resolve_state(ctx[1:]), 0, 0, max(0.0, -lm.backoffs[ctx])))
 
-    start_ctx: tuple[int, ...] = (lm.bos_id,) if lm.order > 1 else ()
-    while start_ctx not in state_of:
-        start_ctx = start_ctx[1:]
     return build_fst(
         arcs,
-        state_of[start_ctx],
+        resolve_state((lm.bos_id,) if lm.order > 1 else ()),
         {final_state: 0.0},
         lm.vocab,
         lm.vocab,
@@ -366,16 +356,23 @@ def read_arpa(path: str | Path) -> NGramModel:
             current = None
             continue
         if line.endswith("-grams:") and line.startswith("\\"):
-            current = int(line[1:].split("-")[0])
+            try:
+                current = int(line[1:].split("-")[0])
+            except ValueError:
+                raise NGramError(f"{path}: line {lineno}: expected '\\k-grams:' with a number k") from None
             sections[current] = []
             raw_entries[current] = []
             in_data = False
             continue
         if in_data:
-            if not line.startswith("ngram "):
-                raise NGramError(f"{path}: line {lineno}: expected 'ngram k=N'")
-            k_str, n_str = line[len("ngram "):].split("=")
-            declared[int(k_str)] = int(n_str)
+            bad = f"{path}: line {lineno}: expected 'ngram k=N'"
+            head, _, n_str = line.partition("=")
+            if not head.startswith("ngram "):
+                raise NGramError(bad)
+            try:
+                declared[int(head[len("ngram "):])] = int(n_str)
+            except ValueError:
+                raise NGramError(bad) from None
             continue
         if current is None:
             raise NGramError(f"{path}: line {lineno}: content outside any section")

@@ -152,16 +152,14 @@ class TableScorer:
 
 @dataclass(frozen=True)
 class DecoderStepState:
-    """Carried between decode steps: the recurrent vector, the symbol just
-    consumed, the per-head contexts used for it, how much attention mass
-    each encoder frame has accumulated so far (non-decreasing), and how many
-    steps have been taken.  The attention of the step leaving the state is
-    filled in on first use, so siblings and ``covered()`` share it."""
+    """Carried between decode steps: the encoder output, the recurrent
+    vector, how much attention mass each encoder frame has accumulated so
+    far (non-decreasing), and how many steps have been taken.  The attention
+    of the step leaving the state is filled in on first use, so siblings and
+    ``covered()`` share it."""
 
     h_enc: np.ndarray
     s: np.ndarray
-    y_prev: int
-    contexts: np.ndarray
     cum_attention: np.ndarray
     steps: int = 0
     _attention: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -377,8 +375,6 @@ class ToyLasModel:
         return DecoderStepState(
             h_enc=h_enc,
             s=np.zeros(self.dec_hidden),
-            y_prev=self.sos_id,
-            contexts=np.zeros((self.n_heads, self.enc_hidden)),
             cum_attention=np.zeros(h_enc.shape[0]),
         )
 
@@ -408,8 +404,6 @@ class ToyLasModel:
         new_state = DecoderStepState(
             h_enc=state.h_enc,
             s=s_new,
-            y_prev=y_prev,
-            contexts=contexts,
             cum_attention=state.cum_attention + weights.mean(axis=0),
             steps=state.steps + 1,
         )
@@ -621,12 +615,25 @@ def save_checkpoint(model: ToyLasModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ToyLasModel:
+    """Read a :func:`save_checkpoint` file; anything malformed in it raises
+    one ``ScorerError`` naming the file."""
     raw = Path(path).read_bytes()
+    try:
+        return _parse_checkpoint(raw)
+    except KeyError as e:
+        raise ScorerError(f"{path}: checkpoint header lacks {e}") from None
+    except (ValueError, TypeError) as e:
+        raise ScorerError(f"{path}: {e}") from None
+
+
+def _parse_checkpoint(raw: bytes) -> ToyLasModel:
     if raw[:4] != _CKPT_MAGIC:
-        raise ScorerError(f"{path}: not a model checkpoint (bad magic)")
+        raise ScorerError("not a model checkpoint (bad magic)")
+    if len(raw) < 12:
+        raise ScorerError("checkpoint ends inside its header")
     version, header_len = struct.unpack_from("<II", raw, 4)
     if version != _CKPT_VERSION:
-        raise ScorerError(f"{path}: unsupported checkpoint version {version}")
+        raise ScorerError(f"unsupported checkpoint version {version}")
     header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
     offset = 12 + header_len
     params = {}
@@ -637,7 +644,7 @@ def load_checkpoint(path: str | Path) -> ToyLasModel:
         params[entry["name"]] = arr.astype(np.float64)
         offset += count * 8
     if offset != len(raw):
-        raise ScorerError(f"{path}: trailing bytes after parameter arrays")
+        raise ScorerError("trailing bytes after parameter arrays")
     return ToyLasModel(
         SymbolTable(header["alphabet"]),
         header["feat_dim"],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -213,22 +214,47 @@ def save_task(task: SynthTask, path: str | Path) -> None:
     (path / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+@contextmanager
+def _malformed(where: str | Path):
+    """Re-raise a parse failure in the block as one ``SynthError`` naming
+    ``where``."""
+    try:
+        yield
+    except KeyError as e:
+        raise SynthError(f"{where}: missing {e}") from None
+    except (ValueError, TypeError) as e:
+        raise SynthError(f"{where}: {e}") from None
+
+
 def load_task(path: str | Path) -> SynthTask:
+    """Read a task directory written by :func:`save_task`.  A malformed
+    file raises ``SynthError`` naming it, and the line in
+    ``utterances.jsonl``."""
     path = Path(path)
     phoneset = SymbolTable.read(path / "phones.syms")
-    lexicon = parse_lexicon((path / "lexicon.txt").read_text(encoding="utf-8"), phoneset)
+    with _malformed(path / "lexicon.txt"):
+        lexicon = parse_lexicon((path / "lexicon.txt").read_text(encoding="utf-8"), phoneset)
     lm = read_arpa(path / "lm.arpa")
     utterances = []
+    first_line: dict[str, int] = {}
     with open(path / "utterances.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            utterances.append(
-                SynthUtterance(
-                    obj["uid"],
-                    tuple(obj["words"]),
-                    tuple(obj["targets"]),
-                    np.asarray(obj["features"], dtype=np.float64),
-                )
-            )
-    meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
-    return SynthTask(lexicon, lm, tuple(utterances), meta["noise"], meta["seed"])
+        for lineno, line in enumerate(fh, 1):
+            with _malformed(f"{path / 'utterances.jsonl'}:{lineno}"):
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise SynthError("expected a JSON object")
+                uid, words, targets = obj["uid"], obj["words"], obj["targets"]
+                if not (isinstance(uid, str) and _strings(words) and _strings(targets)):
+                    raise SynthError("expected a string 'uid' and lists of strings 'words' and 'targets'")
+                if uid in first_line:
+                    raise SynthError(f"uid {uid!r} already used on line {first_line[uid]}")
+                first_line[uid] = lineno
+                features = np.asarray(obj["features"], dtype=np.float64)
+                utterances.append(SynthUtterance(uid, tuple(words), tuple(targets), features))
+    with _malformed(path / "meta.json"):
+        meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+        return SynthTask(lexicon, lm, tuple(utterances), meta["noise"], meta["seed"])

@@ -8,6 +8,8 @@ and byte-level reproducibility of reruns.
 
 import json
 import math
+import shutil
+import struct
 
 import pytest
 
@@ -314,6 +316,90 @@ class TestTrainScorerCommand:
         assert err.startswith("error: lr must be finite and non-negative")
         assert err.count("\n") == 1
         assert not ckpt.exists()
+
+
+def _truncated_checkpoint(task, ckpt):
+    ckpt.write_bytes(b"FDSC\x01")
+    return ckpt
+
+
+def _checkpoint_without_arrays(task, ckpt):
+    header = json.dumps({"alphabet": ["ay", "<sos>", "<eos>"]}).encode()
+    ckpt.write_bytes(b"FDSC" + struct.pack("<II", 1, len(header)) + header)
+    return ckpt
+
+
+def _utterance_without_words(task, ckpt):
+    path = task / "utterances.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = '{"uid": "x"}\n'
+    path.write_text("".join(lines), encoding="utf-8")
+    return f"{path}:2"
+
+
+def _utterance_with_a_repeated_uid(task, ckpt):
+    path = task / "utterances.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["uid"] = json.loads(lines[0])["uid"]
+    lines[2] = json.dumps(record) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return f"{path}:3"
+
+
+def _utterance_with_string_words(task, ckpt):
+    path = task / "utterances.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record["words"] = " ".join(record["words"])
+    lines[0] = json.dumps(record) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return f"{path}:1"
+
+
+def _empty_meta(task, ckpt):
+    (task / "meta.json").write_text("{}\n", encoding="utf-8")
+    return task / "meta.json"
+
+
+def _lexicon_line_without_tab(task, ckpt):
+    (task / "lexicon.txt").write_text("I ay\n", encoding="utf-8")
+    return task / "lexicon.txt"
+
+
+class TestMalformedInputFiles:
+    """A malformed task or checkpoint file ends in one error line that names
+    it (and the line, for utterances), with exit code 1."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _truncated_checkpoint,
+            _checkpoint_without_arrays,
+            _utterance_without_words,
+            _utterance_with_a_repeated_uid,
+            _utterance_with_string_words,
+            _empty_meta,
+            _lexicon_line_without_tab,
+        ],
+        ids=lambda f: f.__name__.strip("_").replace("_", "-"),
+    )
+    def test_decode_names_the_file(self, pipeline, tmp_path, capsys, corrupt):
+        task, ckpt = tmp_path / "task", tmp_path / "model.ckpt"
+        shutil.copytree(pipeline / "task", task)
+        where = corrupt(task, ckpt)
+        out = tmp_path / "out.jsonl"
+        args = decode_args(pipeline, out, "--fusion", "nbest", "--lm-weight-nbest", "0.1")
+        args[args.index("--task") + 1] = str(task)
+        if ckpt.exists():
+            args += ["--scorer", str(ckpt)]
+        code = main(args)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSynthDeterminism:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import signal
 from contextlib import contextmanager
 from unittest import mock
 
@@ -272,10 +273,10 @@ class TestFusionGraph:
 
 
 class TestDecodeResources:
-    def test_requires_both_machines(self, homophone):
-        _, resources, _ = homophone
+    def test_requires_both_machines(self):
+        lexicon_fst = compile_lexicon(parse_lexicon("I\tay\n"), eow_mode="required")
         with pytest.raises(DecodeError, match="together"):
-            DecodeResources(resources.lexicon_fst, None)
+            DecodeResources(lexicon_fst, None)
 
     def test_unfused_resources_reject_graph_requests(self):
         res = DecodeResources()
@@ -833,9 +834,10 @@ def peaked_rows(alphabet: SymbolTable, rng, steps: int, sharpness: float) -> np.
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def random_resources(rng, eow_mode: str) -> DecodeResources:
-    """A random lexicon over phones a, b, c and a bigram from random
-    sentences over its words (each word also spoken alone once)."""
+def random_resources(rng, eow_mode: str, order: int = 2, smoothing: str = "absdisc") -> DecodeResources:
+    """A random lexicon over phones a, b, c and an n-gram model (a bigram
+    by default) from random sentences over its words (each word also
+    spoken alone once)."""
     phones = ["a", "b", "c"]
     words = [f"w{i}" for i in range(int(rng.integers(2, 5)))]
     text = "".join(
@@ -844,7 +846,7 @@ def random_resources(rng, eow_mode: str) -> DecodeResources:
     corpus = [[w] for w in words] + [
         [str(w) for w in rng.choice(words, size=int(rng.integers(1, 4)))] for _ in range(6)
     ]
-    lm = train_ngram(corpus, order=2, smoothing="absdisc")
+    lm = train_ngram(corpus, order=order, smoothing=smoothing)
     return DecodeResources(compile_lexicon(parse_lexicon(text), eow_mode=eow_mode), lm_to_fst(lm))
 
 
@@ -913,7 +915,6 @@ class TestThresholdPruning:
         rng = np.random.default_rng(seed)
         resources = random_resources(rng, eow_mode)
         alphabet = make_alphabet("a", "b", "c", EOW)
-        assert resources.graph_for(alphabet).nonnegative
         rows = peaked_rows(alphabet, rng, int(rng.integers(2, 8)), sharpness)
         scorer = TableScorer(alphabet, {"u0": rows})
         searched = fusion != "nbest"
@@ -967,27 +968,23 @@ class TestThresholdPruning:
         assert pruned == ref
         assert calls <= ref_calls
 
-    def test_negative_weight_turns_pruning_off(self):
+    def test_negative_weight_graph_is_refused_before_search(self):
         # Stopping at once (<eos> costs 0.51) beats "a" (0.92) so far, but
-        # the -10 arc makes "a a" the cheapest finished string.
+        # the -10 arc would make "a a" the cheapest finished string: the
+        # threshold stop would miss it, so the search takes no such graph.
         alphabet = make_alphabet("a")
         syms = SymbolTable(["a"])
         lg = build_fst(
             [Arc(0, 1, 1, 1, 0.0), Arc(1, 2, 1, 1, -10.0)], 0, {0: 0.0, 1: 0.0, 2: 0.0}, syms, syms
         )
-        graph = FusionGraph(lg, alphabet)
-        assert not graph.nonnegative
+        with pytest.raises(DecodeError, match="negative weight"):
+            FusionGraph(lg, alphabet)
         rows = rows_for(alphabet, [{EOS: 0.6, "a": 0.4}, {EOS: 0.5, "a": 0.5}, {EOS: 1.0}])
         scorer = TableScorer(alphabet, {"u0": rows})
         cfg = DecodeConfig(fusion="beam", lm_weight=1.0, nbest_size=1)
-        ref = reference_expand(scorer, make_utt(), cfg, graph)
-        a = alphabet.id("a")
-        assert ref.entries[0].tokens == (a, a)
-        assert fused_beam_search(scorer, graph, make_utt(), cfg) == ref
-        # the same search with the pruning gate forced open stops after the
-        # first depth and misses the answer
-        graph.nonnegative = True
-        assert fused_beam_search(scorer, graph, make_utt(), cfg).entries[0].tokens == ()
+        with counted_steps() as calls, pytest.raises(DecodeError, match="negative weight"):
+            fused_beam_search(scorer, lg, make_utt(), cfg)
+        assert calls[0] == 0
 
     @pytest.mark.parametrize("fusion", ["nbest", "beam", "both"])
     def test_word_recovery_refuses_a_negative_weight_graph(self, fusion):
@@ -999,8 +996,6 @@ class TestThresholdPruning:
             [Arc(0, 1, 1, 1, 0.0), Arc(1, 2, 1, 1, -10.0)], 0, {0: 0.0, 1: 0.0, 2: 0.0}, syms, syms
         )
         resources = DecodeResources(lg, build_fst([Arc(0, 0, 1, 1, 0.0)], 0, {0: 0.0}, syms, syms))
-        graph = resources.graph_for(alphabet)
-        assert not graph.nonnegative
         rows = rows_for(alphabet, [{EOS: 0.6, "a": 0.4}, {EOS: 0.5, "a": 0.5}, {EOS: 1.0}])
         scorer = TableScorer(alphabet, {"u0": rows})
         cfg = DecodeConfig(
@@ -1009,10 +1004,9 @@ class TestThresholdPruning:
             lm_weight_nbest=None if fusion == "beam" else 1.0,
             nbest_size=1,
         )
-        with pytest.raises(DecodeError, match="negative weight"):
+        with counted_steps() as calls, pytest.raises(DecodeError, match="negative weight"):
             decode(scorer, resources, make_utt(), cfg)
-        with pytest.raises(DecodeError, match="negative weight"):
-            nbest_rescore(beam_search(scorer, make_utt(), DecodeConfig()), graph, 1.0)
+        assert calls[0] == 0
 
     def test_coverage_reward_stops_only_when_every_entry_is_out(self):
         # After the first depth the bar is 0.69 (stopping at once).  "b"
@@ -1084,3 +1078,118 @@ class TestThresholdPruning:
         assert max(seen) <= cap
         if kind == "model" and threshold < 0:
             assert max(seen) == cap == frames
+
+
+@contextmanager
+def within(seconds: float):
+    """Fail with ``TimeoutError`` instead of hanging if the block runs
+    longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+NEGATIVE_LEXICONS = ["arc", "final", "start-eps-cycle", "later-eps-cycle"]
+
+
+def negative_resources(kind: str) -> DecodeResources:
+    """The homophone fixture's machines with one negative weight in the
+    lexicon: -10 on the ``m`` arc, -1 on the final root, or an epsilon
+    self-loop of -1 at the root or after ``ae``.  Composition keeps each
+    one in L o G; an epsilon closure over either cycle never settles."""
+    lex = compile_lexicon(parse_lexicon("I\tay\neye\tay\nam\tae m\n"), eow_mode="required")
+    arcs, finals = list(lex.arcs), lex.finals
+    if kind == "arc":
+        m = lex.isyms.id("m")
+        arcs = [dataclasses.replace(a, weight=-10.0) if a.ilabel == m else a for a in arcs]
+    elif kind == "final":
+        finals = {q: -1.0 for q in finals}
+    else:
+        q = lex.start
+        if kind == "later-eps-cycle":
+            q = next(a.dst for a in arcs if a.ilabel == lex.isyms.id("ae"))
+        arcs.append(Arc(q, q, 0, 0, -1.0))
+    lex = build_fst(arcs, lex.start, finals, lex.isyms, lex.osyms, num_states=lex.num_states)
+    lm = train_ngram([["I", "am"]] * 3 + [["eye"]], order=2, smoothing="absdisc")
+    return DecodeResources(lex, lm_to_fst(lm))
+
+
+class TestLatticeGate:
+    """``FusionGraph`` refuses a negative arc or final weight before any
+    epsilon closure, so every way into a fused decode fails at once instead
+    of searching, or closing over, a lattice whose costs can fall."""
+
+    ALPHABET = make_alphabet("ay", "ae", "m", EOW)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        eow_mode=st.sampled_from(["required", "optional"]),
+        order=st.integers(1, 4),
+        smoothing=st.sampled_from(["mle", "absdisc"]),
+    )
+    def test_every_program_lattice_passes(self, seed, eow_mode, order, smoothing):
+        resources = random_resources(np.random.default_rng(seed), eow_mode, order, smoothing)
+        assert all(a.weight >= 0.0 for a in resources.lg.arcs)
+        assert all(w >= 0.0 for w in resources.lg.finals.values())
+        assert resources.graph_for(make_alphabet("a", "b", "c", EOW)).start
+
+    @pytest.mark.parametrize("kind", NEGATIVE_LEXICONS)
+    def test_fusion_graph_refuses(self, kind):
+        with within(5.0):
+            resources = negative_resources(kind)
+            with pytest.raises(DecodeError, match="negative weight"):
+                FusionGraph(resources.lg, self.ALPHABET)
+
+    @pytest.mark.parametrize("kind", NEGATIVE_LEXICONS)
+    def test_graph_for_refuses_and_caches_nothing(self, kind):
+        with within(5.0):
+            resources = negative_resources(kind)
+            for _ in range(2):
+                with pytest.raises(DecodeError, match="negative weight"):
+                    resources.graph_for(self.ALPHABET)
+
+    @pytest.mark.parametrize("kind", NEGATIVE_LEXICONS)
+    def test_decode_batch_refuses_before_the_first_decode(self, kind, monkeypatch):
+        decoded = []
+        monkeypatch.setattr(decoder_mod, "decode", lambda *args: decoded.append(args))
+        scorer = TableScorer(self.ALPHABET, {"u0": point_rows(self.ALPHABET, ["ay", EOW, EOS])})
+        cfg = DecodeConfig(fusion="beam", lm_weight=1.0)
+        with within(5.0):
+            resources = negative_resources(kind)
+            with pytest.raises(DecodeError, match="negative weight"):
+                decode_batch(scorer, resources, [make_utt()], cfg)
+        assert decoded == []
+
+    @pytest.mark.parametrize("kind", NEGATIVE_LEXICONS)
+    def test_fused_beam_search_refuses_a_raw_lattice(self, kind):
+        scorer = TableScorer(self.ALPHABET, {"u0": point_rows(self.ALPHABET, ["ae", "m", EOW, EOS])})
+        cfg = DecodeConfig(fusion="beam", lm_weight=1.0)
+        with within(5.0), counted_steps() as calls:
+            resources = negative_resources(kind)
+            with pytest.raises(DecodeError, match="negative weight"):
+                fused_beam_search(scorer, resources.lg, make_utt(), cfg)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("fusion", ["nbest", "beam", "both"])
+    @pytest.mark.parametrize("kind", NEGATIVE_LEXICONS)
+    def test_decode_refuses_before_any_scorer_step(self, kind, fusion):
+        scorer = TableScorer(self.ALPHABET, {"u0": point_rows(self.ALPHABET, ["ay", EOW, EOS])})
+        cfg = DecodeConfig(
+            fusion=fusion,
+            lm_weight=0.0 if fusion == "nbest" else 1.0,
+            lm_weight_nbest=None if fusion == "beam" else 1.0,
+        )
+        with within(5.0), counted_steps() as calls:
+            resources = negative_resources(kind)
+            with pytest.raises(DecodeError, match="negative weight"):
+                decode(scorer, resources, make_utt(), cfg)
+        assert calls[0] == 0

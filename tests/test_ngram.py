@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -326,6 +327,28 @@ class TestArpaRoundTrip:
         path = tmp_path / "m.arpa"
         path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\nnot a number here at all\n\n\\end\\\n")
         with pytest.raises(NGramError, match="line"):
+            read_arpa(path)
+
+    @pytest.mark.parametrize(
+        "edit, lineno",
+        [
+            (("ngram 1=", "ngram 1"), 2),
+            (("ngram 1=", "ngram x="), 2),
+            (("ngram 1=", "ngram 1=2=3"), 2),
+            (("ngram 1=", "ngrams 1="), 2),
+            (("\\1-grams:", "\\a-grams:"), 5),
+            (("\\2-grams:", "\\-grams:"), 11),
+        ],
+        ids=["no-equals", "bad-order", "two-equals", "bad-keyword", "letter-section", "empty-section"],
+    )
+    def test_malformed_header_names_file_and_line(self, tmp_path, edit, lineno):
+        lm = train_ngram(["a b"], 2, smoothing="absdisc")
+        path = tmp_path / "m.arpa"
+        write_arpa(lm, path)
+        text = path.read_text()
+        assert text.splitlines()[lineno - 1].startswith(edit[0])
+        path.write_text(text.replace(edit[0], edit[1], 1))
+        with pytest.raises(NGramError, match=rf"^{re.escape(str(path))}: line {lineno}: expected"):
             read_arpa(path)
 
     def test_missing_sentence_end(self, tmp_path):
