@@ -136,31 +136,26 @@ def _cmd_train_scorer(args: argparse.Namespace) -> RunManifest:
     return RunManifest(Path(f"{args.out}.manifest.json"), "train-scorer", _config_echo(args), [args.task], args.seed)
 
 
-def _decode_config(args: argparse.Namespace) -> DecodeConfig:
+def _decode_config(args: argparse.Namespace, **fields) -> DecodeConfig:
+    """The decode flags every decoding command takes, plus ``fields``, as one
+    config; an invalid combination is a usage error."""
     try:
         return DecodeConfig(
             beam_width=args.beam_width,
             max_steps=args.max_steps,
-            fusion=args.fusion,
-            lm_weight=args.lm_weight,
-            lm_weight_nbest=args.lm_weight_nbest,
-            coverage_weight=args.coverage_weight,
             coverage_threshold=args.coverage_threshold,
             eow_mode=args.eow_mode,
             nbest_size=args.nbest,
+            **fields,
         )
     except DecodeError as err:
         raise UsageError(str(err)) from err
 
 
-def _load_resources(args: argparse.Namespace) -> tuple[DecodeResources, list[str]]:
-    if args.fusion == "none":
-        return DecodeResources(), []
-    if not (args.lexicon and args.lm):
-        raise UsageError(f"fusion {args.fusion!r} requires --lexicon and --lm")
+def _load_resources(args: argparse.Namespace) -> DecodeResources:
     lex = parse_lexicon(_read_text(args.lexicon))
     lm = read_arpa(args.lm)
-    return DecodeResources(compile_lexicon(lex, args.eow_mode), lm_to_fst(lm)), [args.lexicon, args.lm]
+    return DecodeResources(compile_lexicon(lex, args.eow_mode), lm_to_fst(lm))
 
 
 def _task_scorer(args: argparse.Namespace, task):
@@ -172,8 +167,19 @@ def _task_scorer(args: argparse.Namespace, task):
 
 
 def _cmd_decode(args: argparse.Namespace) -> RunManifest:
-    config = _decode_config(args)
-    resources, resource_inputs = _load_resources(args)
+    config = _decode_config(
+        args,
+        fusion=args.fusion,
+        lm_weight=args.lm_weight,
+        lm_weight_nbest=args.lm_weight_nbest,
+        coverage_weight=args.coverage_weight,
+    )
+    if args.fusion == "none":
+        resources, resource_inputs = DecodeResources(), []
+    elif args.lexicon and args.lm:
+        resources, resource_inputs = _load_resources(args), [args.lexicon, args.lm]
+    else:
+        raise UsageError(f"fusion {args.fusion!r} requires --lexicon and --lm")
     task = load_task(args.task)
     scorer, utts = _task_scorer(args, task)
     results = decode_batch(scorer, resources, utts, config)
@@ -199,19 +205,8 @@ def _sweep_grid(args: argparse.Namespace) -> list:
 
 def _cmd_sweep(args: argparse.Namespace) -> RunManifest:
     grid = _sweep_grid(args)
-    try:
-        config = DecodeConfig(
-            beam_width=args.beam_width,
-            max_steps=args.max_steps,
-            coverage_threshold=args.coverage_threshold,
-            eow_mode=args.eow_mode,
-            nbest_size=args.nbest,
-        )
-    except DecodeError as err:
-        raise UsageError(str(err)) from err
-    lex = parse_lexicon(_read_text(args.lexicon))
-    lm = read_arpa(args.lm)
-    resources = DecodeResources(compile_lexicon(lex, args.eow_mode), lm_to_fst(lm))
+    config = _decode_config(args)
+    resources = _load_resources(args)
     task = load_task(args.task)
     result = sweep_lmw(task, resources, config, grid, args.which)
     write_sweep_csv(result, args.out)

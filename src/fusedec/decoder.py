@@ -8,7 +8,7 @@ lexicon-grammar machine; the scorer supplies the per-step distributions.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -26,10 +26,10 @@ from .fst import (
     relabel,
     shortest_paths,
 )
+from .lexicon import EOW_MODES
 from .scorer import EOS, Utterance, coverage_count, step_distributions
 
 FUSION_MODES = ("none", "nbest", "beam", "both")
-EOW_MODES = ("required", "optional")
 SPACE = "<space>"
 
 
@@ -241,17 +241,18 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     the state is the parent's after the parent's step, so every expansion is
     one scorer step.
 
-    Threshold pruning keeps the returned list exactly the unpruned beam's.
-    Once ``nbest_size`` hypotheses have finished, the bar is the cost of the
-    ``nbest_size``-th of them.  Along any path ``-score + lm_weight *
-    lm_cost`` never falls: each step adds ``-log p >= 0``, and ``graph.best``
-    and ``graph.final_best`` cannot fall, as :class:`FusionGraph` refuses a
-    negative weight.  The coverage reward takes at most ``coverage_weight *
-    cap`` off a cost, where ``cap = max(steps + 1, frames)`` bounds what
-    ``covered()`` can reach.  So a live entry whose ``-score + lm_weight *
-    lm_cost - coverage_weight * cap`` is strictly above the bar can only
-    finish behind the n-best.  Without a coverage reward that bound is the entry's own
-    cost: the beam drops its entries above the bar, and those it keeps are
+    Finished hypotheses go into ``best``, the bounded n-best itself: at
+    most ``nbest_size`` of them in ``_hyp_key`` order, returned as it
+    stands.  Threshold pruning keeps it exactly the unpruned beam's.  Once
+    it is full, the bar is the cost of its last entry.  Along any path
+    ``-score + lm_weight * lm_cost`` never falls: each step adds ``-log p
+    >= 0``, and ``graph.best`` and ``graph.final_best`` cannot fall, as
+    :class:`FusionGraph` refuses a negative weight.  The coverage reward
+    takes at most ``coverage_weight * cap`` off a cost, where ``cap =
+    max(steps + 1, frames)`` bounds what ``covered()`` can reach.  So a live
+    entry whose ``-score + lm_weight * lm_cost - coverage_weight * cap`` is
+    strictly above the bar can only finish behind the n-best.  Without a
+    coverage reward that bound is the entry's own cost: the beam drops its entries above the bar, and those it keeps are
     the ones the unpruned beam keeps at or under it.  With a coverage reward
     a cost can fall along a path, so a dropped entry's children might have
     pushed kept ones out of the beam; the search then only stops once every
@@ -271,8 +272,7 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     start_cost = graph.best(start_state) if graph is not None else 0.0
     root = Hypothesis((), 0.0, start_cost, 0, lam * start_cost, False, start_state)
     live = [(root.total_cost, (), root, scorer.start(utt))]
-    finished: list[Hypothesis] = []
-    cheapest: list[float] = []  # the nbest cheapest finished costs, negated (a max-heap)
+    best: list[Hypothesis] = []
     for depth in range(steps + 1):
         extend = depth < steps
         candidates: list[tuple[float, tuple[int, ...], Hypothesis, object]] = []
@@ -290,11 +290,9 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
                     else:
                         stop = 0.0
                     total = -score + lam * stop - eta * cov
-                    finished.append(Hypothesis(hyp.tokens, score, stop, cov, total, True))
-                    if len(cheapest) < nbest:
-                        heapq.heappush(cheapest, -total)
-                    elif total < -cheapest[0]:
-                        heapq.heapreplace(cheapest, -total)
+                    done = Hypothesis(hyp.tokens, score, stop, cov, total, True)
+                    bisect.insort(best, done, key=_hyp_key)
+                    del best[nbest:]
                 elif extend:
                     if graph is not None:
                         nxt = graph.advance(hyp.lm_state, tid)
@@ -311,8 +309,8 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
             break
         candidates.sort()
         live = candidates[: config.beam_width]
-        if len(cheapest) == nbest:
-            bar = -cheapest[0]
+        if len(best) == nbest:
+            bar = best[-1].total_cost
             if eta == 0.0:
                 while live and live[-1][0] > bar:
                     live.pop()
@@ -320,10 +318,9 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
                 live = []
             if not live:
                 break
-    finished.sort(key=_hyp_key)
-    if finished:
-        return NBestList(tuple(finished[: config.nbest_size]), True)
-    return NBestList(tuple(hyp for _, _, hyp, _ in live[: config.nbest_size]), False)
+    if best:
+        return NBestList(tuple(best), True)
+    return NBestList(tuple(hyp for _, _, hyp, _ in live[:nbest]), False)
 
 
 def beam_search(scorer, utt: Utterance, config: DecodeConfig) -> NBestList:

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 EPSILON = "<eps>"
 
 TROPICAL_ZERO = math.inf
-TROPICAL_ONE = 0.0
 
 # Composition filter states for the standard 3-state epsilon filter.
 # 0 = neutral, 1 = only the right machine may keep moving on epsilon,
@@ -200,9 +199,6 @@ class WeightedFst:
 
     def final(self, state: int) -> float:
         return self._finals.get(state, TROPICAL_ZERO)
-
-    def is_final(self, state: int) -> bool:
-        return state in self._finals
 
     def arcs_from(self, state: int) -> tuple[Arc, ...]:
         return self.arcs[self._offsets[state] : self._offsets[state + 1]]

@@ -341,8 +341,7 @@ def write_arpa(lm: NGramModel, path: str | Path) -> None:
 def read_arpa(path: str | Path) -> NGramModel:
     """Parse the ARPA subset written by :func:`write_arpa`."""
     declared: dict[int, int] = {}
-    sections: dict[int, list[tuple[str, ...]]] = {}
-    raw_entries: dict[int, list[tuple[float, tuple[str, ...], float | None]]] = {}
+    entries: dict[int, list[tuple[float, tuple[str, ...], float | None]]] = {}
     current: int | None = None
     in_data = False
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -360,8 +359,9 @@ def read_arpa(path: str | Path) -> NGramModel:
                 current = int(line[1:].split("-")[0])
             except ValueError:
                 raise NGramError(f"{path}: line {lineno}: expected '\\k-grams:' with a number k") from None
-            sections[current] = []
-            raw_entries[current] = []
+            if current in entries:
+                raise NGramError(f"{path}: line {lineno}: repeated \\{current}-grams: section")
+            entries[current] = []
             in_data = False
             continue
         if in_data:
@@ -387,16 +387,15 @@ def read_arpa(path: str | Path) -> NGramModel:
         gram = tuple(fields[1].split())
         if len(gram) != current:
             raise NGramError(f"{path}: line {lineno}: {len(gram)}-gram in \\{current}-grams:")
-        sections[current].append(gram)
-        raw_entries[current].append((p10, gram, bow10))
+        entries[current].append((p10, gram, bow10))
 
-    if not sections:
+    if not entries:
         raise NGramError(f"{path}: no n-gram sections found")
-    order = max(sections)
+    order = max(entries)
     for k, n in declared.items():
-        if len(sections.get(k, ())) != n:
-            raise NGramError(f"{path}: declared {n} {k}-grams, found {len(sections.get(k, ()))}")
-    unigram_syms = [g[0] for g in sections.get(1, [])]
+        if len(entries.get(k, ())) != n:
+            raise NGramError(f"{path}: declared {n} {k}-grams, found {len(entries.get(k, ()))}")
+    unigram_syms = [gram[0] for _, gram, _ in entries.get(1, ())]
     for required in (SENT_START, SENT_END):
         if required not in unigram_syms:
             raise NGramError(f"{path}: missing {required} unigram")
@@ -404,8 +403,8 @@ def read_arpa(path: str | Path) -> NGramModel:
 
     probs: dict[tuple[int, ...], float] = {}
     backoffs: dict[tuple[int, ...], float] = {}
-    for k in sorted(raw_entries):
-        for p10, gram_syms, bow10 in raw_entries[k]:
+    for k in sorted(entries):
+        for p10, gram_syms, bow10 in entries[k]:
             try:
                 gram = tuple(vocab.id(s) for s in gram_syms)
             except Exception:

@@ -46,6 +46,8 @@ EOS = "<eos>"
 
 _CKPT_MAGIC = b"FDSC"
 _CKPT_VERSION = 1
+# The model dimensions a checkpoint header records, each under its own name.
+_MODEL_DIMS = ("feat_dim", "enc_hidden", "dec_hidden", "att_dim", "embed_dim", "n_heads", "n_enc_layers")
 
 
 class ScorerError(ValueError):
@@ -65,13 +67,18 @@ class Utterance:
     reference: tuple[int, ...]
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] < 1:
-            raise ScorerError(f"features must be a (T, d) array with T >= 1, got shape {feats.shape}")
-        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "features", as_features(self.features))
         object.__setattr__(self, "reference", tuple(int(y) for y in self.reference))
         if len(self.reference) == 0:
             raise ScorerError("reference is empty (it must at least contain <eos>)")
+
+
+def as_features(x) -> np.ndarray:
+    """``x`` as a float64 (T, d) array of frames, T >= 1."""
+    feats = np.asarray(x, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] < 1:
+        raise ScorerError(f"features must be a (T, d) array with T >= 1, got shape {feats.shape}")
+    return feats
 
 
 def _emit_mask(alphabet: SymbolTable) -> np.ndarray:
@@ -590,13 +597,7 @@ def save_checkpoint(model: ToyLasModel, path: str | Path) -> None:
     """Single-file checkpoint: magic, version, JSON header, then the raw
     float64 little-endian parameter arrays in header order."""
     header = {
-        "feat_dim": model.feat_dim,
-        "enc_hidden": model.enc_hidden,
-        "dec_hidden": model.dec_hidden,
-        "att_dim": model.att_dim,
-        "embed_dim": model.embed_dim,
-        "n_heads": model.n_heads,
-        "n_enc_layers": model.n_enc_layers,
+        **{name: getattr(model, name) for name in _MODEL_DIMS},
         "max_prefix": model.max_prefix,
         "alphabet": list(model.alphabet),
         "arrays": [
@@ -647,13 +648,7 @@ def _parse_checkpoint(raw: bytes) -> ToyLasModel:
         raise ScorerError("trailing bytes after parameter arrays")
     return ToyLasModel(
         SymbolTable(header["alphabet"]),
-        header["feat_dim"],
-        params,
-        enc_hidden=header["enc_hidden"],
-        dec_hidden=header["dec_hidden"],
-        att_dim=header["att_dim"],
-        embed_dim=header["embed_dim"],
-        n_heads=header["n_heads"],
-        n_enc_layers=header["n_enc_layers"],
+        params=params,
+        **{name: header[name] for name in _MODEL_DIMS},
         max_prefix=header["max_prefix"],
     )

@@ -20,7 +20,7 @@ import numpy as np
 from .fst import SymbolTable
 from .lexicon import EOW, PronLexicon, parse_lexicon
 from .ngram import NGramModel, read_arpa, write_arpa
-from .scorer import EOS, SOS, TableScorer, Utterance
+from .scorer import EOS, SOS, TableScorer, Utterance, as_features
 
 MAX_SENTENCE_WORDS = 12
 _RESAMPLE_ATTEMPTS = 100
@@ -253,7 +253,7 @@ def load_task(path: str | Path) -> SynthTask:
                 if uid in first_line:
                     raise SynthError(f"uid {uid!r} already used on line {first_line[uid]}")
                 first_line[uid] = lineno
-                features = np.asarray(obj["features"], dtype=np.float64)
+                features = as_features(obj["features"])
                 utterances.append(SynthUtterance(uid, tuple(words), tuple(targets), features))
     with _malformed(path / "meta.json"):
         meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))

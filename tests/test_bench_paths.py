@@ -1,15 +1,18 @@
-"""The benchmark's tracer must find every callable it wraps.
+"""The benchmark must keep working against the package.
 
 ``bench/tracing.py`` times the package's layers by replacing named module
 and class attributes.  A refactor that removes or renames one of them does
 not break the benchmark run; it silently reports the affected per-layer
-metrics as absent.  This test turns that into a failure here instead.
+metrics as absent.  These tests turn that into a failure here instead, and
+run a few decodes of the table workloads the way ``bench/workloads.py``
+makes them, so a change the benchmark cannot run under fails here too.
 """
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fusedec
 from fusedec.decoder import DecodeConfig, DecodeResources, decode_batch
@@ -18,14 +21,18 @@ from fusedec.lexicon import EOW, compile_lexicon, parse_lexicon
 from fusedec.ngram import lm_to_fst, train_ngram
 from fusedec.scorer import TableScorer, ToyLasModel, Utterance
 
-_TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
+def _load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", _BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load_bench("tracing")
 
 
 def test_tracer_wraps_every_name_and_sees_the_scorer_steps():
@@ -90,3 +97,39 @@ def test_word_recovery_composes_nothing_under_the_tracer():
     assert calls["words.best"] > 0
     for name in ("words.compose", "words.chain", "words.shortest_paths"):
         assert calls.get(name, 0) == 0
+
+
+@pytest.mark.parametrize("name", ["noisy_sweep", "trigram_lexicon"])
+def test_table_workload_rounds_decode_cleanly(name, tmp_path, monkeypatch):
+    """Five utterances of a table workload at seed 1 go through its own
+    round, which for ``trigram_lexicon`` also decodes the order-3 probe
+    under both of its configs.  Nothing raises, no sweep point fails, and
+    every decode passes the benchmark's model-score, cost and spelling
+    checks.  The probe's lm_cost gap is a known fault and is not checked."""
+    monkeypatch.syspath_prepend(str(_BENCH))
+    workloads, tracing = _load_bench("workloads"), _load_tracing()
+    workload = workloads.WORKLOADS[name](1, tmp_path)
+    state = workload.setup()
+    workload.utts = workload.utts[:5]
+    log = tracing.DecodeLog(fusedec.decoder)
+    try:
+        output = workload.run_round(state)
+    finally:
+        log.restore()
+    if name == "noisy_sweep":
+        assert [p.error for result in output for p in result.points] == [None] * (
+            len(workloads.BEAM_GRID) + len(workloads.SPLIT_GRID)
+        )
+        assert len(log.records) == 5 * (len(workloads.BEAM_GRID) + len(workloads.SPLIT_GRID))
+        sources = {}
+    else:
+        assert len(log.records) == 6 * len(workload.configs)
+        probe_table, _, _, _, probe_prons = workload.probe
+        sources = {workloads.PROBE_UID: (probe_table, probe_prons)}
+    optional = workload.eow_mode == "optional"
+    for uid, _, _, result in log.records:
+        table, prons = sources.get(uid, (workload.table, workload.prons))
+        problems = workloads.checks.table_problems(
+            result, table.rows[uid], table.alphabet, prons, workloads.EOW, optional
+        )
+        assert problems == []

@@ -357,6 +357,16 @@ def _utterance_with_string_words(task, ckpt):
     return f"{path}:1"
 
 
+def _utterance_with_null_features(task, ckpt):
+    path = task / "utterances.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record["features"] = None
+    lines[1] = json.dumps(record) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return f"{path}:2"
+
+
 def _empty_meta(task, ckpt):
     (task / "meta.json").write_text("{}\n", encoding="utf-8")
     return task / "meta.json"
@@ -379,6 +389,7 @@ class TestMalformedInputFiles:
             _utterance_without_words,
             _utterance_with_a_repeated_uid,
             _utterance_with_string_words,
+            _utterance_with_null_features,
             _empty_meta,
             _lexicon_line_without_tab,
         ],

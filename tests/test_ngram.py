@@ -351,6 +351,18 @@ class TestArpaRoundTrip:
         with pytest.raises(NGramError, match=rf"^{re.escape(str(path))}: line {lineno}: expected"):
             read_arpa(path)
 
+    def test_repeated_section_names_file_and_line(self, tmp_path):
+        lm = train_ngram([["I", "am"]] * 3 + [["eye"]], 2, smoothing="absdisc")
+        path = tmp_path / "m.arpa"
+        write_arpa(lm, path)
+        # Without a declared bigram count, nothing else notices the split.
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("ngram 2=")]
+        first = lines.index("\\2-grams:") + 1
+        lines[first + 1:first + 1] = ["", "\\2-grams:"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NGramError, match=rf"^{re.escape(str(path))}: line {first + 3}: repeated"):
+            read_arpa(path)
+
     def test_missing_sentence_end(self, tmp_path):
         path = tmp_path / "m.arpa"
         path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-99\t<s>\n\n\\end\\\n")
