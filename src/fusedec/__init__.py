@@ -10,6 +10,7 @@ from .decoder import (
     FusionGraph,
     Hypothesis,
     NBestList,
+    StateSet,
     WordHypothesis,
     beam_search,
     decode,

@@ -101,6 +101,8 @@ class Hypothesis:
     natural-log probabilities) includes the <eos> step once finished.
     ``lm_cost`` is the lattice cost: for a finished hypothesis the best
     accepting-path weight, for a live one the best prefix weight.
+    ``lm_state`` is the :class:`StateSet` a live fused hypothesis has
+    reached; it is None once finished and in a search without a graph.
     """
 
     tokens: tuple[int, ...]
@@ -109,7 +111,7 @@ class Hypothesis:
     coverage: int
     total_cost: float
     finished: bool
-    lm_state: tuple[tuple[int, float], ...] | None = field(default=None, repr=False)
+    lm_state: StateSet | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,41 @@ class RescoreResult:
     unparsed: int
 
 
+_MAX_STORED = 4096
+_UNKNOWN = object()
+
+
+class StateSet:
+    """A weighted state set closed under input epsilons, reached by one
+    token prefix.
+
+    ``pairs`` are the sorted ``(state, cost)`` pairs; ``best`` is their
+    least cost.  ``final_best`` is filled in by :meth:`FusionGraph.final_best`
+    the first time it is asked for, and ``next`` maps each label advanced so
+    far to the set it leads to (None when no state survives).  Two sets are
+    equal when their pairs are, whatever prefixes reached them.
+    """
+
+    __slots__ = ("pairs", "best", "final_best", "next")
+
+    def __init__(self, pairs: tuple[tuple[int, float], ...]):
+        self.pairs = pairs
+        self.best = min(w for _, w in pairs)
+        self.final_best = _UNKNOWN
+        self.next: dict[int, StateSet | None] = {}
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StateSet):
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash(self.pairs)
+
+
 class FusionGraph:
     """The lexicon-grammar machine, relabeled to a scorer's token ids.
 
@@ -147,6 +184,14 @@ class FusionGraph:
     arc and final weight must be non-negative, so that prefix costs never
     fall: the epsilon closure, the beam's threshold pruning and word
     recovery all rely on it, and a negative epsilon cycle would never close.
+
+    Each :class:`StateSet` remembers where it leads, so the sets form a trie
+    of the token prefixes decoded so far: a sweep that decodes the same
+    utterances at many weights computes each closure once.  At most
+    ``_MAX_STORED`` (4,096) transitions are stored per graph.  When the
+    bound is reached, ``start`` is rebuilt from the same pairs and the count
+    starts again; the old trie is freed once no live hypothesis holds a set
+    of it.  A cached set is the very set a fresh computation gives.
     """
 
     def __init__(self, lg: WeightedFst, alphabet: SymbolTable):
@@ -161,34 +206,41 @@ class FusionGraph:
         except FstError as e:
             raise DecodeError(f"fusion graph incompatible with the scorer alphabet: {e}") from e
         self.alphabet = alphabet
-        self.start = _freeze(_eps_closure(self.fst, {self.fst.start: 0.0}))
+        self.start = StateSet(_freeze(_eps_closure(self.fst, {self.fst.start: 0.0})))
+        self._stored = 0
 
-    def advance(
-        self, states: tuple[tuple[int, float], ...], label: int
-    ) -> tuple[tuple[int, float], ...] | None:
+    def advance(self, states: StateSet, label: int) -> StateSet | None:
         """Consume one token; None when no state survives."""
+        nxt = states.next.get(label, _UNKNOWN)
+        if nxt is not _UNKNOWN:
+            return nxt
         seeds: dict[int, float] = {}
-        for q, w in states:
-            for arc in self.fst.arcs_from(q):
-                if arc.ilabel != label:
-                    continue
+        for q, w in states.pairs:
+            for arc in self.fst.arcs_with(q, label):
                 cand = w + arc.weight
                 if cand < seeds.get(arc.dst, math.inf):
                     seeds[arc.dst] = cand
-        if not seeds:
-            return None
-        return _freeze(_eps_closure(self.fst, seeds))
+        nxt = StateSet(_freeze(_eps_closure(self.fst, seeds))) if seeds else None
+        if self._stored == _MAX_STORED:
+            self.start = StateSet(self.start.pairs)
+            self._stored = 0
+        states.next[label] = nxt
+        self._stored += 1
+        return nxt
 
-    def best(self, states: tuple[tuple[int, float], ...]) -> float:
-        return min(w for _, w in states)
+    def best(self, states: StateSet) -> float:
+        return states.best
 
-    def final_best(self, states: tuple[tuple[int, float], ...]) -> float | None:
+    def final_best(self, states: StateSet) -> float | None:
         """Best cost of stopping here, final weights included; None if the
         set contains no final state."""
-        best = math.inf
-        for q, w in states:
-            best = min(best, w + self.fst.final(q))
-        return None if math.isinf(best) else best
+        stop = states.final_best
+        if stop is _UNKNOWN:
+            best = math.inf
+            for q, w in states.pairs:
+                best = min(best, w + self.fst.final(q))
+            stop = states.final_best = None if math.isinf(best) else best
+        return stop
 
 
 def _freeze(dist: dict[int, float]) -> tuple[tuple[int, float], ...]:

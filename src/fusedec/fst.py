@@ -3,6 +3,10 @@
 Weights are costs, i.e. negated log probabilities: paths accumulate by
 addition and alternatives combine by taking the minimum.  Machines are
 frozen at construction time, so they are safe to share between threads.
+The one thing built later is the index behind :meth:`WeightedFst.arcs_with`,
+one state at a time as states are first asked for, so a machine that only
+exists during set-up pays for no more of it than it reads; two threads that
+build the same entry at once build equal entries.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -24,6 +30,8 @@ TROPICAL_ZERO = math.inf
 _FILTER_NEUTRAL, _FILTER_RIGHT, _FILTER_LEFT = 0, 1, 2
 
 _MAX_QUEUE_POPS = 2_000_000
+
+_ilabel = attrgetter("ilabel")
 
 
 class FstError(ValueError):
@@ -150,7 +158,7 @@ class FstPath:
 class WeightedFst:
     """Frozen transducer with dense state ids and arcs sorted by (src, ilabel)."""
 
-    __slots__ = ("num_states", "start", "_finals", "arcs", "isyms", "osyms", "_offsets")
+    __slots__ = ("num_states", "start", "_finals", "arcs", "isyms", "osyms", "_offsets", "_by_label")
 
     def __init__(
         self,
@@ -169,15 +177,17 @@ class WeightedFst:
             if not 0 <= q < num_states:
                 raise FstError(f"final state {q} out of range for {num_states} states")
             _check_weight(w, "final weight")
+        n_in, n_out = len(isyms), len(osyms)
         for k, a in enumerate(arcs):
             if not 0 <= a.src < num_states or not 0 <= a.dst < num_states:
                 bad = a.src if not 0 <= a.src < num_states else a.dst
                 raise FstError(f"arc {k} references state {bad} but the machine has {num_states} states")
-            if not 0 <= a.ilabel < len(isyms):
+            if not 0 <= a.ilabel < n_in:
                 raise FstError(f"arc {k} input label {a.ilabel} not in the input table")
-            if not 0 <= a.olabel < len(osyms):
+            if not 0 <= a.olabel < n_out:
                 raise FstError(f"arc {k} output label {a.olabel} not in the output table")
-            _check_weight(a.weight, f"arc {k} weight")
+            if not -math.inf < a.weight <= math.inf:  # NaN and -inf
+                _check_weight(a.weight, f"arc {k} weight")
         self.num_states = num_states
         self.start = start
         self._finals = dict(finals)
@@ -192,6 +202,7 @@ class WeightedFst:
         for i in range(num_states):
             offsets[i + 1] += offsets[i]
         self._offsets = offsets
+        self._by_label: list[dict[int, tuple[Arc, ...]] | None] | None = None
 
     @property
     def finals(self) -> dict[int, float]:
@@ -202,6 +213,18 @@ class WeightedFst:
 
     def arcs_from(self, state: int) -> tuple[Arc, ...]:
         return self.arcs[self._offsets[state] : self._offsets[state + 1]]
+
+    def arcs_with(self, state: int, ilabel: int) -> tuple[Arc, ...]:
+        """The arcs leaving ``state`` that read ``ilabel`` (0 for epsilon),
+        in arc order."""
+        index = self._by_label
+        if index is None:
+            index = self._by_label = [None] * self.num_states
+        by_label = index[state]
+        if by_label is None:
+            groups = groupby(self.arcs_from(state), key=_ilabel)
+            by_label = index[state] = {label: tuple(arcs) for label, arcs in groups}
+        return by_label.get(ilabel, ())
 
     def __repr__(self) -> str:
         return (
@@ -318,14 +341,6 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     if a.osyms != b.isyms:
         raise FstError("compose: left output table and right input table differ")
 
-    b_by_ilabel: dict[tuple[int, int], list[Arc]] = {}
-    b_eps: dict[int, list[Arc]] = {}
-    for arc in b.arcs:
-        if arc.ilabel == 0:
-            b_eps.setdefault(arc.src, []).append(arc)
-        else:
-            b_by_ilabel.setdefault((arc.src, arc.ilabel), []).append(arc)
-
     start_key = (a.start, b.start, _FILTER_NEUTRAL)
     ids: dict[tuple[int, int, int], int] = {start_key: 0}
     queue: deque[tuple[int, int, int]] = deque([start_key])
@@ -345,9 +360,10 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
         fa, fb = a.final(qa), b.final(qb)
         if fa < math.inf and fb < math.inf:
             finals[src] = fa + fb
+        b_eps = b.arcs_with(qb, 0)
         for arc1 in a.arcs_from(qa):
             if arc1.olabel != 0:
-                for arc2 in b_by_ilabel.get((qb, arc1.olabel), ()):
+                for arc2 in b.arcs_with(qb, arc1.olabel):
                     dst = state_id((arc1.dst, arc2.dst, _FILTER_NEUTRAL))
                     arcs.append(Arc(src, dst, arc1.ilabel, arc2.olabel, arc1.weight + arc2.weight))
             else:
@@ -355,11 +371,11 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
                     dst = state_id((arc1.dst, qb, _FILTER_LEFT))
                     arcs.append(Arc(src, dst, arc1.ilabel, 0, arc1.weight))
                 if f == _FILTER_NEUTRAL:
-                    for arc2 in b_eps.get(qb, ()):
+                    for arc2 in b_eps:
                         dst = state_id((arc1.dst, arc2.dst, _FILTER_NEUTRAL))
                         arcs.append(Arc(src, dst, arc1.ilabel, arc2.olabel, arc1.weight + arc2.weight))
         if f != _FILTER_LEFT:
-            for arc2 in b_eps.get(qb, ()):
+            for arc2 in b_eps:
                 dst = state_id((qa, arc2.dst, _FILTER_RIGHT))
                 arcs.append(Arc(src, dst, 0, arc2.olabel, arc2.weight))
 
@@ -485,9 +501,10 @@ def output_weights(f: WeightedFst, ilabels: Sequence[str | int]) -> dict[tuple[i
         done.add((k, q, ols))
         if k == len(ids) and w + f.final(q) < out.get(ols, math.inf):
             out[ols] = w + f.final(q)
-        for arc in f.arcs_from(q):
-            if arc.ilabel and (k == len(ids) or arc.ilabel != ids[k]):
-                continue
+        arcs = f.arcs_with(q, 0)
+        if k < len(ids) and ids[k]:
+            arcs += f.arcs_with(q, ids[k])
+        for arc in arcs:
             key = (k + 1 if arc.ilabel else k, arc.dst, ols + (arc.olabel,) if arc.olabel else ols)
             if len(key[2]) > cap:
                 raise FstError("an input-epsilon cycle writes output, so the outputs are unbounded")
@@ -514,9 +531,7 @@ def _eps_closure(f: WeightedFst, seeds: Mapping[int, float]) -> dict[int, float]
         w, q = heapq.heappop(heap)
         if w > dist.get(q, math.inf):
             continue
-        for arc in f.arcs_from(q):
-            if arc.ilabel != 0:
-                continue
+        for arc in f.arcs_with(q, 0):
             cand = w + arc.weight
             if cand < dist.get(arc.dst, math.inf):
                 dist[arc.dst] = cand

@@ -87,8 +87,10 @@ def sweep_lmw(
     rescoring (nbest), or split across both, in which case grid entries are
     (lambda_beam, lambda_nbest) pairs whose sum must be constant.  The
     task's default emission table is used unless a prepared ``scorer`` and
-    its ``utterances`` are passed together.  A failing grid point is
-    recorded on its curve entry rather than aborting the sweep.
+    its ``utterances`` are passed together; those may be any of the task's
+    utterances in any order, each scored against the reference of its uid.
+    A failing grid point is recorded on its curve entry rather than
+    aborting the sweep.
     """
     if which not in SWEEP_KINDS:
         raise SweepError(f"which must be one of {SWEEP_KINDS}, got {which!r}")
@@ -106,13 +108,16 @@ def sweep_lmw(
         raise SweepError("scorer and utterances must be passed together")
     if scorer is None:
         scorer, utterances = build_table_scorer(task)
-    refs = [u.words for u in task.utterances]
+    refs = {u.uid: u.words for u in task.utterances}
+    for utt in utterances:
+        if utt.uid not in refs:
+            raise SweepError(f"utterance {utt.uid!r} is not in the task")
     points = []
     for entry in grid:
         cfg, lb, ln = _point_config(config, which, entry)
         try:
             results = decode_batch(scorer, resources, utterances, cfg)
-            breakdown = corpus_wer([(r, res.words) for r, res in zip(refs, results)])
+            breakdown = corpus_wer([(refs[res.uid], res.words) for res in results])
             points.append(SweepPoint(lb, ln, breakdown))
         except ValueError as e:
             points.append(SweepPoint(lb, ln, None, error=str(e)))

@@ -7,6 +7,7 @@ public data types.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -352,3 +353,58 @@ def reference_expand(scorer, utt: Utterance, config: DecodeConfig, graph: Fusion
     if finished:
         return NBestList(tuple(finished[: config.nbest_size]), True)
     return NBestList(tuple(hyp for _, _, hyp, _ in live[: config.nbest_size]), False)
+
+
+def reference_closure(f: WeightedFst, seeds: dict[int, float]) -> tuple[tuple[int, float], ...]:
+    """Dijkstra over input-epsilon arcs from weighted seed states, scanning
+    every arc of a state; the sorted (state, cost) pairs."""
+    dist = dict(seeds)
+    heap = [(w, q) for q, w in seeds.items()]
+    heapq.heapify(heap)
+    while heap:
+        w, q = heapq.heappop(heap)
+        if w > dist.get(q, math.inf):
+            continue
+        for arc in f.arcs_from(q):
+            if arc.ilabel != 0:
+                continue
+            cand = w + arc.weight
+            if cand < dist.get(arc.dst, math.inf):
+                dist[arc.dst] = cand
+                heapq.heappush(heap, (cand, arc.dst))
+    return tuple(sorted(dist.items()))
+
+
+def reference_start(graph: FusionGraph) -> tuple[tuple[int, float], ...]:
+    return reference_closure(graph.fst, {graph.fst.start: 0.0})
+
+
+def reference_advance(
+    graph: FusionGraph, states: tuple[tuple[int, float], ...], label: int
+) -> tuple[tuple[int, float], ...] | None:
+    """``FusionGraph.advance`` over plain (state, cost) tuples, computed
+    afresh on every call: consume one token; None when no state survives."""
+    seeds: dict[int, float] = {}
+    for q, w in states:
+        for arc in graph.fst.arcs_from(q):
+            if arc.ilabel != label:
+                continue
+            cand = w + arc.weight
+            if cand < seeds.get(arc.dst, math.inf):
+                seeds[arc.dst] = cand
+    if not seeds:
+        return None
+    return reference_closure(graph.fst, seeds)
+
+
+def reference_best(states: tuple[tuple[int, float], ...]) -> float:
+    return min(w for _, w in states)
+
+
+def reference_final_best(graph: FusionGraph, states: tuple[tuple[int, float], ...]) -> float | None:
+    """Best cost of stopping here, final weights included; None if the set
+    contains no final state."""
+    best = math.inf
+    for q, w in states:
+        best = min(best, w + graph.fst.final(q))
+    return None if math.isinf(best) else best

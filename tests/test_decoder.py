@@ -272,6 +272,85 @@ class TestFusionGraph:
         assert resources.graph_for(alphabet) is resources.graph_for(alphabet)
 
 
+class TestStateSetCache:
+    """``FusionGraph`` keeps each prefix's state set in a bounded trie.  Every
+    set it hands out, fresh, cached, or reached after ``start`` was rebuilt
+    at the bound, equals the uncached reference exactly."""
+
+    ALPHABET = make_alphabet("a", "b", "c", EOW)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        eow_mode=st.sampled_from(["required", "optional"]),
+        order=st.integers(1, 4),
+        bound=st.sampled_from([decoder_mod._MAX_STORED, 1, 3, 8]),
+    )
+    def test_walks_match_the_uncached_reference(self, seed, eow_mode, order, bound):
+        rng = np.random.default_rng(seed)
+        resources = random_resources(rng, eow_mode, order)
+        with mock.patch.object(decoder_mod, "_MAX_STORED", bound):
+            graph = FusionGraph(resources.lg, self.ALPHABET)
+            start = oracles.reference_start(graph)
+            walks = []
+            for _ in range(12):
+                # Mostly labels some state can read, so walks go deep; the
+                # rest, <sos> and <eos> included, often leave the graph.
+                walk, ref = [], start
+                while ref is not None and len(walk) < 8:
+                    live = sorted({a.ilabel for q, _ in ref for a in graph.fst.arcs_from(q)} - {0})
+                    label = int(rng.choice(live)) if live and rng.random() < 0.8 else int(rng.integers(1, 7))
+                    walk.append(label)
+                    ref = oracles.reference_advance(graph, ref, label)
+                walks.append(walk)
+            for walk in walks * 2:
+                states, ref = graph.start, start
+                assert states.pairs == ref
+                for label in walk:
+                    assert graph.best(states) == oracles.reference_best(ref)
+                    assert graph.final_best(states) == oracles.reference_final_best(graph, ref)
+                    states = graph.advance(states, label)
+                    ref = oracles.reference_advance(graph, ref, label)
+                    assert graph._stored <= bound
+                    if ref is None:
+                        assert states is None
+                        break
+                    assert states.pairs == ref and len(states) == len(ref)
+                else:
+                    assert graph.best(states) == oracles.reference_best(ref)
+                    assert graph.final_best(states) == oracles.reference_final_best(graph, ref)
+
+    def test_a_repeated_advance_returns_the_stored_set(self, homophone):
+        _, resources, alphabet = homophone
+        graph = FusionGraph(resources.lg, alphabet)
+        nxt = graph.advance(graph.start, alphabet.id("ay"))
+        assert graph.advance(graph.start, alphabet.id("ay")) is nxt
+        assert graph.advance(graph.start, alphabet.id("m")) is None
+        assert graph._stored == 2
+
+    def test_the_bound_rebuilds_start_and_keeps_old_sets_usable(self, homophone):
+        _, resources, alphabet = homophone
+        ay, eow = alphabet.id("ay"), alphabet.id(EOW)
+        with mock.patch.object(decoder_mod, "_MAX_STORED", 1):
+            graph = FusionGraph(resources.lg, alphabet)
+            old = graph.start
+            mid = graph.advance(old, ay)
+            end = graph.advance(mid, eow)
+            assert graph.start is not old and graph.start == old
+            assert graph.start.next == {} and graph._stored == 1
+            assert graph.advance(graph.start, ay) == mid
+            assert graph.advance(mid, eow) is end
+
+    def test_state_sets_compare_by_pairs(self, homophone):
+        _, resources, alphabet = homophone
+        one = FusionGraph(resources.lg, alphabet)
+        two = FusionGraph(resources.lg, alphabet)
+        a = one.advance(one.start, alphabet.id("ay"))
+        b = two.advance(two.start, alphabet.id("ay"))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != one.start and len(a) == len(a.pairs)
+
+
 class TestDecodeResources:
     def test_requires_both_machines(self):
         lexicon_fst = compile_lexicon(parse_lexicon("I\tay\n"), eow_mode="required")

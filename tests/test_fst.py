@@ -111,6 +111,18 @@ class TestBuild:
         assert keys == sorted(keys)
         assert [a.ilabel for a in f.arcs_from(0)] == [1, 3]
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), eps_prob=st.sampled_from([0.0, 0.25, 0.8]))
+    def test_arcs_with_is_arcs_from_filtered_by_input_label(self, seed, eps_prob):
+        rng = np.random.default_rng(seed)
+        syms_in, syms_out = SymbolTable(["a", "b", "c"]), SymbolTable(["x", "y", "z"])
+        f = random_dag_fst(rng, syms_in, syms_out, max_arcs=14, eps_prob=eps_prob)
+        # the index fills one state at a time, so ask in a random order, twice
+        for q in [*rng.permutation(f.num_states), *range(f.num_states)]:
+            for label in range(len(syms_in) + 1):
+                want = tuple(a for a in f.arcs_from(int(q)) if a.ilabel == label)
+                assert f.arcs_with(int(q), label) == want
+
     def test_build_is_idempotent(self, abc_syms):
         arcs = [(0, 1, 1, 2, 0.5), (0, 1, 2, 1, 0.25)]
         f1 = build_fst(arcs, 0, {1: 0.0}, abc_syms, abc_syms)

@@ -5,8 +5,9 @@ import fusedec.sweep as sweep_mod
 from fusedec.decoder import DecodeConfig, DecodeResources
 from fusedec.lexicon import compile_lexicon, parse_lexicon
 from fusedec.ngram import lm_to_fst, train_ngram
+from fusedec.scorer import Utterance
 from fusedec.sweep import CSV_HEADER, SweepError, sweep_csv, sweep_lmw, write_sweep_csv
-from fusedec.synth import synth_corpus
+from fusedec.synth import SynthTask, build_table_scorer, synth_corpus
 
 LEX_TEXT = "sun\ts u n\nsea\ts i\ntide\tt i d\nlow\tl o\n"
 LM_CORPUS = [
@@ -113,6 +114,47 @@ class TestCurves:
         assert result.points[0].breakdown is not None
         assert result.points[2].breakdown is not None
         assert result.argmin_index == 0
+
+
+class TestUtteranceSubsets:
+    """Each decode is scored against the reference of its own uid, whatever
+    the order of the utterances passed and wherever they sit in the task."""
+
+    @staticmethod
+    def breakdowns(task, resources, scorer, utts):
+        result = sweep_lmw(
+            task, resources, DecodeConfig(), [0.0, 0.3], "beam", scorer=scorer, utterances=list(utts)
+        )
+        return [p.breakdown for p in result.points]
+
+    def test_reversed_and_trailing_subsets_score_like_task_order(self, setup):
+        lexicon, lm, resources = setup
+        task = synth_corpus(3, lexicon, lm, 15, 0.25)
+        scorer, utts = build_table_scorer(task)
+        in_order = self.breakdowns(task, resources, scorer, utts)
+        assert self.breakdowns(task, resources, scorer, utts[::-1]) == in_order
+        tail = SynthTask(task.lexicon, task.lm, task.utterances[9:], task.noise, task.seed)
+        want = self.breakdowns(tail, resources, scorer, utts[9:])
+        assert want[0].ref_count == sum(len(u.words) for u in tail.utterances)
+        assert self.breakdowns(task, resources, scorer, utts[9:]) == want
+        assert self.breakdowns(task, resources, scorer, utts[9:][::-1]) == want
+
+    def test_utterance_missing_from_the_task_is_refused_before_decoding(
+        self, setup, clean_task, monkeypatch
+    ):
+        _, _, resources = setup
+        scorer, utts = build_table_scorer(clean_task)
+        stranger = Utterance("stranger", utts[0].features, utts[0].reference)
+
+        def no_decode(*args):
+            raise AssertionError("decoded before refusing")
+
+        monkeypatch.setattr(sweep_mod, "decode_batch", no_decode)
+        with pytest.raises(SweepError, match="'stranger' is not in the task"):
+            sweep_lmw(
+                clean_task, resources, DecodeConfig(), [0.1], "beam",
+                scorer=scorer, utterances=[*utts[:2], stranger],
+            )
 
 
 class TestCsv:
