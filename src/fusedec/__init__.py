@@ -31,7 +31,6 @@ from .fst import (
     read_fst_text,
     relabel,
     shortest_paths,
-    string_weight,
     write_fst_text,
 )
 from .lexicon import (
@@ -40,7 +39,6 @@ from .lexicon import (
     PronLexicon,
     compile_lexicon,
     parse_lexicon,
-    phones_to_words,
 )
 from .ngram import (
     NGramError,

@@ -41,7 +41,7 @@ from .scorer import (
     train_model,
     write_loss_trace,
 )
-from .sweep import SWEEP_KINDS, sweep_lmw, write_sweep_csv
+from .sweep import SWEEP_KINDS, SweepError, sweep_lmw, write_sweep_csv
 from .synth import build_table_scorer, load_task, save_task, synth_corpus, task_alphabet
 from .wer import corpus_wer
 
@@ -208,7 +208,11 @@ def _cmd_sweep(args: argparse.Namespace) -> RunManifest:
     config = _decode_config(args)
     resources = _load_resources(args)
     task = load_task(args.task)
-    result = sweep_lmw(task, resources, config, grid, args.which)
+    try:
+        result = sweep_lmw(task, resources, config, grid, args.which)
+    except (SweepError, DecodeError) as err:
+        # sweep_lmw checks the grid and builds every point's config first
+        raise UsageError(f"bad --grid: {err}") from err
     write_sweep_csv(result, args.out)
     inputs = [args.task, args.lexicon, args.lm]
     return RunManifest(Path(f"{args.out}.manifest.json"), "sweep", _config_echo(args), inputs, None)
@@ -217,7 +221,7 @@ def _cmd_sweep(args: argparse.Namespace) -> RunManifest:
 def _cmd_score(args: argparse.Namespace) -> RunManifest:
     task = load_task(args.task)
     refs = {utt.uid: utt.words for utt in task.utterances}
-    pairs = []
+    pairs = {}
     for lineno, line in enumerate(_read_text(args.results).splitlines(), 1):
         if not line.strip():
             continue
@@ -232,8 +236,10 @@ def _cmd_score(args: argparse.Namespace) -> RunManifest:
             raise ValueError(f"{where}: expected an object with a string 'uid' and a list of string 'words'")
         if uid not in refs:
             raise ValueError(f"{where}: results mention {uid!r} which is not in the task")
-        pairs.append((refs[uid], words))
-    breakdown = corpus_wer(pairs)
+        if uid in pairs:
+            raise ValueError(f"{where}: results repeat {uid!r}")
+        pairs[uid] = (refs[uid], words)
+    breakdown = corpus_wer(list(pairs.values()))
     payload = {
         "deletions": breakdown.deletions,
         "insertions": breakdown.insertions,

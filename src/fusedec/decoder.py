@@ -228,9 +228,6 @@ class FusionGraph:
         self._stored += 1
         return nxt
 
-    def best(self, states: StateSet) -> float:
-        return states.best
-
     def final_best(self, states: StateSet) -> float | None:
         """Best cost of stopping here, final weights included; None if the
         set contains no final state."""
@@ -298,7 +295,7 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     stands.  Threshold pruning keeps it exactly the unpruned beam's.  Once
     it is full, the bar is the cost of its last entry.  Along any path
     ``-score + lm_weight * lm_cost`` never falls: each step adds ``-log p
-    >= 0``, and ``graph.best`` and ``graph.final_best`` cannot fall, as
+    >= 0``, and ``StateSet.best`` and ``graph.final_best`` cannot fall, as
     :class:`FusionGraph` refuses a negative weight.  The coverage reward
     takes at most ``coverage_weight * cap`` off a cost, where ``cap =
     max(steps + 1, frames)`` bounds what ``covered()`` can reach.  So a live
@@ -321,7 +318,7 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     slack = eta * max(steps + 1, utt.features.shape[0])
     nbest = config.nbest_size
     start_state = graph.start if graph is not None else None
-    start_cost = graph.best(start_state) if graph is not None else 0.0
+    start_cost = start_state.best if graph is not None else 0.0
     root = Hypothesis((), 0.0, start_cost, 0, lam * start_cost, False, start_state)
     live = [(root.total_cost, (), root, scorer.start(utt))]
     best: list[Hypothesis] = []
@@ -350,7 +347,7 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
                         nxt = graph.advance(hyp.lm_state, tid)
                         if nxt is None:
                             continue
-                        ahead = graph.best(nxt)
+                        ahead = nxt.best
                     else:
                         nxt, ahead = None, 0.0
                     total = -score + lam * ahead - eta * cov
@@ -382,17 +379,16 @@ def beam_search(scorer, utt: Utterance, config: DecodeConfig) -> NBestList:
     return _expand(scorer, utt, config, None)
 
 
-def fused_beam_search(
-    scorer, lg: WeightedFst | FusionGraph, utt: Utterance, config: DecodeConfig
-) -> NBestList:
+def fused_beam_search(scorer, graph: FusionGraph, utt: Utterance, config: DecodeConfig) -> NBestList:
     """Beam search with lattice prefix costs folded into the ranking.
 
-    Hypotheses whose token prefix leaves the lattice are pruned, and <eos>
-    is only allowed where the state set can stop.
+    ``graph`` is the lattice relabeled to the scorer's alphabet, as
+    :meth:`DecodeResources.graph_for` returns it.  Hypotheses whose token
+    prefix leaves the lattice are pruned, and <eos> is only allowed where
+    the state set can stop.
     """
     if config.fusion not in ("beam", "both"):
         raise DecodeError(f"fused_beam_search requires fusion beam or both, got {config.fusion!r}")
-    graph = lg if isinstance(lg, FusionGraph) else FusionGraph(lg, scorer.alphabet)
     return _expand(scorer, utt, config, graph)
 
 
@@ -534,8 +530,8 @@ def decode(
     nb = _expand(scorer, utt, config, None if config.fusion == "nbest" else graph)
     if config.fusion == "beam":
         found = [_best_words(entry, graph) for entry in nb.entries]
-        kept = tuple(wh for wh in found if wh is not None)
-        res = RescoreResult(kept, len(found) - len(kept))
+        hyps = tuple(wh for wh in found if wh is not None)
+        unparsed = len(found) - len(hyps)
     else:  # nbest, where lm_weight and coverage_weight are 0, or both
         res = nbest_rescore(
             nb,
@@ -544,7 +540,8 @@ def decode(
             nbest_size=config.nbest_size,
             coverage_weight=config.coverage_weight,
         )
-    return DecodeResult(utt.uid, config.fusion, config, res.hypotheses, nb.complete, res.unparsed)
+        hyps, unparsed = res.hypotheses, res.unparsed
+    return DecodeResult(utt.uid, config.fusion, config, hyps, nb.complete, unparsed)
 
 
 def decode_batch(

@@ -513,15 +513,6 @@ def output_weights(f: WeightedFst, ilabels: Sequence[str | int]) -> dict[tuple[i
     return out
 
 
-def string_weight(f: WeightedFst, ilabels: Sequence[str | int]) -> float | None:
-    """Minimum weight of an accepting path whose epsilon-free input reads
-    ``ilabels``; ``None`` when no such path exists.  Weights must be
-    non-negative, and an input-epsilon cycle that writes output raises
-    ``FstError`` (see :func:`output_weights`)."""
-    _require_nonnegative(f, "string_weight")
-    return min(output_weights(f, ilabels).values(), default=None)
-
-
 def _eps_closure(f: WeightedFst, seeds: Mapping[int, float]) -> dict[int, float]:
     """Dijkstra over input-epsilon arcs from weighted seed states."""
     dist = dict(seeds)

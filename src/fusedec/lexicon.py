@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fst import Arc, SymbolTable, WeightedFst, build_fst, output_weights
+from .fst import EPSILON, Arc, SymbolTable, WeightedFst, build_fst
 
 EOW = "<eow>"
 
@@ -45,18 +45,15 @@ class PronLexicon:
                     if ph not in self.phoneset:
                         raise LexiconError(f"word {word!r} uses unknown phoneme {ph!r}")
 
-    @property
-    def words(self) -> tuple[str, ...]:
-        return tuple(self.entries)
-
 
 def parse_lexicon(text: str, phoneset: SymbolTable | None = None) -> PronLexicon:
     """Parse ``word<TAB>phone phone ...`` lines.
 
     Blank lines and ``#`` comments are skipped; duplicate (word, pronunciation)
-    pairs collapse to one.  With an explicit ``phoneset``, unknown phonemes are
-    errors naming the line; otherwise the phoneset is built from the data in
-    first-appearance order, with ``<eow>`` appended when absent.
+    pairs collapse to one.  ``<eps>`` is refused as a word or a phoneme.  With
+    an explicit ``phoneset``, unknown phonemes are errors naming the line;
+    otherwise the phoneset is built from the data in first-appearance order,
+    with ``<eow>`` appended when absent.
     """
     entries: dict[str, list[tuple[str, ...]]] = {}
     seen_phones: list[str] = []
@@ -73,6 +70,8 @@ def parse_lexicon(text: str, phoneset: SymbolTable | None = None) -> PronLexicon
             raise LexiconError(f"line {lineno}: empty word")
         if not pron:
             raise LexiconError(f"line {lineno}: empty pronunciation for {word!r}")
+        if word == EPSILON or EPSILON in pron:
+            raise LexiconError(f"line {lineno}: {EPSILON} is reserved for the empty string")
         if phoneset is not None:
             for ph in pron:
                 if ph not in phoneset:
@@ -123,11 +122,3 @@ def compile_lexicon(lex: PronLexicon, eow_mode: str) -> WeightedFst:
             if eow_mode == "optional":
                 arcs.append(Arc(cur, 0, 0, 0, 0.0))
     return build_fst(arcs, 0, {0: 0.0}, isyms, osyms, num_states=next_state)
-
-
-def phones_to_words(
-    lexicon_fst: WeightedFst, phones: list[str] | tuple[str, ...]
-) -> list[tuple[str, ...]]:
-    """All distinct word sequences the lexicon transducer assigns to a phone
-    string, in lexicographic order, however many paths spell each one."""
-    return sorted(lexicon_fst.osyms.decode(o) for o in output_weights(lexicon_fst, phones))

@@ -7,12 +7,13 @@ likelihood, and interpolated absolute discounting with a fixed discount.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Container, Mapping, Sequence
 
-from .fst import EPSILON, Arc, SymbolTable, WeightedFst, build_fst
+from .fst import EPSILON, Arc, FstError, SymbolTable, WeightedFst, build_fst
 
 SENT_START = "<s>"
 SENT_END = "</s>"
@@ -57,11 +58,6 @@ class NGramModel:
     @property
     def eos_id(self) -> int:
         return self.vocab.id(SENT_END)
-
-    def event_ids(self) -> tuple[int, ...]:
-        """Ids the model can predict: every vocab entry except epsilon and <s>."""
-        skip = {0, self.bos_id}
-        return tuple(i for i in range(len(self.vocab)) if i not in skip)
 
     def conditional_logp(self, context: Sequence[int], word_id: int) -> float:
         """Natural-log P(word | context) under the backoff query rule.
@@ -146,14 +142,9 @@ def train_ngram(
                 freq[w] = freq.get(w, 0) + 1
         sents = [[w if freq[w] > 1 else UNK for w in sent] for sent in sents]
 
-    vocab_words: list[str] = [SENT_START, SENT_END]
-    if unk:
-        vocab_words.append(UNK)
-    for sent in sents:
-        for w in sent:
-            if w not in vocab_words:
-                vocab_words.append(w)
-    vocab = SymbolTable(vocab_words)
+    # a dict keeps first-appearance order with constant-time membership
+    reserved = [SENT_START, SENT_END, UNK] if unk else [SENT_START, SENT_END]
+    vocab = SymbolTable(dict.fromkeys(itertools.chain(reserved, *sents)))
     bos, eos = vocab.id(SENT_START), vocab.id(SENT_END)
 
     counts: dict[tuple[int, ...], int] = {}
@@ -339,7 +330,8 @@ def write_arpa(lm: NGramModel, path: str | Path) -> None:
 
 
 def read_arpa(path: str | Path) -> NGramModel:
-    """Parse the ARPA subset written by :func:`write_arpa`."""
+    """Parse the ARPA subset written by :func:`write_arpa`.  ``<eps>`` names
+    the empty string, so a gram that uses it is refused."""
     declared: dict[int, int] = {}
     entries: dict[int, list[tuple[float, tuple[str, ...], float | None]]] = {}
     current: int | None = None
@@ -387,6 +379,8 @@ def read_arpa(path: str | Path) -> NGramModel:
         gram = tuple(fields[1].split())
         if len(gram) != current:
             raise NGramError(f"{path}: line {lineno}: {len(gram)}-gram in \\{current}-grams:")
+        if EPSILON in gram:
+            raise NGramError(f"{path}: line {lineno}: {EPSILON} is reserved for the empty string")
         entries[current].append((p10, gram, bow10))
 
     if not entries:
@@ -407,7 +401,7 @@ def read_arpa(path: str | Path) -> NGramModel:
         for p10, gram_syms, bow10 in entries[k]:
             try:
                 gram = tuple(vocab.id(s) for s in gram_syms)
-            except Exception:
+            except FstError:
                 raise NGramError(f"{path}: {' '.join(gram_syms)} uses a word with no unigram") from None
             if p10 > _ARPA_SENTINEL + 1.0:
                 probs[gram] = p10 * _LN10

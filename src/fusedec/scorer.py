@@ -332,16 +332,13 @@ class ToyLasModel:
             seq = outs
         return seq, caches
 
-    def attend(self, h_enc: np.ndarray, s_prev: np.ndarray):
+    def _attend_cached(self, h_enc: np.ndarray, s_prev: np.ndarray):
         """Additive attention for every head.
 
-        Returns (contexts, weights): contexts is (H, enc_hidden), weights is
-        (H, T) with each row summing to 1.
+        Returns (contexts, weights, caches): contexts is (H, enc_hidden),
+        weights is (H, T) with each row summing to 1, and caches holds each
+        head's (u, alpha) for the backward pass.
         """
-        contexts, weights, _ = self._attend_cached(h_enc, s_prev)
-        return contexts, weights
-
-    def _attend_cached(self, h_enc: np.ndarray, s_prev: np.ndarray):
         T = h_enc.shape[0]
         contexts = np.empty((self.n_heads, self.enc_hidden))
         weights = np.empty((self.n_heads, T))

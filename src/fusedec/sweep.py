@@ -32,10 +32,6 @@ class SweepPoint:
     breakdown: WerBreakdown | None
     error: str | None = None
 
-    @property
-    def key(self) -> float:
-        return self.lambda_beam if self.lambda_beam is not None else self.lambda_nbest
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -43,18 +39,16 @@ class SweepResult:
     points: tuple[SweepPoint, ...]
 
     @property
-    def argmin_index(self) -> int | None:
-        """Index of the lowest-WER point, smallest weight on ties; None when
-        every point failed."""
-        scored = [(p.breakdown.wer, p.key, i) for i, p in enumerate(self.points) if p.breakdown]
-        if not scored:
-            return None
-        return min(scored)[2]
-
-    @property
     def argmin(self) -> SweepPoint | None:
-        i = self.argmin_index
-        return None if i is None else self.points[i]
+        """The lowest-WER point; ties go to the smaller swept weight (the
+        beam weight, or the n-best weight when no beam weight is set), then
+        to the earlier grid entry.  None when every point failed."""
+        scored = [
+            (p.breakdown.wer, p.lambda_nbest if p.lambda_beam is None else p.lambda_beam, i)
+            for i, p in enumerate(self.points)
+            if p.breakdown is not None
+        ]
+        return self.points[min(scored)[2]] if scored else None
 
 
 def _point_config(base: DecodeConfig, which: str, entry) -> tuple[DecodeConfig, float, float | None]:
@@ -89,8 +83,9 @@ def sweep_lmw(
     task's default emission table is used unless a prepared ``scorer`` and
     its ``utterances`` are passed together; those may be any of the task's
     utterances in any order, each scored against the reference of its uid.
-    A failing grid point is recorded on its curve entry rather than
-    aborting the sweep.
+    A weight the decoder refuses raises ``DecodeError`` before the first
+    decode; a point whose decode fails is recorded on its curve entry
+    rather than aborting the sweep.
     """
     if which not in SWEEP_KINDS:
         raise SweepError(f"which must be one of {SWEEP_KINDS}, got {which!r}")
@@ -112,9 +107,9 @@ def sweep_lmw(
     for utt in utterances:
         if utt.uid not in refs:
             raise SweepError(f"utterance {utt.uid!r} is not in the task")
+    configs = [_point_config(config, which, entry) for entry in grid]
     points = []
-    for entry in grid:
-        cfg, lb, ln = _point_config(config, which, entry)
+    for cfg, lb, ln in configs:
         try:
             results = decode_batch(scorer, resources, utterances, cfg)
             breakdown = corpus_wer([(refs[res.uid], res.words) for res in results])

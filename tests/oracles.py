@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from fusedec.decoder import DecodeConfig, DecodeError, FusionGraph, Hypothesis, NBestList, _hyp_key
-from fusedec.fst import FstError, WeightedFst, string_weight
+from fusedec.fst import FstError, WeightedFst, output_weights
 from fusedec.scorer import EOS, TableScorer, Utterance, coverage_count, step_distributions
 
 
@@ -208,7 +208,7 @@ def fused_argmin_bruteforce(rows, eos_id, max_len, lam=0.0, eta=0.0, graph=None)
             return
         lattice = 0.0
         if graph is not None:
-            lattice = string_weight(graph, tokens)
+            lattice = min(output_weights(graph, tokens).values(), default=None)
             if lattice is None:
                 return
         cov = len(tokens) + 1 if eta else 0
@@ -272,7 +272,7 @@ def scorer_argmin_bruteforce(scorer, utt, max_len, lam, eta, threshold, graph):
 
     def walk(tokens):
         nonlocal best
-        lattice = string_weight(graph, tokens)
+        lattice = min(output_weights(graph, tokens).values(), default=None)
         if lattice is not None:
             score = 0.0
             for i, y in enumerate((*tokens, eos)):
@@ -311,7 +311,7 @@ def reference_expand(scorer, utt: Utterance, config: DecodeConfig, graph: Fusion
     eta = config.coverage_weight
     steps = min(config.max_steps, scorer.token_limit(utt))
     start_state = graph.start if graph is not None else None
-    start_cost = graph.best(start_state) if graph is not None else 0.0
+    start_cost = start_state.best if graph is not None else 0.0
     root = Hypothesis((), 0.0, start_cost, 0, lam * start_cost, False, start_state)
     live = [(root.total_cost, (), root, scorer.start(utt))]
     finished: list[Hypothesis] = []
@@ -338,7 +338,7 @@ def reference_expand(scorer, utt: Utterance, config: DecodeConfig, graph: Fusion
                         nxt = graph.advance(hyp.lm_state, tid)
                         if nxt is None:
                             continue
-                        ahead = graph.best(nxt)
+                        ahead = nxt.best
                     else:
                         nxt, ahead = None, 0.0
                     total = -score + lam * ahead - eta * cov

@@ -13,6 +13,7 @@ import struct
 
 import pytest
 
+from fusedec import sweep as sweep_mod
 from fusedec.cli import main
 from fusedec.fst import SymbolTable, read_fst_text
 from fusedec.ngram import read_arpa, score_sequence
@@ -206,14 +207,26 @@ class TestSweepCommand:
         ])
         assert code == 2
 
-    def test_malformed_grid_is_usage_error(self, pipeline, tmp_path, capsys):
-        code = main([
-            "sweep", "--task", str(pipeline / "task"),
-            "--lexicon", str(pipeline / "lexicon.txt"), "--lm", str(pipeline / "lm.arpa"),
-            "--which", "nbest", "--grid", "0,oops", "--out", str(tmp_path / "x.csv"),
-        ])
-        assert code == 2
-        assert "--grid" in capsys.readouterr().err
+    def test_malformed_grid_is_usage_error(self, pipeline, tmp_path, capsys, monkeypatch):
+        # every one fails before the first decode, as decode does for the same weight
+        decoded = []
+        monkeypatch.setattr(sweep_mod, "decode_batch", lambda *args: decoded.append(args))
+        for which, grid in [
+            ("nbest", ["--grid", "0,oops"]),
+            ("beam", ["--grid", ","]),
+            ("beam", ["--grid", "0,0.1,-1"]),
+            ("nbest", ["--grid", "0,nan"]),
+            ("split", ["--grid", "0,0.1,0.3", "--grid-sum", "0.2"]),
+        ]:
+            code = main([
+                "sweep", "--task", str(pipeline / "task"),
+                "--lexicon", str(pipeline / "lexicon.txt"), "--lm", str(pipeline / "lm.arpa"),
+                "--which", which, *grid, "--out", str(tmp_path / "x.csv"),
+            ])
+            err = capsys.readouterr().err
+            assert code == 2, grid
+            assert err.startswith("usage error: ") and "--grid" in err and err.count("\n") == 1
+            assert decoded == [] and not (tmp_path / "x.csv").exists()
 
     def test_sweep_rerun_is_byte_identical(self, pipeline, tmp_path):
         args = [
@@ -267,8 +280,9 @@ class TestScoreCommand:
             '{"words": ["I"]}',
             "[1,2]",
             '{"uid": "utt0000", "words": ["I"]',
+            '{"uid": "utt0000", "words": ["eye"]}',
         ],
-        ids=["missing-words", "missing-uid", "not-an-object", "bad-json"],
+        ids=["missing-words", "missing-uid", "not-an-object", "bad-json", "repeated-uid"],
     )
     def test_malformed_results_line_names_file_and_line(self, pipeline, tmp_path, capsys, line):
         results = tmp_path / "bad.jsonl"
@@ -377,6 +391,22 @@ def _lexicon_line_without_tab(task, ckpt):
     return task / "lexicon.txt"
 
 
+def _lexicon_with_epsilon(task, ckpt):
+    (task / "lexicon.txt").write_text("I\t<eps> ay\n<eps>\tae\n", encoding="utf-8")
+    return task / "lexicon.txt"
+
+
+def _lm_with_an_epsilon_unigram(task, ckpt):
+    path = task / "lm.arpa"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    n = next(i for i, line in enumerate(lines) if line.startswith("ngram 1="))
+    lines[n] = f"ngram 1={int(lines[n].split('=')[1]) + 1}"
+    first = lines.index("\\1-grams:") + 1
+    lines.insert(first, "-0.5\t<eps>")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return f"{path}: line {first + 1}"
+
+
 class TestMalformedInputFiles:
     """A malformed task or checkpoint file ends in one error line that names
     it (and the line, for utterances), with exit code 1."""
@@ -392,6 +422,8 @@ class TestMalformedInputFiles:
             _utterance_with_null_features,
             _empty_meta,
             _lexicon_line_without_tab,
+            _lexicon_with_epsilon,
+            _lm_with_an_epsilon_unigram,
         ],
         ids=lambda f: f.__name__.strip("_").replace("_", "-"),
     )

@@ -19,7 +19,6 @@ from fusedec.fst import (
     read_fst_text,
     relabel,
     shortest_paths,
-    string_weight,
     write_fst_text,
 )
 
@@ -71,14 +70,14 @@ class TestSymbolTable:
 class TestBuild:
     def test_empty_string_acceptor(self, abc_syms):
         f = build_fst([], 0, {0: 0.0}, abc_syms, abc_syms)
-        assert string_weight(f, []) == 0.0
-        assert string_weight(f, ["a"]) is None
+        assert output_weights(f, []) == {(): 0.0}
+        assert output_weights(f, ["a"]) == {}
         paths = shortest_paths(f, 3)
         assert paths == [type(paths[0])((), (), 0.0)]
 
     def test_single_arc_total_weight(self, abc_syms, xyz_syms):
         f = build_fst([(0, 1, 1, 1, 1.5)], 0, {1: 0.25}, abc_syms, xyz_syms)
-        assert string_weight(f, ["a"]) == pytest.approx(1.75)
+        assert output_weights(f, ["a"]) == {(1,): pytest.approx(1.75)}
 
     def test_dangling_state_rejected(self, abc_syms):
         with pytest.raises(FstError, match="references state 7"):
@@ -131,6 +130,9 @@ class TestBuild:
 
 
 class TestStringWeight:
+    """The cheapest accepting weight of an input string is the least of its
+    ``output_weights``, and None when that dict is empty."""
+
     def test_matches_enumeration_on_random_dags(self, abc_syms, xyz_syms):
         rng = np.random.default_rng(7)
         for _ in range(40):
@@ -139,7 +141,7 @@ class TestStringWeight:
             probes = list(seen) + [(1,), (1, 2), (2, 2, 1)]
             for ils in probes:
                 want = best_string_weight_bruteforce(f, tuple(ils), f.num_states + 2)
-                got = string_weight(f, ils)
+                got = min(output_weights(f, ils).values(), default=None)
                 if want is None:
                     assert got is None
                 else:
@@ -147,18 +149,18 @@ class TestStringWeight:
 
     def test_cyclic_machine(self, abc_syms):
         f = build_fst([(0, 0, 1, 1, 1.0)], 0, {0: 0.5}, abc_syms, abc_syms)
-        assert string_weight(f, ["a", "a", "a"]) == pytest.approx(3.5)
-        assert string_weight(f, []) == pytest.approx(0.5)
+        assert output_weights(f, ["a", "a", "a"]) == {(1, 1, 1): pytest.approx(3.5)}
+        assert output_weights(f, []) == {(): pytest.approx(0.5)}
 
     def test_unknown_symbol_raises(self, abc_syms):
         f = build_fst([], 0, {0: 0.0}, abc_syms, abc_syms)
         with pytest.raises(FstError, match="zz"):
-            string_weight(f, ["zz"])
+            output_weights(f, ["zz"])
 
     def test_epsilon_input_arcs_are_free_moves(self, abc_syms):
         # 0 -a-> 1 -eps-> 2 (final); the epsilon arc costs but reads nothing.
         f = build_fst([(0, 1, 1, 1, 0.5), (1, 2, 0, 0, 0.25)], 0, {2: 0.0}, abc_syms, abc_syms)
-        assert string_weight(f, ["a"]) == pytest.approx(0.75)
+        assert output_weights(f, ["a"]) == {(1,): pytest.approx(0.75)}
 
 
 class TestOutputWeights:
@@ -191,8 +193,6 @@ class TestOutputWeights:
         f = build_fst([(0, 0, 0, 1, 0.5), (0, 1, 1, 1, 0.0)], 0, {1: 0.0}, abc_syms, xyz_syms)
         with pytest.raises(FstError, match="input-epsilon cycle"):
             output_weights(f, ["a"])
-        with pytest.raises(FstError, match="input-epsilon cycle"):
-            string_weight(f, ["a"])
 
     def test_epsilon_cycle_writing_nothing_is_fine(self, abc_syms, xyz_syms):
         f = build_fst(
@@ -208,7 +208,7 @@ class TestCompose:
         b = build_fst([(0, 1, 1, 2, 0.75)], 0, {1: 0.0}, mid, xyz_syms)
         c = compose(a, b)
         assert c.isyms == abc_syms and c.osyms == xyz_syms
-        assert string_weight(c, ["a"]) == pytest.approx(1.25)
+        assert output_weights(c, ["a"]) == {(2,): pytest.approx(1.25)}
         paths = shortest_paths(c, 2)
         assert len(paths) == 1
         assert c.osyms.decode(paths[0].olabels) == ("y",)
@@ -293,12 +293,11 @@ class TestCompose:
             left = compose(compose(a, b), c)
             right = compose(a, compose(b, c))
             for ils in [(), (1,), (1, 2), (2,), (1, 1, 2), (3, 1)]:
-                wl = string_weight(left, ils)
-                wr = string_weight(right, ils)
-                if wl is None or wr is None:
-                    assert wl is None and wr is None
-                else:
-                    assert wl == pytest.approx(wr, abs=1e-9)
+                wl = output_weights(left, ils)
+                wr = output_weights(right, ils)
+                assert wl.keys() == wr.keys()
+                for ols, w in wl.items():
+                    assert wr[ols] == pytest.approx(w, abs=1e-9)
 
     def test_empty_intersection_yields_empty_machine(self, abc_syms, xyz_syms):
         mid = SymbolTable(["m", "n"])
@@ -306,7 +305,7 @@ class TestCompose:
         b = build_fst([(0, 1, 2, 1, 0.0)], 0, {1: 0.0}, mid, xyz_syms)
         c = compose(a, b)
         assert shortest_paths(c, 1) == []
-        assert string_weight(c, ["a"]) is None
+        assert output_weights(c, ["a"]) == {}
 
 
 class TestShortestPaths:
@@ -360,7 +359,7 @@ class TestRelabelAndIO:
         target = SymbolTable(["c", "b", "a"])
         f = build_fst([(0, 1, 1, 3, 0.5)], 0, {1: 0.0}, abc_syms, abc_syms)
         g = relabel(f, isyms=target, osyms=target)
-        assert string_weight(g, ["a"]) == pytest.approx(0.5)
+        assert output_weights(g, ["a"]) == {(target.id("c"),): pytest.approx(0.5)}
         paths = shortest_paths(g, 1)
         assert target.decode(paths[0].olabels) == ("c",)
 
@@ -403,4 +402,4 @@ class TestRelabelAndIO:
         write_fst_text(f, p)
         g = read_fst_text(p, abc_syms, abc_syms)
         assert g.start == 0 and g.finals == {0: 0.25}
-        assert string_weight(g, []) == pytest.approx(0.25)
+        assert output_weights(g, []) == {(): pytest.approx(0.25)}

@@ -5,20 +5,25 @@ import itertools
 import numpy as np
 import pytest
 
-from fusedec.fst import EPSILON, FstError, SymbolTable
+from fusedec.fst import EPSILON, FstError, SymbolTable, output_weights
 from fusedec.lexicon import (
     EOW,
     LexiconError,
     PronLexicon,
     compile_lexicon,
     parse_lexicon,
-    phones_to_words,
 )
 
 from oracles import enumerate_paths, segmentations_bruteforce
 
 THE_CAT = "the\td ax\ncat\tk ae t\n"
 HOMOPHONES = "I\tay\neye\tay\nam\tae m\n"
+
+
+def word_strings(f, phones):
+    """Every word sequence the compiled lexicon writes for a phone string,
+    in lexicographic order, however many paths spell each one."""
+    return sorted(f.osyms.decode(ols) for ols in output_weights(f, phones))
 
 
 class TestParse:
@@ -33,7 +38,7 @@ class TestParse:
 
     def test_comments_and_blanks_skipped(self):
         lex = parse_lexicon("# header\n\nthe\td ax\n")
-        assert lex.words == ("the",)
+        assert list(lex.entries) == ["the"]
 
     def test_unknown_phoneme_names_line(self):
         phoneset = SymbolTable(["d", "ax", EOW])
@@ -43,6 +48,13 @@ class TestParse:
     def test_missing_tab_rejected(self):
         with pytest.raises(LexiconError, match="line 1"):
             parse_lexicon("the d ax\n")
+
+    @pytest.mark.parametrize("line", ["I\t<eps> ay", "<eps>\tae"])
+    @pytest.mark.parametrize("phoneset", [None, SymbolTable(["ay", "ae", "m", EOW])])
+    def test_epsilon_is_reserved(self, line, phoneset):
+        # <eps> is id 0 in every table, so without the check it reads as no symbol
+        with pytest.raises(LexiconError, match=f"line 2: {EPSILON} is reserved"):
+            parse_lexicon(f"am\tae m\n{line}\n", phoneset)
 
     def test_empty_pronunciation_rejected(self):
         with pytest.raises(LexiconError, match="empty pronunciation"):
@@ -83,33 +95,33 @@ class TestCompile:
     def test_spec_rendering_required(self):
         f = compile_lexicon(parse_lexicon(THE_CAT), "required")
         phones = ["d", "ax", EOW, "k", "ae", "t", EOW]
-        assert phones_to_words(f, phones) == [("the", "cat")]
-        assert phones_to_words(f, ["d", "ax", "k", "ae", "t"]) == []
+        assert word_strings(f, phones) == [("the", "cat")]
+        assert word_strings(f, ["d", "ax", "k", "ae", "t"]) == []
 
     def test_spec_rendering_optional(self):
         f = compile_lexicon(parse_lexicon(THE_CAT), "optional")
-        assert phones_to_words(f, ["d", "ax", "k", "ae", "t"]) == [("the", "cat")]
-        assert phones_to_words(f, ["d", "ax", EOW, "k", "ae", "t", EOW]) == [("the", "cat")]
+        assert word_strings(f, ["d", "ax", "k", "ae", "t"]) == [("the", "cat")]
+        assert word_strings(f, ["d", "ax", EOW, "k", "ae", "t", EOW]) == [("the", "cat")]
 
     def test_homophone_outputs_sorted(self):
         f = compile_lexicon(parse_lexicon(HOMOPHONES), "optional")
-        assert phones_to_words(f, ["ay", "ae", "m"]) == [("I", "am"), ("eye", "am")]
+        assert word_strings(f, ["ay", "ae", "m"]) == [("I", "am"), ("eye", "am")]
 
     def test_every_word_string_is_listed_however_many_paths(self):
         # four homophones over five words spell 1024 strings, one path each
         lex = parse_lexicon("".join(f"w{i}\tp\n" for i in range(4)))
         f = compile_lexicon(lex, "required")
-        got = phones_to_words(f, ["p", EOW] * 5)
-        assert got == sorted(itertools.product(lex.words, repeat=5))
+        got = word_strings(f, ["p", EOW] * 5)
+        assert got == sorted(itertools.product(lex.entries, repeat=5))
 
     def test_empty_sequence_accepted(self):
         f = compile_lexicon(parse_lexicon(THE_CAT), "required")
-        assert phones_to_words(f, []) == [()]
+        assert word_strings(f, []) == [()]
 
     def test_unknown_phone_symbol_raises(self):
         f = compile_lexicon(parse_lexicon(THE_CAT), "required")
         with pytest.raises(FstError, match="zz"):
-            phones_to_words(f, ["zz"])
+            word_strings(f, ["zz"])
 
     def test_required_accepts_subset_of_optional(self):
         lex = parse_lexicon("a\tx\nb\tx y\n")
@@ -126,12 +138,12 @@ class TestCompile:
     def test_closed_under_concatenation(self):
         lex = parse_lexicon(HOMOPHONES)
         f = compile_lexicon(lex, "required")
-        for words in itertools.product(lex.words, repeat=2):
+        for words in itertools.product(lex.entries, repeat=2):
             phones: list[str] = []
             for w in words:
                 phones.extend(lex.entries[w][0])
                 phones.append(EOW)
-            assert words in phones_to_words(f, phones)
+            assert words in word_strings(f, phones)
 
 
 class TestAgainstSegmentationOracle:
@@ -145,4 +157,4 @@ class TestAgainstSegmentationOracle:
             n = int(rng.integers(0, 7))
             phones = tuple(alphabet[i] for i in rng.integers(0, len(alphabet), n))
             want = sorted(segmentations_bruteforce(phones, lex.entries, mode))
-            assert phones_to_words(f, list(phones)) == want
+            assert word_strings(f, list(phones)) == want

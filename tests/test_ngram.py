@@ -15,7 +15,7 @@ from fusedec.ngram import (
     train_ngram,
     write_arpa,
 )
-from fusedec.fst import string_weight
+from fusedec.fst import output_weights
 from oracles import absdisc_conditional, mle_conditional, ngram_counts_bruteforce
 
 LN = math.log
@@ -149,7 +149,7 @@ class TestAbsdiscHandCounts:
             lm = train_ngram(corpus, order, smoothing="absdisc", discount=0.4)
             counts = ngram_counts_bruteforce([s.split() for s in corpus], order)
             n_events = len(lm.vocab) - 2
-            events = [lm.vocab.sym(i) for i in lm.event_ids()]
+            events = [lm.vocab.sym(i) for i in range(1, len(lm.vocab)) if i != lm.bos_id]
             in_vocab = [w for w in events if w != "</s>"]
             ctx_pool = [g[:-1] for g in counts if len(g) > 1] + [()]
             # unseen-context probes, built from words the model has ids for
@@ -174,7 +174,7 @@ class TestAbsdiscHandCounts:
             order = rng.randint(1, 4)
             smoothing = rng.choice(["mle", "absdisc"])
             lm = train_ngram(corpus, order, smoothing=smoothing)
-            events = lm.event_ids()
+            events = [i for i in range(1, len(lm.vocab)) if i != lm.bos_id]
             contexts = {(), (lm.bos_id,)} | set(lm.contexts)
             for _ in range(5):
                 contexts.add(tuple(rng.choice(events) for _ in range(rng.randint(1, 3))))
@@ -216,7 +216,7 @@ class TestFstExport:
     def test_empty_sentence_accepted(self):
         lm = train_ngram(["", "a"], 2, smoothing="mle")
         g = lm_to_fst(lm)
-        assert string_weight(g, []) == pytest.approx(-score_sequence(lm, []))
+        assert output_weights(g, []) == {(): pytest.approx(-score_sequence(lm, []))}
 
     def test_path_weight_equals_score_mle(self):
         # no backoff arcs, so every sentence has at most one route
@@ -252,7 +252,10 @@ class TestFstExport:
             if any(lm.vocab.find(w) is None for w in sent):
                 continue
             score = score_sequence(lm, sent)
-            weight = string_weight(g, sent)
+            # an acceptor writes what it reads: one output string at most
+            weights = output_weights(g, sent)
+            assert set(weights) <= {lm.vocab.encode(sent)}
+            weight = weights.get(lm.vocab.encode(sent))
             compared += 1
             if score == -math.inf:
                 assert weight is None
@@ -361,6 +364,19 @@ class TestArpaRoundTrip:
         lines[first + 1:first + 1] = ["", "\\2-grams:"]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(NGramError, match=rf"^{re.escape(str(path))}: line {first + 3}: repeated"):
+            read_arpa(path)
+
+    @pytest.mark.parametrize(
+        "grams, lineno",
+        [(["-0.5\t<eps>"], 7), (["-0.5\ta", "\n\\2-grams:", "-0.2\ta <eps>"], 10)],
+        ids=["unigram", "bigram"],
+    )
+    def test_epsilon_is_reserved(self, tmp_path, grams, lineno):
+        # <eps> is id 0 in every table: read as a word it becomes an epsilon arc
+        path = tmp_path / "m.arpa"
+        body = "\n".join(["-99\t<s>", "-0.5\t</s>", *grams])
+        path.write_text(f"\\data\\\nngram 1=3\n\n\\1-grams:\n{body}\n\n\\end\\\n")
+        with pytest.raises(NGramError, match=rf"^{re.escape(str(path))}: line {lineno}: <eps> is reserved"):
             read_arpa(path)
 
     def test_missing_sentence_end(self, tmp_path):

@@ -243,7 +243,7 @@ class TestAttend:
     def test_single_frame_attends_fully(self, abc_alphabet):
         m = tiny_model(abc_alphabet, n_heads=2)
         h_enc = np.random.default_rng(1).normal(size=(1, 4))
-        contexts, weights = m.attend(h_enc, np.zeros(4))
+        contexts, weights, _ = m._attend_cached(h_enc, np.zeros(4))
         np.testing.assert_allclose(weights, np.ones((2, 1)))
         for j in range(2):
             np.testing.assert_allclose(contexts[j], h_enc[0])
@@ -251,7 +251,7 @@ class TestAttend:
     def test_identical_frames_uniform(self, abc_alphabet):
         m = tiny_model(abc_alphabet)
         h_enc = np.tile(np.random.default_rng(2).normal(size=4), (5, 1))
-        _, weights = m.attend(h_enc, np.ones(4))
+        _, weights, _ = m._attend_cached(h_enc, np.ones(4))
         np.testing.assert_allclose(weights, np.full((1, 5), 0.2))
 
     def test_matches_straight_line_formula(self, abc_alphabet):
@@ -259,7 +259,7 @@ class TestAttend:
         m = tiny_model(abc_alphabet, n_heads=3, seed=4, scale=4.0)
         h_enc = rng.normal(size=(5, 4))
         s = rng.normal(size=4)
-        contexts, weights = m.attend(h_enc, s)
+        contexts, weights, _ = m._attend_cached(h_enc, s)
         want_c, want_w = attend_oracle(m, h_enc.tolist(), s.tolist())
         np.testing.assert_allclose(contexts, np.array(want_c), atol=1e-10)
         np.testing.assert_allclose(weights, np.array(want_w), atol=1e-10)
@@ -270,7 +270,7 @@ class TestAttend:
             for part in ("Wq", "Wk", "v"):
                 m.params[f"att{j}_{part}"] = m.params[f"att0_{part}"].copy()
         rng = np.random.default_rng(7)
-        contexts, weights = m.attend(rng.normal(size=(6, 4)), rng.normal(size=4))
+        contexts, weights, _ = m._attend_cached(rng.normal(size=(6, 4)), rng.normal(size=4))
         for j in range(1, 4):
             np.testing.assert_array_equal(contexts[j], contexts[0])
             np.testing.assert_array_equal(weights[j], weights[0])

@@ -2,12 +2,21 @@ import numpy as np
 import pytest
 
 import fusedec.sweep as sweep_mod
-from fusedec.decoder import DecodeConfig, DecodeResources
+from fusedec.decoder import DecodeConfig, DecodeError, DecodeResources
 from fusedec.lexicon import compile_lexicon, parse_lexicon
 from fusedec.ngram import lm_to_fst, train_ngram
 from fusedec.scorer import Utterance
-from fusedec.sweep import CSV_HEADER, SweepError, sweep_csv, sweep_lmw, write_sweep_csv
+from fusedec.sweep import (
+    CSV_HEADER,
+    SweepError,
+    SweepPoint,
+    SweepResult,
+    sweep_csv,
+    sweep_lmw,
+    write_sweep_csv,
+)
 from fusedec.synth import SynthTask, build_table_scorer, synth_corpus
+from fusedec.wer import WerBreakdown
 
 LEX_TEXT = "sun\ts u n\nsea\ts i\ntide\tt i d\nlow\tl o\n"
 LM_CORPUS = [
@@ -55,6 +64,14 @@ class TestValidation:
         with pytest.raises(SweepError, match="sums vary"):
             sweep_lmw(clean_task, resources, DecodeConfig(), [(0.1, 0.0), (0.1, 0.1)], "split")
 
+    def test_a_refused_weight_fails_before_the_first_decode(self, setup, clean_task, monkeypatch):
+        _, _, resources = setup
+        decoded = []
+        monkeypatch.setattr(sweep_mod, "decode_batch", lambda *args: decoded.append(args))
+        with pytest.raises(DecodeError, match="non-negative"):
+            sweep_lmw(clean_task, resources, DecodeConfig(), [0.0, 0.1, -1.0], "beam")
+        assert decoded == []
+
     def test_scorer_without_utterances(self, setup, clean_task):
         _, _, resources = setup
         with pytest.raises(SweepError, match="together"):
@@ -68,13 +85,12 @@ class TestCurves:
         result = sweep_lmw(clean_task, resources, DecodeConfig(), grid, "beam")
         assert len(result.points) == 3
         assert all(p.breakdown.wer == 0.0 for p in result.points)
-        assert result.argmin_index == 0
-        assert result.argmin.lambda_beam == 0.0
+        assert result.argmin is result.points[0]
 
     def test_tie_argmin_prefers_smallest_weight_not_grid_order(self, setup, clean_task):
         _, _, resources = setup
         result = sweep_lmw(clean_task, resources, DecodeConfig(), [0.2, 0.0, 0.1], "beam")
-        assert result.argmin_index == 1
+        assert result.argmin is result.points[1]
 
     def test_nbest_points_carry_only_nbest_weight(self, setup, clean_task):
         _, _, resources = setup
@@ -82,7 +98,6 @@ class TestCurves:
         for p in result.points:
             assert p.lambda_beam is None
             assert p.lambda_nbest is not None
-            assert p.key == p.lambda_nbest
 
     def test_split_points_carry_both_weights(self, setup, clean_task):
         _, _, resources = setup
@@ -113,7 +128,31 @@ class TestCurves:
         assert result.points[1].error == "synthetic failure"
         assert result.points[0].breakdown is not None
         assert result.points[2].breakdown is not None
-        assert result.argmin_index == 0
+        assert result.argmin is result.points[0]
+
+
+class TestArgmin:
+    """``argmin`` ranks scored points by (wer, swept weight, grid index)."""
+
+    LOW, HIGH = WerBreakdown(1, 0, 0, 4), WerBreakdown(2, 0, 0, 4)
+
+    def test_ties_go_to_the_smaller_beam_weight_then_the_earlier_point(self):
+        points = (
+            SweepPoint(0.2, 0.0, self.LOW),
+            SweepPoint(0.1, 0.1, self.LOW),
+            SweepPoint(0.1, 0.1, self.LOW),
+            SweepPoint(0.0, 0.2, self.HIGH),
+        )
+        assert SweepResult("split", points).argmin is points[1]
+
+    def test_nbest_points_rank_by_their_nbest_weight(self):
+        points = (SweepPoint(None, 0.3, self.LOW), SweepPoint(None, 0.1, self.LOW))
+        assert SweepResult("nbest", points).argmin is points[1]
+
+    def test_failed_points_are_skipped(self):
+        failed = SweepPoint(0.0, None, None, error="boom")
+        assert SweepResult("beam", (failed, SweepPoint(0.5, None, self.HIGH))).argmin.lambda_beam == 0.5
+        assert SweepResult("beam", (failed,)).argmin is None
 
 
 class TestUtteranceSubsets:
