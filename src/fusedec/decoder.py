@@ -143,6 +143,8 @@ class RescoreResult:
 
 _MAX_STORED = 4096
 _UNKNOWN = object()
+# (lm_cost, output labels, words): one word string a token string spells
+WordParse = tuple[float, tuple[int, ...], tuple[str, ...]]
 
 
 class StateSet:
@@ -186,12 +188,15 @@ class FusionGraph:
     recovery all rely on it, and a negative epsilon cycle would never close.
 
     Each :class:`StateSet` remembers where it leads, so the sets form a trie
-    of the token prefixes decoded so far: a sweep that decodes the same
-    utterances at many weights computes each closure once.  At most
-    ``_MAX_STORED`` (4,096) transitions are stored per graph.  When the
-    bound is reached, ``start`` is rebuilt from the same pairs and the count
-    starts again; the old trie is freed once no live hypothesis holds a set
-    of it.  A cached set is the very set a fresh computation gives.
+    of the token prefixes decoded so far, and :meth:`words` remembers the
+    word strings of each finished token string: a sweep that decodes the
+    same utterances at many weights computes each closure, and recovers
+    each token string's words, once.  At most ``_MAX_STORED`` (4,096)
+    results, transitions and word maps together, are stored per graph.
+    When the bound is reached, ``start`` is rebuilt from the same pairs, the
+    word maps are dropped and the count starts again; the old trie is freed
+    once no live hypothesis holds a set of it.  A stored result is the very
+    one a fresh computation gives.
     """
 
     def __init__(self, lg: WeightedFst, alphabet: SymbolTable):
@@ -207,6 +212,12 @@ class FusionGraph:
             raise DecodeError(f"fusion graph incompatible with the scorer alphabet: {e}") from e
         self.alphabet = alphabet
         self.start = StateSet(_freeze(_eps_closure(self.fst, {self.fst.start: 0.0})))
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Forget every stored result: a fresh ``start`` and no word maps."""
+        self.start = StateSet(self.start.pairs)
+        self._words: dict[tuple[int, ...], tuple[WordParse, ...]] = {}
         self._stored = 0
 
     def advance(self, states: StateSet, label: int) -> StateSet | None:
@@ -222,8 +233,7 @@ class FusionGraph:
                     seeds[arc.dst] = cand
         nxt = StateSet(_freeze(_eps_closure(self.fst, seeds))) if seeds else None
         if self._stored == _MAX_STORED:
-            self.start = StateSet(self.start.pairs)
-            self._stored = 0
+            self._rebuild()
         states.next[label] = nxt
         self._stored += 1
         return nxt
@@ -238,6 +248,21 @@ class FusionGraph:
                 best = min(best, w + self.fst.final(q))
             stop = states.final_best = None if math.isinf(best) else best
         return stop
+
+    def words(self, tokens: tuple[int, ...]) -> tuple[WordParse, ...]:
+        """Every word string a finished token string spells, as ``(lm_cost,
+        olabels, words)`` sorted by cost and then output labels; empty when
+        no path accepts it.  One :func:`output_weights` pass the first time
+        a string is asked for, a dict lookup after that."""
+        found = self._words.get(tokens)
+        if found is None:
+            weights = output_weights(self.fst, tokens)
+            found = tuple(sorted((w, ols, self.fst.osyms.decode(ols)) for ols, w in weights.items()))
+            if self._stored == _MAX_STORED:
+                self._rebuild()
+            self._words[tokens] = found
+            self._stored += 1
+        return found
 
 
 def _freeze(dist: dict[int, float]) -> tuple[tuple[int, float], ...]:
@@ -405,19 +430,21 @@ def nbest_rescore(
     Every distinct word string a hypothesis spells competes separately, at
     its cheapest lattice cost, so homophones are resolved by the combined
     cost rather than collapsed before ranking.  Hypotheses with no accepting
-    path are dropped and counted.
+    path are dropped and counted.  The word strings come from
+    :meth:`FusionGraph.words`, so a token string met again, at another
+    weight of a sweep, costs no lattice pass.
     """
     pool: list[WordHypothesis] = []
     unparsed = 0
     for entry in nbest.entries:
-        weights = output_weights(graph.fst, entry.tokens)
-        if not weights:
+        found = graph.words(entry.tokens)
+        if not found:
             unparsed += 1
-        for olabels, lm_cost in weights.items():
+        for lm_cost, _, words in found:
             total = -entry.model_score + lm_weight * lm_cost - coverage_weight * entry.coverage
             pool.append(
                 WordHypothesis(
-                    words=graph.fst.osyms.decode(olabels),
+                    words=words,
                     total_cost=total,
                     model_score=entry.model_score,
                     lm_cost=lm_cost,
@@ -454,13 +481,14 @@ def _split_graphemes(entry: Hypothesis, alphabet: SymbolTable) -> WordHypothesis
 
 
 def _best_words(entry: Hypothesis, graph: FusionGraph) -> WordHypothesis | None:
-    """The cheapest word string for one fused hypothesis; None if none accepts."""
-    weights = output_weights(graph.fst, entry.tokens)
-    if not weights:
+    """The cheapest word string for one fused hypothesis, ties broken by
+    output labels; None if none accepts.  It is the first entry of
+    :meth:`FusionGraph.words`, computed once per token string per graph."""
+    found = graph.words(entry.tokens)
+    if not found:
         return None
-    _, olabels = min((w, olabels) for olabels, w in weights.items())
     return WordHypothesis(
-        words=graph.fst.osyms.decode(olabels),
+        words=found[0][2],
         total_cost=entry.total_cost,
         model_score=entry.model_score,
         lm_cost=entry.lm_cost,

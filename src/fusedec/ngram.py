@@ -331,9 +331,11 @@ def write_arpa(lm: NGramModel, path: str | Path) -> None:
 
 def read_arpa(path: str | Path) -> NGramModel:
     """Parse the ARPA subset written by :func:`write_arpa`.  ``<eps>`` names
-    the empty string, so a gram that uses it is refused."""
+    the empty string, so a gram that uses it is refused, and so is a gram
+    listed twice."""
     declared: dict[int, int] = {}
-    entries: dict[int, list[tuple[float, tuple[str, ...], float | None]]] = {}
+    # k -> gram -> (line, log10 p, log10 backoff or None), in file order
+    entries: dict[int, dict[tuple[str, ...], tuple[int, float, float | None]]] = {}
     current: int | None = None
     in_data = False
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -353,7 +355,7 @@ def read_arpa(path: str | Path) -> NGramModel:
                 raise NGramError(f"{path}: line {lineno}: expected '\\k-grams:' with a number k") from None
             if current in entries:
                 raise NGramError(f"{path}: line {lineno}: repeated \\{current}-grams: section")
-            entries[current] = []
+            entries[current] = {}
             in_data = False
             continue
         if in_data:
@@ -368,7 +370,7 @@ def read_arpa(path: str | Path) -> NGramModel:
             continue
         if current is None:
             raise NGramError(f"{path}: line {lineno}: content outside any section")
-        fields = raw.strip().split("\t")
+        fields = line.split("\t")
         if len(fields) not in (2, 3):
             raise NGramError(f"{path}: line {lineno}: expected 2 or 3 tab-separated fields")
         try:
@@ -381,7 +383,9 @@ def read_arpa(path: str | Path) -> NGramModel:
             raise NGramError(f"{path}: line {lineno}: {len(gram)}-gram in \\{current}-grams:")
         if EPSILON in gram:
             raise NGramError(f"{path}: line {lineno}: {EPSILON} is reserved for the empty string")
-        entries[current].append((p10, gram, bow10))
+        first = entries[current].setdefault(gram, (lineno, p10, bow10))[0]
+        if first != lineno:
+            raise NGramError(f"{path}: line {lineno}: repeated gram '{' '.join(gram)}' (first on line {first})")
 
     if not entries:
         raise NGramError(f"{path}: no n-gram sections found")
@@ -389,7 +393,7 @@ def read_arpa(path: str | Path) -> NGramModel:
     for k, n in declared.items():
         if len(entries.get(k, ())) != n:
             raise NGramError(f"{path}: declared {n} {k}-grams, found {len(entries.get(k, ()))}")
-    unigram_syms = [gram[0] for _, gram, _ in entries.get(1, ())]
+    unigram_syms = [gram[0] for gram in entries.get(1, ())]
     for required in (SENT_START, SENT_END):
         if required not in unigram_syms:
             raise NGramError(f"{path}: missing {required} unigram")
@@ -398,11 +402,13 @@ def read_arpa(path: str | Path) -> NGramModel:
     probs: dict[tuple[int, ...], float] = {}
     backoffs: dict[tuple[int, ...], float] = {}
     for k in sorted(entries):
-        for p10, gram_syms, bow10 in entries[k]:
+        for gram_syms, (lineno, p10, bow10) in entries[k].items():
             try:
-                gram = tuple(vocab.id(s) for s in gram_syms)
+                gram = tuple(map(vocab.id, gram_syms))
             except FstError:
-                raise NGramError(f"{path}: {' '.join(gram_syms)} uses a word with no unigram") from None
+                raise NGramError(
+                    f"{path}: line {lineno}: {' '.join(gram_syms)} uses a word with no unigram"
+                ) from None
             if p10 > _ARPA_SENTINEL + 1.0:
                 probs[gram] = p10 * _LN10
             if bow10 is not None:

@@ -407,6 +407,15 @@ def _lm_with_an_epsilon_unigram(task, ckpt):
     return f"{path}: line {first + 1}"
 
 
+def _lm_with_a_repeated_unigram(task, ckpt):
+    path = task / "lm.arpa"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    first = lines.index("\\1-grams:") + 1
+    lines.insert(first + 1, lines[first])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return f"{path}: line {first + 2}"
+
+
 class TestMalformedInputFiles:
     """A malformed task or checkpoint file ends in one error line that names
     it (and the line, for utterances), with exit code 1."""
@@ -424,6 +433,7 @@ class TestMalformedInputFiles:
             _lexicon_line_without_tab,
             _lexicon_with_epsilon,
             _lm_with_an_epsilon_unigram,
+            _lm_with_a_repeated_unigram,
         ],
         ids=lambda f: f.__name__.strip("_").replace("_", "-"),
     )

@@ -78,8 +78,7 @@ def random_rows(alphabet: SymbolTable, rng, steps: int, banned=()) -> np.ndarray
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-@pytest.fixture(scope="module")
-def homophone():
+def homophone_setup():
     """Lexicon {I,eye -> ay; am -> ae m}, grammar from 'I am' x3 + 'eye' x1."""
     lex = parse_lexicon("I\tay\neye\tay\nam\tae m\n")
     lexicon_fst = compile_lexicon(lex, eow_mode="required")
@@ -87,6 +86,12 @@ def homophone():
     resources = DecodeResources(lexicon_fst, lm_to_fst(lm))
     alphabet = make_alphabet("ay", "ae", "m", EOW)
     return lm, resources, alphabet
+
+
+@pytest.fixture(scope="module")
+def homophone():
+    """The homophone set-up, shared: its graph may already hold stored results."""
+    return homophone_setup()
 
 
 @pytest.fixture(scope="module")
@@ -685,6 +690,104 @@ class TestWordRecovery:
         for h in got:
             assert h.lm_cost == pytest.approx(-score_sequence(lm, list(h.words)), abs=1e-9)
         assert got[3].words not in crowded
+
+
+@contextmanager
+def counted_word_passes():
+    """Record the token string of every ``output_weights`` pass the decoder
+    makes inside the block."""
+    calls: list[tuple[int, ...]] = []
+
+    def wrapper(f, tokens):
+        calls.append(tuple(tokens))
+        return output_weights(f, tokens)
+
+    with mock.patch.object(decoder_mod, "output_weights", wrapper):
+        yield calls
+
+
+def sorted_word_parses(graph: FusionGraph, tokens) -> tuple:
+    return tuple(
+        sorted((w, ols, graph.fst.osyms.decode(ols)) for ols, w in output_weights(graph.fst, tokens).items())
+    )
+
+
+class TestWordMemo:
+    """``FusionGraph.words`` runs one ``output_weights`` pass per token string
+    per graph.  What it returns, cold, warm, or recomputed after the bound
+    dropped it, is that pass's result sorted by (cost, output labels)."""
+
+    ALPHABET = make_alphabet("a", "b", "c", EOW)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        eow_mode=st.sampled_from(["required", "optional"]),
+        order=st.integers(1, 4),
+        bound=st.sampled_from([decoder_mod._MAX_STORED, 1, 3, 8]),
+    )
+    def test_word_maps_match_output_weights(self, seed, eow_mode, order, bound):
+        rng = np.random.default_rng(seed)
+        resources = random_resources(rng, eow_mode, order)
+        with mock.patch.object(decoder_mod, "_MAX_STORED", bound), counted_word_passes() as calls:
+            graph = FusionGraph(resources.lg, self.ALPHABET)
+            strings = []
+            for _ in range(10):
+                # Walk the trie as the beam does, asking for words at every
+                # prefix, so transitions and word maps share the bound.
+                tokens, states = (), graph.start
+                while True:
+                    assert graph.words(tokens) == sorted_word_parses(graph, tokens)
+                    assert graph._stored <= bound and len(graph._words) <= bound
+                    strings.append(tokens)
+                    if states is None or len(tokens) == 8:
+                        break
+                    live = sorted({a.ilabel for q, _ in states.pairs for a in graph.fst.arcs_from(q)} - {0})
+                    label = int(rng.choice(live)) if live and rng.random() < 0.8 else int(rng.integers(1, 7))
+                    tokens += (label,)
+                    states = graph.advance(states, label)
+            for tokens in strings:  # warm, or recomputed where the bound dropped it
+                assert graph.words(tokens) == sorted_word_parses(graph, tokens)
+                assert graph._stored <= bound and len(graph._words) <= bound
+        if bound == decoder_mod._MAX_STORED:
+            assert sorted(calls) == sorted(set(strings))
+
+    def test_nbest_decodes_keep_word_maps_within_the_bound(self):
+        # An nbest decode never advances, so only word maps reach the bound.
+        _, resources, alphabet = homophone_setup()
+        rng = np.random.default_rng(3)
+        rows = {f"u{i}": random_rows(alphabet, rng, 7) for i in range(4)}
+        scorer = TableScorer(alphabet, rows)
+        cfg = DecodeConfig(fusion="nbest", lm_weight_nbest=0.5, max_steps=6)
+        with mock.patch.object(decoder_mod, "_MAX_STORED", 3), counted_word_passes() as calls:
+            for _ in range(2):
+                for uid in rows:
+                    decode(scorer, resources, make_utt(uid), cfg)
+                    graph = resources.graph_for(alphabet)
+                    assert graph._stored <= 3 and len(graph._words) <= 3
+                    assert graph.start.next == {}
+        assert len(set(calls)) > 3
+
+    def test_a_beam_sweep_recovers_each_token_string_once(self):
+        _, resources, alphabet = homophone_setup()
+        rng = np.random.default_rng(11)
+        rows = {f"u{i}": random_rows(alphabet, rng, 8) for i in range(5)}
+        scorer = TableScorer(alphabet, rows)
+        utts = [make_utt(uid) for uid in rows]
+        returned: list[tuple[int, ...]] = []
+        expand = decoder_mod._expand
+
+        def recorded(*args):
+            nb = expand(*args)
+            assert nb.complete
+            returned.extend(h.tokens for h in nb.entries)
+            return nb
+
+        with mock.patch.object(decoder_mod, "_expand", recorded), counted_word_passes() as calls:
+            for lam in (0.0, 0.5, 1.0, 2.0):
+                decode_batch(scorer, resources, utts, DecodeConfig(fusion="beam", lm_weight=lam, max_steps=7))
+        assert len(returned) > len(set(returned))  # the weights share token strings
+        assert sorted(calls) == sorted(set(returned))
 
 
 class TestDecode:

@@ -379,6 +379,37 @@ class TestArpaRoundTrip:
         with pytest.raises(NGramError, match=rf"^{re.escape(str(path))}: line {lineno}: <eps> is reserved"):
             read_arpa(path)
 
+    @pytest.mark.parametrize(
+        "grams, first, lineno",
+        [
+            (["-0.5\ta", "-0.7\ta"], 6, 7),
+            (["-0.5\ta", "\n\\2-grams:", "-0.1\ta a", "-0.9\ta a"], 9, 10),
+        ],
+        ids=["unigram", "bigram"],
+    )
+    def test_repeated_gram_names_both_lines(self, tmp_path, grams, first, lineno):
+        # a repeated unigram used to fail in SymbolTable naming no file, and a
+        # repeated bigram was read with the later line silently winning
+        path = tmp_path / "m.arpa"
+        body = "\n".join(["-99\t<s>", "-0.5\t</s>", *grams])
+        path.write_text(f"\\data\\\n\n\\1-grams:\n{body}\n\n\\end\\\n")
+        gram = grams[-1].split("\t")[1]
+        with pytest.raises(
+            NGramError,
+            match=rf"^{re.escape(str(path))}: line {lineno}: repeated gram '{gram}' \(first on line {first}\)$",
+        ):
+            read_arpa(path)
+
+    def test_word_with_no_unigram_names_the_line(self, tmp_path):
+        path = tmp_path / "m.arpa"
+        body = "\n".join(["-99\t<s>", "-0.5\t</s>", "-0.5\ta", "", "\\2-grams:", "-0.1\ta a", "-0.2\ta b"])
+        path.write_text(f"\\data\\\n\n\\1-grams:\n{body}\n\n\\end\\\n")
+        assert path.read_text().splitlines()[9] == "-0.2\ta b"
+        with pytest.raises(
+            NGramError, match=rf"^{re.escape(str(path))}: line 10: a b uses a word with no unigram$"
+        ):
+            read_arpa(path)
+
     def test_missing_sentence_end(self, tmp_path):
         path = tmp_path / "m.arpa"
         path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-99\t<s>\n\n\\end\\\n")
