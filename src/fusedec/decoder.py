@@ -12,8 +12,6 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 # linear_fst and shortest_paths are unused here, but bench/tracing.py wraps them by name.
 from .fst import (
     FstError,
@@ -152,19 +150,39 @@ class StateSet:
     token prefix.
 
     ``pairs`` are the sorted ``(state, cost)`` pairs; ``best`` is their
-    least cost.  ``final_best`` is filled in by :meth:`FusionGraph.final_best`
-    the first time it is asked for, and ``next`` maps each label advanced so
-    far to the set it leads to (None when no state survives).  Two sets are
-    equal when their pairs are, whatever prefixes reached them.
+    least cost.  A set that :meth:`FusionGraph.advance` makes holds only
+    its seed states, those the token's arcs reach, until ``pairs`` is first
+    read: by an advance from it, a table of its labels, its stopping cost,
+    ``len``, ``==`` or ``hash``.  The epsilon closure runs then, so a set
+    the beam drops is never closed.  ``best`` is known from the start: it
+    is the cheapest seed, since every arc weight is non-negative and a cost
+    reached over arcs is never below the one it started from.
+
+    ``final_best`` is filled in by :meth:`FusionGraph.final_best` the first
+    time it is asked for, ``ahead`` by :meth:`FusionGraph.ahead`, and
+    ``next`` maps each label advanced so far to the set it leads to (None
+    when no state survives).  Two sets are equal when their pairs are,
+    whatever prefixes reached them.
     """
 
-    __slots__ = ("pairs", "best", "final_best", "next")
+    __slots__ = ("_fst", "_seeds", "_pairs", "best", "final_best", "ahead", "next")
 
-    def __init__(self, pairs: tuple[tuple[int, float], ...]):
-        self.pairs = pairs
-        self.best = min(w for _, w in pairs)
+    def __init__(self, fst: WeightedFst | None, seeds: dict[int, float]):
+        """``fst`` None marks ``seeds`` as closed already."""
+        self._fst, self._seeds = fst, seeds
+        self._pairs = _freeze(seeds) if fst is None else None
+        self.best = min(seeds.values())
         self.final_best = _UNKNOWN
+        self.ahead: dict[int, float] | None = None
         self.next: dict[int, StateSet | None] = {}
+
+    @property
+    def pairs(self) -> tuple[tuple[int, float], ...]:
+        pairs = self._pairs
+        if pairs is None:
+            pairs = self._pairs = _freeze(_eps_closure(self._fst, self._seeds))
+            self._fst = self._seeds = None
+        return pairs
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -184,19 +202,25 @@ class FusionGraph:
     Decoding tracks weighted state sets closed under input epsilons, so
     backoff and word-boundary arcs never block a token transition.  Every
     arc and final weight must be non-negative, so that prefix costs never
-    fall: the epsilon closure, the beam's threshold pruning and word
-    recovery all rely on it, and a negative epsilon cycle would never close.
+    fall: the epsilon closure, the beam's threshold pruning, the cost of a
+    set before its closure and word recovery all rely on it, and a negative
+    epsilon cycle would never close.
 
-    Each :class:`StateSet` remembers where it leads, so the sets form a trie
-    of the token prefixes decoded so far, and :meth:`words` remembers the
-    word strings of each finished token string: a sweep that decodes the
-    same utterances at many weights computes each closure, and recovers
-    each token string's words, once.  At most ``_MAX_STORED`` (4,096)
-    results, transitions and word maps together, are stored per graph.
-    When the bound is reached, ``start`` is rebuilt from the same pairs, the
-    word maps are dropped and the count starts again; the old trie is freed
-    once no live hypothesis holds a set of it.  A stored result is the very
-    one a fresh computation gives.
+    The beam ranks a set's children before building any of them:
+    :meth:`ahead` gives, in one scan of the set's arcs, the cost each label
+    leads to, and only the children that survive the beam are built with
+    :meth:`advance`, their closures left until they are expanded or asked to
+    stop.  Each :class:`StateSet` remembers its label table and where it
+    leads, so the sets form a trie of the token prefixes decoded so far,
+    and :meth:`words` remembers the word strings of each finished token
+    string: a sweep that decodes the same utterances at many weights
+    computes each closure and table, and recovers each token string's
+    words, once.  At most ``_MAX_STORED`` (4,096) results, transitions,
+    label tables and word maps together, are stored per graph.  When the
+    bound is reached, ``start`` is rebuilt from the same pairs, the word
+    maps are dropped and the count starts again; the old trie is freed once
+    no live hypothesis holds a set of it.  A stored result is the very one a
+    fresh computation gives.
     """
 
     def __init__(self, lg: WeightedFst, alphabet: SymbolTable):
@@ -211,17 +235,43 @@ class FusionGraph:
         except FstError as e:
             raise DecodeError(f"fusion graph incompatible with the scorer alphabet: {e}") from e
         self.alphabet = alphabet
-        self.start = StateSet(_freeze(_eps_closure(self.fst, {self.fst.start: 0.0})))
+        self.start = StateSet(None, _eps_closure(self.fst, {self.fst.start: 0.0}))
         self._rebuild()
 
     def _rebuild(self) -> None:
         """Forget every stored result: a fresh ``start`` and no word maps."""
-        self.start = StateSet(self.start.pairs)
+        self.start = StateSet(None, dict(self.start.pairs))
         self._words: dict[tuple[int, ...], tuple[WordParse, ...]] = {}
         self._stored = 0
 
+    def _store(self) -> None:
+        """Count one more stored result, forgetting them all at the bound."""
+        if self._stored == _MAX_STORED:
+            self._rebuild()
+        self._stored += 1
+
+    def ahead(self, states: StateSet) -> dict[int, float]:
+        """Each non-epsilon label some state of the set reads, mapped to
+        ``advance(states, label).best``: one scan of the set's arcs the
+        first time it is asked for.  A label is absent exactly when
+        ``advance`` would return None."""
+        table = states.ahead
+        if table is None:
+            table = {}
+            for q, w in states.pairs:
+                for arc in self.fst.arcs_from(q):
+                    label = arc.ilabel
+                    if label:
+                        cand = w + arc.weight
+                        if cand < table.get(label, math.inf):
+                            table[label] = cand
+            self._store()
+            states.ahead = table
+        return table
+
     def advance(self, states: StateSet, label: int) -> StateSet | None:
-        """Consume one token; None when no state survives."""
+        """Consume one token; None when no state survives.  The set returned
+        is closed only once its pairs are read."""
         nxt = states.next.get(label, _UNKNOWN)
         if nxt is not _UNKNOWN:
             return nxt
@@ -231,11 +281,9 @@ class FusionGraph:
                 cand = w + arc.weight
                 if cand < seeds.get(arc.dst, math.inf):
                     seeds[arc.dst] = cand
-        nxt = StateSet(_freeze(_eps_closure(self.fst, seeds))) if seeds else None
-        if self._stored == _MAX_STORED:
-            self._rebuild()
+        nxt = StateSet(self.fst, seeds) if seeds else None
+        self._store()
         states.next[label] = nxt
-        self._stored += 1
         return nxt
 
     def final_best(self, states: StateSet) -> float | None:
@@ -258,10 +306,8 @@ class FusionGraph:
         if found is None:
             weights = output_weights(self.fst, tokens)
             found = tuple(sorted((w, ols, self.fst.osyms.decode(ols)) for ols, w in weights.items()))
-            if self._stored == _MAX_STORED:
-                self._rebuild()
+            self._store()
             self._words[tokens] = found
-            self._stored += 1
         return found
 
 
@@ -315,6 +361,20 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     the state is the parent's after the parent's step, so every expansion is
     one scorer step.
 
+    Children are ranked before any is built.  A candidate is the tuple
+    ``(total, parent's token rank, tid, score, ahead, parent's index)``:
+    every live entry at one depth holds as many tokens as the others, so
+    the rank of the parent's token tuple among them, then the token id,
+    orders children exactly as their token tuples do, and the candidates
+    sort as ``_hyp_key`` would sort the children.  A fused parent's
+    children come from its label table, :meth:`FusionGraph.ahead`, which
+    gives each child's lattice cost without building its state set.  Only
+    the ``beam_width`` cheapest candidates get :meth:`FusionGraph.advance`,
+    a token tuple and a :class:`Hypothesis`.  Each child's log-probability
+    is one ``math.log`` where its probability is positive: ``np.log`` over
+    the row would differ from it in the last bit on some values and change
+    the results.
+
     Finished hypotheses go into ``best``, the bounded n-best itself: at
     most ``nbest_size`` of them in ``_hyp_key`` order, returned as it
     stands.  Threshold pruning keeps it exactly the unpruned beam's.  Once
@@ -349,40 +409,44 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     best: list[Hypothesis] = []
     for depth in range(steps + 1):
         extend = depth < steps
-        candidates: list[tuple[float, tuple[int, ...], Hypothesis, object]] = []
-        for _, _, hyp, state in live:
-            dist, state = step_distributions(scorer, state, hyp.tokens[-1] if hyp.tokens else None)
+        rank = {tokens: r for r, tokens in enumerate(sorted(tokens for _, tokens, _, _ in live))}
+        parents: list[tuple[Hypothesis, object, int]] = []
+        candidates: list[tuple[float, int, int, float, float, int]] = []
+        for i, (_, tokens, hyp, state) in enumerate(live):
+            dist, state = step_distributions(scorer, state, tokens[-1] if tokens else None)
             cov = coverage_count(scorer, state, config.coverage_threshold) if eta > 0.0 else 0
-            for tid in np.flatnonzero(dist > 0.0):
-                tid = int(tid)
-                score = hyp.model_score + math.log(dist[tid])
-                if tid == eos:
-                    if graph is not None:
-                        stop = graph.final_best(hyp.lm_state)
-                        if stop is None:
-                            continue
-                    else:
-                        stop = 0.0
+            parents.append((hyp, state, cov))
+            probs = dist.tolist()
+            p = probs[eos]
+            if p > 0.0:
+                score = hyp.model_score + math.log(p)
+                stop = graph.final_best(hyp.lm_state) if graph is not None else 0.0
+                if stop is not None:
                     total = -score + lam * stop - eta * cov
-                    done = Hypothesis(hyp.tokens, score, stop, cov, total, True)
+                    done = Hypothesis(tokens, score, stop, cov, total, True)
                     bisect.insort(best, done, key=_hyp_key)
                     del best[nbest:]
-                elif extend:
-                    if graph is not None:
-                        nxt = graph.advance(hyp.lm_state, tid)
-                        if nxt is None:
-                            continue
-                        ahead = nxt.best
-                    else:
-                        nxt, ahead = None, 0.0
-                    total = -score + lam * ahead - eta * cov
-                    tokens = (*hyp.tokens, tid)
-                    child = Hypothesis(tokens, score, ahead, cov, total, False, nxt)
-                    candidates.append((total, tokens, child, state))
+            if not extend:
+                continue
+            r = rank[tokens]
+            if graph is not None:
+                children = graph.ahead(hyp.lm_state).items()
+            else:
+                children = dict.fromkeys(range(len(probs)), 0.0).items()
+            for tid, ahead in children:
+                p = probs[tid]
+                if p > 0.0 and tid != eos:
+                    score = hyp.model_score + math.log(p)
+                    candidates.append((-score + lam * ahead - eta * cov, r, tid, score, ahead, i))
         if not extend or not candidates:
             break
         candidates.sort()
-        live = candidates[: config.beam_width]
+        live = []
+        for total, _, tid, score, ahead, i in candidates[: config.beam_width]:
+            hyp, state, cov = parents[i]
+            nxt = graph.advance(hyp.lm_state, tid) if graph is not None else None
+            tokens = (*hyp.tokens, tid)
+            live.append((total, tokens, Hypothesis(tokens, score, ahead, cov, total, False, nxt), state))
         if len(best) == nbest:
             bar = best[-1].total_cost
             if eta == 0.0:

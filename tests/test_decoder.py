@@ -199,6 +199,28 @@ class TestPlainBeam:
         a, b = alphabet.id("a"), alphabet.id("b")
         assert [h.tokens for h in nb.entries] == [(a,), (b,), ()]
 
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_cost_ties_across_parents_break_by_tokens_not_beam_order(self, fused):
+        # The beam holds "b" ahead of "a", but "a" < "b" as tokens.  "a y"
+        # and "b x" both cost 3 ln 2, and only one fits beside "b y": the
+        # token order, not the parents' beam order, keeps "a y".
+        alphabet = make_alphabet("a", "b", "x", "y")
+        rows = rows_for(
+            alphabet, [{"b": 0.5, "a": 0.25, EOS: 0.25}, {"y": 0.5, "x": 0.25, EOS: 0.25}, {EOS: 1.0}]
+        )
+        scorer = TableScorer(alphabet, {"u0": rows})
+        if fused:  # one state reading every token for free: the lattice changes no cost
+            syms = SymbolTable(["a", "b", "x", "y"])
+            lg = build_fst([Arc(0, 0, i, i, 0.0) for i in range(1, 5)], 0, {0: 0.0}, syms, syms)
+            graph = FusionGraph(lg, alphabet)
+            cfg = DecodeConfig(beam_width=2, fusion="beam", lm_weight=1.0)
+        else:
+            graph, cfg = None, DecodeConfig(beam_width=2)
+        got = decoder_mod._expand(scorer, make_utt(), cfg, graph)
+        assert got == reference_expand(scorer, make_utt(), cfg, graph)
+        tokens = {h.tokens for h in got.entries}
+        assert alphabet.encode(["a", "y"]) in tokens and alphabet.encode(["b", "x"]) not in tokens
+
     def test_width_one_is_greedy(self):
         alphabet = make_alphabet("a", "b")
         rng = np.random.default_rng(12)
@@ -277,9 +299,10 @@ class TestFusionGraph:
 
 
 class TestStateSetCache:
-    """``FusionGraph`` keeps each prefix's state set in a bounded trie.  Every
-    set it hands out, fresh, cached, or reached after ``start`` was rebuilt
-    at the bound, equals the uncached reference exactly."""
+    """``FusionGraph`` keeps each prefix's state set, and its label table, in
+    a bounded trie.  Every set and table it hands out, fresh, cached, or
+    reached after ``start`` was rebuilt at the bound, equals the uncached
+    reference exactly, and a set is closed only once the beam uses it."""
 
     ALPHABET = make_alphabet("a", "b", "c", EOW)
 
@@ -324,6 +347,84 @@ class TestStateSetCache:
                     assert states.best == oracles.reference_best(ref)
                     assert graph.final_best(states) == oracles.reference_final_best(graph, ref)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        eow_mode=st.sampled_from(["required", "optional"]),
+        order=st.integers(1, 4),
+        bound=st.sampled_from([decoder_mod._MAX_STORED, 1, 3, 8]),
+    )
+    def test_label_tables_match_the_uncached_reference(self, seed, eow_mode, order, bound):
+        rng = np.random.default_rng(seed)
+        resources = random_resources(rng, eow_mode, order)
+        labels = range(1, len(self.ALPHABET))
+        unclosed = 0
+        with mock.patch.object(decoder_mod, "_MAX_STORED", bound):
+            graph = FusionGraph(resources.lg, self.ALPHABET)
+            for _ in range(8):
+                states, ref = graph.start, oracles.reference_start(graph)
+                for _ in range(10):
+                    # read before anything closes a set the walk just
+                    # reached: its cheapest seed
+                    unclosed += states._pairs is None
+                    assert states.best == oracles.reference_best(ref)
+                    table = graph.ahead(states)
+                    assert graph._stored <= bound
+                    assert states.best == min(w for _, w in states.pairs)
+                    for label in labels:
+                        nxt = oracles.reference_advance(graph, ref, label)
+                        if nxt is None:
+                            assert label not in table
+                        else:
+                            assert table[label] == oracles.reference_best(nxt)
+                    if not table:
+                        break
+                    label = int(rng.choice(sorted(table)))
+                    states = graph.advance(states, label)
+                    ref = oracles.reference_advance(graph, ref, label)
+                    assert graph._stored <= bound
+        assert unclosed > 0
+
+    def test_only_survivors_are_built_and_only_used_sets_closed(self):
+        _, resources, alphabet = homophone_setup()
+        graph = resources.graph_for(alphabet)
+        rng = np.random.default_rng(5)
+        # no <eos> at the first steps, so closing a set there means expanding it
+        banned = [(step, EOS) for step in range(3)]
+        rows = {f"u{i}": random_rows(alphabet, rng, 7, banned) for i in range(4)}
+        scorer = TableScorer(alphabet, rows)
+        cfg = DecodeConfig(fusion="beam", lm_weight=0.5, beam_width=2, max_steps=6, nbest_size=1)
+        advance, closure = FusionGraph.advance, decoder_mod._eps_closure
+        depth = {id(graph.start): 0}
+        made: dict[int, object] = {}  # every set advance returned, kept alive so ids stay unique
+        per_depth: dict[int, int] = {}
+        closures = []
+
+        def counted_advance(self, states, label):
+            nxt = advance(self, states, label)
+            d = depth[id(states)]
+            per_depth[d] = per_depth.get(d, 0) + 1
+            if nxt is not None:
+                depth[id(nxt)] = d + 1
+                made[id(nxt)] = nxt
+            return nxt
+
+        def counted_closure(f, seeds):
+            closures.append(seeds)
+            return closure(f, seeds)
+
+        with (
+            mock.patch.object(FusionGraph, "advance", counted_advance),
+            mock.patch.object(decoder_mod, "_eps_closure", counted_closure),
+        ):
+            for uid in rows:
+                per_depth.clear()
+                decode(scorer, resources, make_utt(uid), cfg)
+                assert per_depth and max(per_depth.values()) <= cfg.beam_width
+        used = {k for k, s in made.items() if s.ahead is not None or s.final_best is not decoder_mod._UNKNOWN}
+        assert len(closures) == len(used) < len(made)
+        assert all((s._pairs is not None) == (k in used) for k, s in made.items())
+
     def test_a_repeated_advance_returns_the_stored_set(self, homophone):
         _, resources, alphabet = homophone
         graph = FusionGraph(resources.lg, alphabet)
@@ -331,6 +432,10 @@ class TestStateSetCache:
         assert graph.advance(graph.start, alphabet.id("ay")) is nxt
         assert graph.advance(graph.start, alphabet.id("m")) is None
         assert graph._stored == 2
+        table = graph.ahead(graph.start)
+        assert graph.ahead(graph.start) is table
+        assert table[alphabet.id("ay")] == nxt.best and alphabet.id("m") not in table
+        assert graph._stored == 3
 
     def test_the_bound_rebuilds_start_and_keeps_old_sets_usable(self, homophone):
         _, resources, alphabet = homophone
