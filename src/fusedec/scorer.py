@@ -206,22 +206,27 @@ def _cell_forward(x, h_prev, Wz, Uz, bz, Wh, Uh, bh):
     return h, (x, h_prev, z, g)
 
 
-def _cell_backward(dh, cache, Wz, Uz, Wh, Uh, grads, prefix):
+def _cell_backward(dh, cache, Wz, Uz, Wh, Uh):
+    """Backward through one batched cell step: (dx, dh_prev, da_h, da_z),
+    the last two being the pre-activation gradients the weights need."""
     x, h_prev, z, g = cache
-    dz = dh * (g - h_prev)
-    dg = dh * z
-    dh_prev = dh * (1.0 - z)
-    da_h = dg * (1.0 - g * g)
-    da_z = dz * z * (1.0 - z)
-    grads[prefix + "Wh"] += np.outer(x, da_h)
-    grads[prefix + "Uh"] += np.outer(h_prev, da_h)
-    grads[prefix + "bh"] += da_h
-    grads[prefix + "Wz"] += np.outer(x, da_z)
-    grads[prefix + "Uz"] += np.outer(h_prev, da_z)
-    grads[prefix + "bz"] += da_z
+    da_h = dh * z * (1.0 - g * g)
+    da_z = dh * (g - h_prev) * z * (1.0 - z)
     dx = da_h @ Wh.T + da_z @ Wz.T
-    dh_prev = dh_prev + da_h @ Uh.T + da_z @ Uz.T
-    return dx, dh_prev
+    dh_prev = dh * (1.0 - z) + da_h @ Uh.T + da_z @ Uz.T
+    return dx, dh_prev, da_h, da_z
+
+
+def _cell_weight_grads(grads, prefix, caches, das) -> None:
+    """Add one cell's weight gradients over every step at once: ``caches``
+    are its forward caches and ``das`` the (da_h, da_z) of the same steps."""
+    x = np.concatenate([c[0] for c in caches])
+    h_prev = np.concatenate([c[1] for c in caches])
+    for gate, i in (("h", 0), ("z", 1)):
+        da = np.concatenate([d[i] for d in das])
+        grads[f"{prefix}W{gate}"] += x.T @ da
+        grads[f"{prefix}U{gate}"] += h_prev.T @ da
+        grads[f"{prefix}b{gate}"] += da.sum(axis=0)
 
 
 class ToyLasModel:
@@ -425,7 +430,7 @@ def coverage_count(scorer, state, threshold: float) -> int:
     return scorer.covered(state, threshold)
 
 
-def _validate_reference(model: ToyLasModel, utt: Utterance) -> None:
+def _validate(model: ToyLasModel, utt: Utterance) -> None:
     v = len(model.alphabet)
     for y in utt.reference:
         if not 0 <= y < v:
@@ -436,90 +441,156 @@ def _validate_reference(model: ToyLasModel, utt: Utterance) -> None:
         raise ScorerError(f"{utt.uid}: reference does not end with {EOS}")
     if model.eos_id in utt.reference[:-1]:
         raise ScorerError(f"{utt.uid}: reference contains {EOS} before its end")
+    if utt.features.shape[1] != model.feat_dim:
+        raise ScorerError(
+            f"{utt.uid}: expected features shaped (T, {model.feat_dim}), got {utt.features.shape}"
+        )
 
 
 def loss_and_gradients(model: ToyLasModel, corpus: Sequence[Utterance]):
     """Mean per-token teacher-forced cross-entropy and its exact gradients.
 
+    The whole corpus runs as one batch of N utterances.  Features are
+    zero-padded to (N, T_max, d) and the teacher-forced inputs and targets
+    to (N, L_max); a frame mask marks the real frames and a token mask the
+    real decoder steps.  Padding always follows the real positions, so the
+    recurrences never read it; attention gives padded frames a -inf logit
+    (weight exactly 0), and padded steps get a zero dlogits row.  Padded
+    positions therefore add exactly 0 to the loss and to every gradient.
+
     The backward pass is hand-derived backpropagation through the decoder
-    steps, the attention heads, and the encoder recurrence, in that order.
-    Returns (loss, grads) with grads keyed like ``model.params``.
+    steps, the attention heads, and the encoder recurrence, in that order,
+    one time step at a time over the batch.  Projections that carry no
+    recurrence (output logits, attention keys, weight gradients) run over
+    all steps at once.  Returns (loss, grads) with grads keyed like
+    ``model.params``.
     """
     if not corpus:
         raise ScorerError("corpus is empty")
+    for utt in corpus:
+        _validate(model, utt)
     p = model.params
     grads = {k: np.zeros_like(v) for k, v in p.items()}
-    total_nll = 0.0
-    total_tokens = 0
+    N, H, A, E = len(corpus), model.n_heads, model.att_dim, model.enc_hidden
+    frames = np.array([utt.features.shape[0] for utt in corpus])
+    tokens = np.array([len(utt.reference) for utt in corpus])
+    T, L = int(frames.max()), int(tokens.max())
+    frame_mask = np.arange(T) < frames[:, None]
+    token_mask = np.arange(L) < tokens[:, None]
+    x = np.zeros((N, T, model.feat_dim))
+    y_in = np.full((N, L), model.sos_id)
+    y_out = np.full((N, L), model.eos_id)
+    for n, utt in enumerate(corpus):
+        x[n, : frames[n]] = utt.features
+        y_in[n, 1 : tokens[n]] = utt.reference[:-1]
+        y_out[n, : tokens[n]] = utt.reference
 
-    for utt in corpus:
-        _validate_reference(model, utt)
-        h_enc, enc_caches = model._encode_cached(utt.features)
-        T = h_enc.shape[0]
-        inputs = (model.sos_id, *utt.reference[:-1])
-        targets = utt.reference
-        total_tokens += len(targets)
+    # encoder
+    enc_caches = []
+    seq = x
+    for layer in range(model.n_enc_layers):
+        cell = [p[f"enc{layer}_{k}"] for k in ("Wz", "Uz", "bz", "Wh", "Uh", "bh")]
+        h = np.zeros((N, E))
+        outs = np.empty((N, T, E))
+        layer_cache = []
+        for t in range(T):
+            h, cache = _cell_forward(seq[:, t], h, *cell)
+            outs[:, t] = h
+            layer_cache.append(cache)
+        enc_caches.append(layer_cache)
+        seq = outs
+    h_enc = seq
 
-        state = model.init_state(h_enc)
-        step_caches = []
-        for y_in, y_out in zip(inputs, targets):
-            dist, state, cache = model._decode_step_cached(state, y_in)
-            att_caches, cell_cache, _, contexts, weights = cache
-            if dist[y_out] <= 0.0:
-                raise ScorerError(f"{utt.uid}: target symbol has zero probability")
-            total_nll += -math.log(dist[y_out])
-            step_caches.append((y_in, y_out, att_caches, cell_cache, dist))
+    # decoder, every head at once: head j owns columns j*A:(j+1)*A
+    Wq = np.concatenate([p[f"att{j}_Wq"] for j in range(H)], axis=1)
+    Wk = np.concatenate([p[f"att{j}_Wk"] for j in range(H)], axis=1)
+    v = np.stack([p[f"att{j}_v"] for j in range(H)])
+    keys = (h_enc @ Wk).reshape(N, T, H, A)
+    pad_frames = ~frame_mask[:, None, :]
+    dec = [p[f"dec_{k}"] for k in ("Wz", "Uz", "bz", "Wh", "Uh", "bh")]
+    s = np.zeros((N, model.dec_hidden))
+    states, step_caches = [], []
+    for l in range(L):
+        u = np.tanh(keys + (s @ Wq).reshape(N, 1, H, A))
+        e = np.where(pad_frames, -np.inf, np.einsum("ntha,ha->nht", u, v))
+        e = np.exp(e - e.max(axis=2, keepdims=True))
+        alpha = e / e.sum(axis=2, keepdims=True)
+        contexts = (alpha @ h_enc).reshape(N, H * E)
+        s, cell_cache = _cell_forward(
+            np.concatenate([p["emb"][y_in[:, l]], contexts], axis=1), s, *dec
+        )
+        states.append(s)
+        step_caches.append((u, alpha, cell_cache))
+    states = np.stack(states, axis=1)
+    logits = states @ p["out_W"] + p["out_b"]
+    live = logits[..., model.emit_mask]
+    live = np.exp(live - live.max(axis=2, keepdims=True))
+    dist = np.zeros_like(logits)
+    dist[..., model.emit_mask] = live / live.sum(axis=2, keepdims=True)
+    rows, steps = np.nonzero(token_mask)
+    targets = dist[rows, steps, y_out[rows, steps]]
+    if np.any(targets <= 0.0):
+        first = rows[np.argmax(targets <= 0.0)]
+        raise ScorerError(f"{corpus[first].uid}: target symbol has zero probability")
+    total_tokens = len(targets)
+    loss = float(-np.log(targets).sum()) / total_tokens
 
-        d_h_enc = np.zeros_like(h_enc)
-        ds_carry = np.zeros(model.dec_hidden)
-        for y_in, y_out, att_caches, cell_cache, dist in reversed(step_caches):
-            dlogits = dist.copy()
-            dlogits[y_out] -= 1.0
-            x, s_prev, z, g = cell_cache
-            s_new = (1.0 - z) * s_prev + z * g
-            grads["out_W"] += np.outer(s_new, dlogits)
-            grads["out_b"] += dlogits
-            ds = ds_carry + dlogits @ p["out_W"].T
-            dx, ds_prev = _cell_backward(
-                ds, cell_cache, p["dec_Wz"], p["dec_Uz"], p["dec_Wh"], p["dec_Uh"],
-                grads, "dec_",
+    dlogits = dist
+    dlogits[rows, steps, y_out[rows, steps]] -= 1.0
+    dlogits[~token_mask] = 0.0
+    grads["out_W"] += states.reshape(-1, model.dec_hidden).T @ dlogits.reshape(-1, dlogits.shape[2])
+    grads["out_b"] += dlogits.sum(axis=(0, 1))
+    ds_out = dlogits @ p["out_W"].T
+    d_h_enc = np.zeros_like(h_enc)
+    d_scores = np.zeros((N, T, H, A))
+    grads_Wq = np.zeros_like(Wq)
+    grads_v = np.zeros_like(v)
+    d_emb = np.empty((L, N, model.embed_dim))
+    ds_carry = np.zeros((N, model.dec_hidden))
+    dec_das = []
+    for l in reversed(range(L)):
+        u, alpha, cell_cache = step_caches[l]
+        dx, ds_prev, da_h, da_z = _cell_backward(
+            ds_carry + ds_out[:, l], cell_cache, p["dec_Wz"], p["dec_Uz"], p["dec_Wh"], p["dec_Uh"]
+        )
+        dec_das.append((da_h, da_z))
+        d_emb[l] = dx[:, : model.embed_dim]
+        dc = dx[:, model.embed_dim :].reshape(N, H, E)
+        d_h_enc += alpha.transpose(0, 2, 1) @ dc
+        dalpha = dc @ h_enc.transpose(0, 2, 1)
+        de = alpha * (dalpha - (alpha * dalpha).sum(axis=2, keepdims=True))
+        grads_v += np.einsum("nht,ntha->ha", de, u)
+        dA = de.transpose(0, 2, 1)[..., None] * v * (1.0 - u * u)
+        dq = dA.sum(axis=1).reshape(N, H * A)
+        d_scores += dA
+        grads_Wq += cell_cache[1].T @ dq
+        ds_carry = ds_prev + dq @ Wq.T
+    _cell_weight_grads(grads, "dec_", [c[2] for c in reversed(step_caches)], dec_das)
+    np.add.at(grads["emb"], y_in.T.ravel(), d_emb.reshape(-1, model.embed_dim))
+    # the keys are the same at every step, so their gradient sums first
+    d_scores = d_scores.reshape(N * T, H * A)
+    grads_Wk = h_enc.reshape(N * T, E).T @ d_scores
+    for j in range(H):
+        cols = slice(j * A, (j + 1) * A)
+        grads[f"att{j}_Wq"] += grads_Wq[:, cols]
+        grads[f"att{j}_Wk"] += grads_Wk[:, cols]
+        grads[f"att{j}_v"] += grads_v[j]
+    d_seq = d_h_enc + (d_scores @ Wk.T).reshape(N, T, E)
+
+    for layer in reversed(range(model.n_enc_layers)):
+        layer_cache = enc_caches[layer]
+        Wz, Uz, Wh, Uh = (p[f"enc{layer}_{k}"] for k in ("Wz", "Uz", "Wh", "Uh"))
+        d_below = np.empty((N, T, Wz.shape[0]))
+        dh_carry = np.zeros((N, E))
+        enc_das = []
+        for t in reversed(range(T)):
+            d_below[:, t], dh_carry, da_h, da_z = _cell_backward(
+                d_seq[:, t] + dh_carry, layer_cache[t], Wz, Uz, Wh, Uh
             )
-            grads["emb"][y_in] += dx[: model.embed_dim]
-            dq_total = np.zeros(model.dec_hidden)
-            for j in range(model.n_heads):
-                lo = model.embed_dim + j * model.enc_hidden
-                dc = dx[lo : lo + model.enc_hidden]
-                u, alpha = att_caches[j]
-                dalpha = h_enc @ dc
-                d_h_enc += np.outer(alpha, dc)
-                de = alpha * (dalpha - np.dot(alpha, dalpha))
-                grads[f"att{j}_v"] += u.T @ de
-                dA = np.outer(de, p[f"att{j}_v"]) * (1.0 - u * u)
-                dA_sum = dA.sum(axis=0)
-                grads[f"att{j}_Wq"] += np.outer(s_prev, dA_sum)
-                grads[f"att{j}_Wk"] += h_enc.T @ dA
-                dq_total += dA_sum @ p[f"att{j}_Wq"].T
-                d_h_enc += dA @ p[f"att{j}_Wk"].T
-            ds_carry = ds_prev + dq_total
+            enc_das.append((da_h, da_z))
+        _cell_weight_grads(grads, f"enc{layer}_", layer_cache[::-1], enc_das)
+        d_seq = d_below
 
-        d_seq = d_h_enc
-        for layer in reversed(range(model.n_enc_layers)):
-            layer_cache = enc_caches[layer]
-            d_in_dim = model.feat_dim if layer == 0 else model.enc_hidden
-            d_below = np.zeros((T, d_in_dim))
-            dh_carry = np.zeros(model.enc_hidden)
-            for t in reversed(range(T)):
-                dh = d_seq[t] + dh_carry
-                dx_t, dh_carry = _cell_backward(
-                    dh, layer_cache[t],
-                    p[f"enc{layer}_Wz"], p[f"enc{layer}_Uz"],
-                    p[f"enc{layer}_Wh"], p[f"enc{layer}_Uh"],
-                    grads, f"enc{layer}_",
-                )
-                d_below[t] = dx_t
-            d_seq = d_below
-
-    loss = total_nll / total_tokens
     for k in grads:
         grads[k] /= total_tokens
     return loss, grads
@@ -572,10 +643,12 @@ def train_model(
 
 def teacher_forced_accuracy(model: ToyLasModel, corpus: Sequence[Utterance]) -> float:
     """Fraction of teacher-forced steps whose argmax equals the target."""
+    if not corpus:
+        raise ScorerError("corpus is empty")
     hits = 0
     total = 0
     for utt in corpus:
-        _validate_reference(model, utt)
+        _validate(model, utt)
         state = model.init_state(model.encode(utt.features))
         for y_in, y_out in zip((model.sos_id, *utt.reference[:-1]), utt.reference):
             dist, state = model.decode_step(state, y_in)

@@ -331,21 +331,25 @@ class TestDecodeStep:
 
     def test_teacher_forced_nll_recomputes(self, abc_alphabet):
         # the training loss must equal the probabilities of a chain of
-        # protocol steps
-        m = tiny_model(abc_alphabet, seed=15, scale=2.0)
-        rng = np.random.default_rng(16)
-        utts = [make_utt(abc_alphabet, rng, "u0", 4, "a b"),
-                make_utt(abc_alphabet, rng, "u1", 3, "c c a")]
-        loss, _ = loss_and_gradients(m, utts)
-        total, tokens = 0.0, 0
-        for utt in utts:
-            state, prev = m.start(utt), None
-            for y in utt.reference:
-                dist, state = step_distributions(m, state, prev)
-                total += -math.log(dist[y])
-                tokens += 1
-                prev = y
-        assert loss == pytest.approx(total / tokens, abs=1e-12)
+        # protocol steps, however unequal the padded lengths
+        for n_heads, n_enc_layers in ((1, 1), (4, 2)):
+            m = tiny_model(abc_alphabet, n_heads=n_heads, n_enc_layers=n_enc_layers,
+                           seed=15, scale=2.0)
+            rng = np.random.default_rng(16)
+            utts = [make_utt(abc_alphabet, rng, "u0", 4, "a b"),
+                    make_utt(abc_alphabet, rng, "u1", 3, "c c a"),
+                    make_utt(abc_alphabet, rng, "u2", 7, "b"),
+                    make_utt(abc_alphabet, rng, "u3", 1, "a c b a c")]
+            loss, _ = loss_and_gradients(m, utts)
+            total, tokens = 0.0, 0
+            for utt in utts:
+                state, prev = m.start(utt), None
+                for y in utt.reference:
+                    dist, state = step_distributions(m, state, prev)
+                    total += -math.log(dist[y])
+                    tokens += 1
+                    prev = y
+            assert loss == pytest.approx(total / tokens, abs=1e-12)
 
 
 class TestGradients:
@@ -396,6 +400,82 @@ class TestGradients:
             utt = Utterance("u", rng.normal(size=(2, 3)), ref)
             with pytest.raises(ScorerError, match=msg):
                 loss_and_gradients(m, [utt])
+
+    def test_feature_width_names_the_utterance(self, abc_alphabet):
+        m = tiny_model(abc_alphabet)
+        rng = np.random.default_rng(19)
+        utts = [make_utt(abc_alphabet, rng, "u0"),
+                Utterance("u1", rng.normal(size=(2, 5)), (1, abc_alphabet.id("<eos>")))]
+        for fn in (loss_and_gradients, teacher_forced_accuracy):
+            with pytest.raises(ScorerError, match=r"^u1: expected features shaped \(T, 3\), got \(2, 5\)$"):
+                fn(m, utts)
+
+    def test_zero_probability_names_the_first_utterance(self, abc_alphabet):
+        # out_b of -1e4 at "c" makes its softmax probability underflow to 0
+        m = tiny_model(abc_alphabet, seed=17)
+        m.params["out_b"][abc_alphabet.id("c")] = -1e4
+        rng = np.random.default_rng(20)
+        utts = [make_utt(abc_alphabet, rng, "u0", 3, "a b"),
+                make_utt(abc_alphabet, rng, "u1", 2, "b c"),
+                make_utt(abc_alphabet, rng, "u2", 4, "c a")]
+        with pytest.raises(ScorerError, match="^u1: target symbol has zero probability$"):
+            loss_and_gradients(m, utts)
+
+
+def _weighted_single_calls(model, utts):
+    """Loss and gradients of ``utts`` rebuilt from one call per utterance,
+    each weighted by its token count."""
+    tokens = sum(len(u.reference) for u in utts)
+    loss, grads = 0.0, {k: np.zeros_like(v) for k, v in model.params.items()}
+    for utt in utts:
+        w = len(utt.reference) / tokens
+        l1, g1 = loss_and_gradients(model, [utt])
+        loss += w * l1
+        for k in grads:
+            grads[k] += w * g1[k]
+    return loss, grads
+
+
+def _assert_close(got, want, rel=1e-12):
+    """Loss to ``rel`` relative, and each parameter's gradient to ``rel`` of
+    the whole gradient's norm: one parameter's own gradient can cancel to
+    1e-10 of the rest, below which only rounding is left to compare."""
+    loss, grads = got
+    assert loss == pytest.approx(want[0], rel=rel)
+    scale = math.sqrt(sum(np.linalg.norm(g) ** 2 for g in want[1].values()))
+    for k in grads:
+        err = np.linalg.norm(grads[k] - want[1][k])
+        assert err <= rel * scale, f"{k}: {err} against {scale}"
+
+
+class TestPadding:
+    """A corpus is one padded batch; padding must add exactly nothing."""
+
+    @pytest.mark.parametrize("n_heads,n_enc_layers", [(1, 1), (4, 2)])
+    def test_corpus_equals_weighted_single_calls(self, abc_alphabet, n_heads, n_enc_layers):
+        m = tiny_model(abc_alphabet, n_heads=n_heads, n_enc_layers=n_enc_layers, seed=40, scale=3.0)
+        rng = np.random.default_rng(41)
+        # u0 has the most frames, u2 the most tokens
+        utts = [make_utt(abc_alphabet, rng, "u0", 9, "a b"),
+                make_utt(abc_alphabet, rng, "u1", 1, "c"),
+                make_utt(abc_alphabet, rng, "u2", 3, "b a c c a b")]
+        _assert_close(loss_and_gradients(m, utts), _weighted_single_calls(m, utts))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_heads=st.integers(1, 3),
+        n_enc_layers=st.integers(1, 2),
+        shapes=st.lists(st.tuples(st.integers(1, 6), st.lists(st.integers(1, 3), max_size=5)),
+                        min_size=1, max_size=4),
+    )
+    def test_random_lengths(self, seed, n_heads, n_enc_layers, shapes):
+        alphabet = SymbolTable(["a", "b", "c", "<sos>", "<eos>"])
+        m = tiny_model(alphabet, n_heads=n_heads, n_enc_layers=n_enc_layers, seed=seed, scale=3.0)
+        rng = np.random.default_rng(seed)
+        utts = [Utterance(f"u{i}", rng.normal(size=(frames, 3)), (*ref, alphabet.id("<eos>")))
+                for i, (frames, ref) in enumerate(shapes)]
+        _assert_close(loss_and_gradients(m, utts), _weighted_single_calls(m, utts))
 
 
 class TestTraining:
@@ -461,6 +541,34 @@ class TestTraining:
         utt = make_utt(abc_alphabet, np.random.default_rng(27))
         with pytest.raises(ScorerError, match="optimizer"):
             train_model(m, [utt], 1, optimizer="lbfgs")
+
+    def test_accuracy_of_empty_corpus(self, abc_alphabet):
+        with pytest.raises(ScorerError, match="corpus is empty"):
+            teacher_forced_accuracy(tiny_model(abc_alphabet), [])
+
+    def test_checkpoints_are_byte_identical(self, tmp_path):
+        # two fresh trainings on a 16-utterance grapheme corpus of 1, 2, 3,
+        # 1, ... words must save the very same bytes
+        spell = {"go": "g o", "to": "t o", "sun": "s u n", "sea": "s e a", "ten": "t e n",
+                 "net": "n e t"}
+        letters = sorted({ch for sp in spell.values() for ch in sp.split()})
+        alphabet = SymbolTable([*letters, "<space>", "<sos>", "<eos>"])
+        rng = np.random.default_rng(1)
+        names = sorted(spell)
+        utts = []
+        for i in range(16):
+            words = [names[int(rng.integers(len(names)))] for _ in range(1 + i % 3)]
+            graphemes = " <space> ".join(spell[w] for w in words).split()
+            feats = np.zeros((len(graphemes), len(alphabet)))
+            feats[np.arange(len(graphemes)), alphabet.encode(graphemes)] = 1.0
+            utts.append(Utterance(f"utt{i:04d}", feats, (*alphabet.encode(graphemes), alphabet.id("<eos>"))))
+        blobs = []
+        for run in range(2):
+            m = ToyLasModel.init(alphabet, len(alphabet), seed=1)
+            train_model(m, utts, 5, 0.05, "adam")
+            save_checkpoint(m, tmp_path / f"run{run}.ckpt")
+            blobs.append((tmp_path / f"run{run}.ckpt").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_loss_trace_csv(self, tmp_path):
         path = tmp_path / "trace.csv"
