@@ -33,7 +33,7 @@ from .decoder import (
 )
 from .fst import SymbolTable, write_fst_text
 from .lexicon import EOW_MODES, compile_lexicon, parse_lexicon
-from .ngram import lm_to_fst, read_arpa, train_ngram, write_arpa
+from .ngram import NGramError, lm_to_fst, read_arpa, train_ngram, write_arpa
 from .scorer import (
     ToyLasModel,
     load_checkpoint,
@@ -155,7 +155,11 @@ def _decode_config(args: argparse.Namespace, **fields) -> DecodeConfig:
 def _load_resources(args: argparse.Namespace) -> DecodeResources:
     lex = parse_lexicon(_read_text(args.lexicon))
     lm = read_arpa(args.lm)
-    return DecodeResources(compile_lexicon(lex, args.eow_mode), lm_to_fst(lm))
+    try:
+        lm_fst = lm_to_fst(lm)
+    except NGramError as err:
+        raise NGramError(f"{args.lm}: {err}") from None
+    return DecodeResources(compile_lexicon(lex, args.eow_mode), lm_fst)
 
 
 def _task_scorer(args: argparse.Namespace, task):

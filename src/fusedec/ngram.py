@@ -254,6 +254,11 @@ def lm_to_fst(lm: NGramModel) -> WeightedFst:
     reach a shorter context whose later arcs are cheaper, so the best path
     may undercut the query rule; decoding is Viterbi throughout, so the
     optimistic bound is the accepted behavior.
+
+    A backoff weight above 1 (log10 backoff > 0, which ``train_ngram`` never
+    writes) raises :class:`NGramError`: its arc would be negative, which no
+    fusion graph accepts, and clamping it to 0 would misprice every
+    sentence that backs off through it.
     """
     contexts = sorted(lm.contexts, key=lambda c: (len(c), c))
     state_of = {ctx: i for i, ctx in enumerate(contexts)}
@@ -278,7 +283,13 @@ def lm_to_fst(lm: NGramModel) -> WeightedFst:
             nxt = gram if len(gram) < lm.order else gram[1:]
             arcs.append(Arc(src, resolve_state(nxt), wid, wid, cost))
     for ctx in sorted(lm.backoffs, key=lambda c: (len(c), c)):
-        arcs.append(Arc(state_of[ctx], resolve_state(ctx[1:]), 0, 0, max(0.0, -lm.backoffs[ctx])))
+        bow = lm.backoffs[ctx]
+        if bow > 0.0:
+            raise NGramError(
+                f"context '{' '.join(map(lm.vocab.sym, ctx))}' has log10 backoff {bow / _LN10:.6g}: "
+                "a backoff weight above 1 would need a negative arc"
+            )
+        arcs.append(Arc(state_of[ctx], resolve_state(ctx[1:]), 0, 0, -bow))
 
     return build_fst(
         arcs,

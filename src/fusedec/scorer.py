@@ -7,7 +7,7 @@ which scorer it holds:
 - ``scorer.token_limit(utt)``: the longest token string (``<eos>`` not
   counted) the scorer can grade for this utterance;
 - ``scorer.start(utt) -> state``: per-utterance work, done once (the model
-  encodes the features here);
+  encodes the features and computes its attention keys here);
 - ``scorer.step(state, token) -> (dist, state)``: consume ``token``
   (``None`` on the first step, which the model reads as ``<sos>``) and
   return the next-symbol distribution with the state after it;
@@ -25,7 +25,8 @@ Distributions are dense float64 arrays of probabilities (at most 1, so no
 step lowers a hypothesis's cost) indexed by symbol id; epsilon and
 ``<sos>`` positions are structurally zero since a decode step can never
 produce them.  Everything runs in float64 so the analytic gradients can be
-checked against central finite differences at tight tolerance.
+checked against central finite differences at tight tolerance.  Training
+and decoding run one ``ToyLasModel`` forward pass, batched over utterances.
 """
 
 from __future__ import annotations
@@ -91,10 +92,12 @@ def _emit_mask(alphabet: SymbolTable) -> np.ndarray:
 
 
 def _masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(logits)
-    live = logits[mask]
-    live = np.exp(live - live.max())
-    out[mask] = live / live.sum()
+    """Softmax over the last axis, among the positions ``mask`` keeps; the
+    others are exactly 0."""
+    out = np.zeros(logits.shape)
+    live = logits[..., mask]
+    live = np.exp(live - live.max(axis=-1, keepdims=True))
+    out[..., mask] = live / live.sum(axis=-1, keepdims=True)
     return out
 
 
@@ -159,13 +162,19 @@ class TableScorer:
 
 @dataclass(frozen=True)
 class DecoderStepState:
-    """Carried between decode steps: the encoder output, the recurrent
-    vector, how much attention mass each encoder frame has accumulated so
-    far (non-decreasing), and how many steps have been taken.  The attention
-    of the step leaving the state is filled in on first use, so siblings and
-    ``covered()`` share it."""
+    """Carried between decode steps.  Fixed per utterance by
+    ``ToyLasModel.init_state``: the encoder output ``h_enc`` (T, E), and
+    every head's keys ``h_enc @ Wk`` (1, T, H, A), query weights ``Wq``
+    (dec_hidden, H * A) and scores ``v`` (H, A).  Per step: the recurrent
+    vector ``s``, how much attention mass each encoder frame has accumulated
+    so far (non-decreasing), and how many steps have been taken.  The
+    attention of the step leaving the state is filled in on first use, so
+    siblings and ``covered()`` share it."""
 
     h_enc: np.ndarray
+    keys: np.ndarray
+    Wq: np.ndarray
+    v: np.ndarray
     s: np.ndarray
     cum_attention: np.ndarray
     steps: int = 0
@@ -237,6 +246,11 @@ class ToyLasModel:
     the decoder state from before the step; the resulting contexts are
     concatenated with the embedded previous symbol and fed to the decoder
     cell, whose new state produces the output logits.
+
+    The forward pass is written once, over a batch of N utterances:
+    ``_encode``, ``_attend`` and ``_masked_softmax``.  Training runs it over
+    the whole padded corpus; decoding runs it at N = 1, with the attention
+    keys computed once per utterance by :meth:`init_state`.
     """
 
     def __init__(
@@ -253,11 +267,11 @@ class ToyLasModel:
         n_enc_layers: int,
         max_prefix: int = 256,
     ):
-        for name, value in (("feat_dim", feat_dim), ("enc_hidden", enc_hidden),
-                            ("dec_hidden", dec_hidden), ("att_dim", att_dim),
-                            ("embed_dim", embed_dim), ("n_heads", n_heads)):
-            if value < 1:
-                raise ScorerError(f"{name} must be >= 1, got {value}")
+        dims = (feat_dim, enc_hidden, dec_hidden, att_dim, embed_dim, n_heads, n_enc_layers)
+        for name, value in (*zip(_MODEL_DIMS, dims), ("max_prefix", max_prefix)):
+            least = 0 if name == "max_prefix" else 1
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ScorerError(f"{name} must be an integer >= {least}, got {value!r}")
         if n_enc_layers not in (1, 2):
             raise ScorerError(f"n_enc_layers must be 1 or 2, got {n_enc_layers}")
         for required in (SOS, EOS):
@@ -275,8 +289,7 @@ class ToyLasModel:
         self.sos_id = alphabet.id(SOS)
         self.eos_id = alphabet.id(EOS)
         self.emit_mask = _emit_mask(alphabet)
-        expected = _param_shapes(len(alphabet), feat_dim, enc_hidden, dec_hidden, att_dim,
-                                 embed_dim, n_heads, n_enc_layers)
+        expected = _param_shapes(len(alphabet), *dims)
         if set(params) != set(expected):
             missing = sorted(set(expected) - set(params))
             extra = sorted(set(params) - set(expected))
@@ -309,57 +322,69 @@ class ToyLasModel:
         params = {k: rng.uniform(-0.1, 0.1, size=shape) for k, shape in shapes.items()}
         return cls(alphabet, feat_dim, params, **dims, max_prefix=max_prefix)
 
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        """Run the recurrent encoder; returns one hidden vector per frame."""
-        h_seq, _ = self._encode_cached(x)
-        return h_seq
+    def _cell(self, prefix: str) -> tuple[np.ndarray, ...]:
+        """The weights of the recurrent cell ``prefix``, in ``_cell_forward``'s order."""
+        p = self.params
+        return (p[prefix + "Wz"], p[prefix + "Uz"], p[prefix + "bz"],
+                p[prefix + "Wh"], p[prefix + "Uh"], p[prefix + "bh"])
 
-    def _encode_cached(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.feat_dim:
-            raise ScorerError(f"expected features shaped (T, {self.feat_dim}), got {x.shape}")
-        if x.shape[0] < 1:
-            raise ScorerError("encoder needs at least one frame")
+    def _heads(self):
+        """(Wq, Wk, v) of every head at once: head j owns columns
+        j*A:(j+1)*A of Wq and Wk and row j of v."""
+        p, H = self.params, range(self.n_heads)
+        return (
+            np.concatenate([p[f"att{j}_Wq"] for j in H], axis=1),
+            np.concatenate([p[f"att{j}_Wk"] for j in H], axis=1),
+            np.stack([p[f"att{j}_v"] for j in H]),
+        )
+
+    def _encode(self, x: np.ndarray):
+        """The encoder over an (N, T, d) batch: the top layer's (N, T,
+        enc_hidden) outputs, and each layer's cell cache per time step."""
         caches = []
         seq = x
         for layer in range(self.n_enc_layers):
-            p = self.params
-            Wz, Uz, bz = p[f"enc{layer}_Wz"], p[f"enc{layer}_Uz"], p[f"enc{layer}_bz"]
-            Wh, Uh, bh = p[f"enc{layer}_Wh"], p[f"enc{layer}_Uh"], p[f"enc{layer}_bh"]
-            h = np.zeros(self.enc_hidden)
-            outs = np.empty((seq.shape[0], self.enc_hidden))
+            cell = self._cell(f"enc{layer}_")
+            h = np.zeros((x.shape[0], self.enc_hidden))
+            outs = np.empty((*x.shape[:2], self.enc_hidden))
             layer_cache = []
-            for t in range(seq.shape[0]):
-                h, cache = _cell_forward(seq[t], h, Wz, Uz, bz, Wh, Uh, bh)
-                outs[t] = h
+            for t in range(x.shape[1]):
+                h, cache = _cell_forward(seq[:, t], h, *cell)
+                outs[:, t] = h
                 layer_cache.append(cache)
             caches.append(layer_cache)
             seq = outs
         return seq, caches
 
-    def _attend_cached(self, h_enc: np.ndarray, s_prev: np.ndarray):
-        """Additive attention for every head.
+    @staticmethod
+    def _attend(keys, s, h_enc, Wq, v, pad=None):
+        """Additive attention, every head and utterance of a batch at once.
 
-        Returns (contexts, weights, caches): contexts is (H, enc_hidden),
-        weights is (H, T) with each row summing to 1, and caches holds each
-        head's (u, alpha) for the backward pass.
+        ``keys`` (N, T, H, A) is ``h_enc @ Wk``, ``s`` (N, dec_hidden) the
+        decoder states before the step (one (dec_hidden,) vector at N = 1),
+        and ``pad`` (N, 1, T), if given, is True on padded frames, whose
+        weight is then exactly 0.  Returns the tanh scores u (N, T, H, A),
+        the weights alpha (N, H, T), and the contexts (N, H * E), head j's
+        in columns j*E:(j+1)*E.
         """
-        T = h_enc.shape[0]
-        contexts = np.empty((self.n_heads, self.enc_hidden))
-        weights = np.empty((self.n_heads, T))
-        caches = []
-        for j in range(self.n_heads):
-            Wq = self.params[f"att{j}_Wq"]
-            Wk = self.params[f"att{j}_Wk"]
-            v = self.params[f"att{j}_v"]
-            u = np.tanh(s_prev @ Wq + h_enc @ Wk)
-            e = u @ v
-            e = np.exp(e - e.max())
-            alpha = e / e.sum()
-            contexts[j] = alpha @ h_enc
-            weights[j] = alpha
-            caches.append((u, alpha))
-        return contexts, weights, caches
+        N, _, H, A = keys.shape
+        u = np.tanh(keys + (s @ Wq).reshape(N, 1, H, A))
+        e = np.einsum("ntha,ha->nht", u, v)
+        if pad is not None:
+            e = np.where(pad, -np.inf, e)
+        e = np.exp(e - e.max(axis=2, keepdims=True))
+        alpha = e / e.sum(axis=2, keepdims=True)
+        return u, alpha, (alpha @ h_enc).reshape(N, -1)
+
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        """Run the recurrent encoder; returns one hidden vector per frame."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.feat_dim:
+            raise ScorerError(f"expected features shaped (T, {self.feat_dim}), got {x.shape}")
+        if x.shape[0] < 1:
+            raise ScorerError("encoder needs at least one frame")
+        h_enc, _ = self._encode(x[None])
+        return h_enc[0]
 
     def token_limit(self, utt: Utterance) -> int:
         return self.max_prefix
@@ -377,46 +402,37 @@ class ToyLasModel:
     def covered(self, state: DecoderStepState, threshold: float) -> int:
         """Frames above ``threshold`` after one more step, whose attention
         depends only on ``state`` and not on the symbol it consumes."""
-        _, weights, _ = self._state_attention(state)
-        return int(np.count_nonzero(state.cum_attention + weights.mean(axis=0) > threshold))
+        coverage, _ = self._state_attention(state)
+        return int(np.count_nonzero(state.cum_attention + coverage > threshold))
 
     def init_state(self, h_enc: np.ndarray) -> DecoderStepState:
-        return DecoderStepState(
-            h_enc=h_enc,
-            s=np.zeros(self.dec_hidden),
-            cum_attention=np.zeros(h_enc.shape[0]),
-        )
+        """The state before <sos>, for the encoder output ``h_enc``."""
+        Wq, Wk, v = self._heads()
+        T = h_enc.shape[0]
+        keys = (h_enc @ Wk).reshape(1, T, self.n_heads, self.att_dim)
+        return DecoderStepState(h_enc, keys, Wq, v, np.zeros(self.dec_hidden), np.zeros(T))
 
     def decode_step(self, state: DecoderStepState, y_prev: int):
         """One decoder step; returns (distribution, next state)."""
         if not 0 <= y_prev < len(self.alphabet):
             raise ScorerError(f"symbol id {y_prev} out of range for this alphabet")
-        dist, new_state, _ = self._decode_step_cached(state, y_prev)
-        return dist, new_state
+        coverage, context = self._state_attention(state)
+        p = self.params
+        s, _ = _cell_forward(np.concatenate([p["emb"][y_prev], context]), state.s, *self._cell("dec_"))
+        dist = _masked_softmax(s @ p["out_W"] + p["out_b"], self.emit_mask)
+        return dist, DecoderStepState(
+            state.h_enc, state.keys, state.Wq, state.v, s, state.cum_attention + coverage, state.steps + 1
+        )
 
     def _state_attention(self, state: DecoderStepState):
-        """``_attend_cached`` for the step leaving ``state``, once per state."""
+        """The attention of the step leaving ``state``, once per state: the
+        mass it adds to each frame (the heads' mean weight) and the
+        concatenated contexts."""
         if state._attention is None:
-            object.__setattr__(state, "_attention", self._attend_cached(state.h_enc, state.s))
+            _, alpha, contexts = self._attend(state.keys, state.s, state.h_enc, state.Wq, state.v)
+            # the sum over heads / H is np.mean's arithmetic, without its wrapper
+            object.__setattr__(state, "_attention", (alpha[0].sum(axis=0) / self.n_heads, contexts[0]))
         return state._attention
-
-    def _decode_step_cached(self, state: DecoderStepState, y_prev: int):
-        contexts, weights, att_caches = self._state_attention(state)
-        x = np.concatenate([self.params["emb"][y_prev], contexts.ravel()])
-        p = self.params
-        s_new, cell_cache = _cell_forward(
-            x, state.s, p["dec_Wz"], p["dec_Uz"], p["dec_bz"],
-            p["dec_Wh"], p["dec_Uh"], p["dec_bh"],
-        )
-        logits = s_new @ p["out_W"] + p["out_b"]
-        dist = _masked_softmax(logits, self.emit_mask)
-        new_state = DecoderStepState(
-            h_enc=state.h_enc,
-            s=s_new,
-            cum_attention=state.cum_attention + weights.mean(axis=0),
-            steps=state.steps + 1,
-        )
-        return dist, new_state, (att_caches, cell_cache, dist, contexts, weights)
 
 
 def step_distributions(scorer, state, token: int | None):
@@ -457,6 +473,8 @@ def loss_and_gradients(model: ToyLasModel, corpus: Sequence[Utterance]):
     recurrences never read it; attention gives padded frames a -inf logit
     (weight exactly 0), and padded steps get a zero dlogits row.  Padded
     positions therefore add exactly 0 to the loss and to every gradient.
+    The forward pass is the model's own ``_encode``, ``_attend`` and
+    ``_masked_softmax``, the same code a decode step runs at N = 1.
 
     The backward pass is hand-derived backpropagation through the decoder
     steps, the attention heads, and the encoder recurrence, in that order,
@@ -485,48 +503,22 @@ def loss_and_gradients(model: ToyLasModel, corpus: Sequence[Utterance]):
         y_in[n, 1 : tokens[n]] = utt.reference[:-1]
         y_out[n, : tokens[n]] = utt.reference
 
-    # encoder
-    enc_caches = []
-    seq = x
-    for layer in range(model.n_enc_layers):
-        cell = [p[f"enc{layer}_{k}"] for k in ("Wz", "Uz", "bz", "Wh", "Uh", "bh")]
-        h = np.zeros((N, E))
-        outs = np.empty((N, T, E))
-        layer_cache = []
-        for t in range(T):
-            h, cache = _cell_forward(seq[:, t], h, *cell)
-            outs[:, t] = h
-            layer_cache.append(cache)
-        enc_caches.append(layer_cache)
-        seq = outs
-    h_enc = seq
-
-    # decoder, every head at once: head j owns columns j*A:(j+1)*A
-    Wq = np.concatenate([p[f"att{j}_Wq"] for j in range(H)], axis=1)
-    Wk = np.concatenate([p[f"att{j}_Wk"] for j in range(H)], axis=1)
-    v = np.stack([p[f"att{j}_v"] for j in range(H)])
+    h_enc, enc_caches = model._encode(x)
+    Wq, Wk, v = model._heads()
     keys = (h_enc @ Wk).reshape(N, T, H, A)
-    pad_frames = ~frame_mask[:, None, :]
-    dec = [p[f"dec_{k}"] for k in ("Wz", "Uz", "bz", "Wh", "Uh", "bh")]
+    pad = ~frame_mask[:, None, :]
+    dec = model._cell("dec_")
     s = np.zeros((N, model.dec_hidden))
     states, step_caches = [], []
     for l in range(L):
-        u = np.tanh(keys + (s @ Wq).reshape(N, 1, H, A))
-        e = np.where(pad_frames, -np.inf, np.einsum("ntha,ha->nht", u, v))
-        e = np.exp(e - e.max(axis=2, keepdims=True))
-        alpha = e / e.sum(axis=2, keepdims=True)
-        contexts = (alpha @ h_enc).reshape(N, H * E)
+        u, alpha, contexts = model._attend(keys, s, h_enc, Wq, v, pad)
         s, cell_cache = _cell_forward(
             np.concatenate([p["emb"][y_in[:, l]], contexts], axis=1), s, *dec
         )
         states.append(s)
         step_caches.append((u, alpha, cell_cache))
     states = np.stack(states, axis=1)
-    logits = states @ p["out_W"] + p["out_b"]
-    live = logits[..., model.emit_mask]
-    live = np.exp(live - live.max(axis=2, keepdims=True))
-    dist = np.zeros_like(logits)
-    dist[..., model.emit_mask] = live / live.sum(axis=2, keepdims=True)
+    dist = _masked_softmax(states @ p["out_W"] + p["out_b"], model.emit_mask)
     rows, steps = np.nonzero(token_mask)
     targets = dist[rows, steps, y_out[rows, steps]]
     if np.any(targets <= 0.0):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -242,6 +243,87 @@ def replay_distribution(scorer, utt, prefix):
     for y in prefix:
         dist, state = scorer.decode_step(state, y)
     return dist
+
+
+@dataclass(frozen=True)
+class ReferenceStepState:
+    """What :func:`reference_decode_step` carries between steps: the encoder
+    output (T, enc_hidden), the recurrent vector (dec_hidden,), the
+    attention mass each frame has accumulated, and the steps taken."""
+
+    h_enc: np.ndarray
+    s: np.ndarray
+    cum_attention: np.ndarray
+    steps: int = 0
+
+
+def reference_state(model, h_enc):
+    """The :class:`ReferenceStepState` before <sos>."""
+    return ReferenceStepState(h_enc, np.zeros(model.dec_hidden), np.zeros(h_enc.shape[0]))
+
+
+def _reference_cell(x, h_prev, Wz, Uz, bz, Wh, Uh, bh):
+    z = 1.0 / (1.0 + np.exp(-(x @ Wz + h_prev @ Uz + bz)))
+    g = np.tanh(x @ Wh + h_prev @ Uh + bh)
+    h = (1.0 - z) * h_prev + z * g
+    return h, (x, h_prev, z, g)
+
+
+def _reference_masked_softmax(logits, mask):
+    out = np.zeros_like(logits)
+    live = logits[mask]
+    live = np.exp(live - live.max())
+    out[mask] = live / live.sum()
+    return out
+
+
+def reference_attend(model, h_enc, s_prev):
+    """Additive attention of a ``ToyLasModel``, one head at a time, with
+    every head's keys recomputed from ``h_enc``.
+
+    Returns (contexts, weights, caches): contexts is (H, enc_hidden),
+    weights is (H, T) with each row summing to 1, and caches holds each
+    head's (u, alpha).
+    """
+    T = h_enc.shape[0]
+    contexts = np.empty((model.n_heads, model.enc_hidden))
+    weights = np.empty((model.n_heads, T))
+    caches = []
+    for j in range(model.n_heads):
+        Wq = model.params[f"att{j}_Wq"]
+        Wk = model.params[f"att{j}_Wk"]
+        v = model.params[f"att{j}_v"]
+        u = np.tanh(s_prev @ Wq + h_enc @ Wk)
+        e = u @ v
+        e = np.exp(e - e.max())
+        alpha = e / e.sum()
+        contexts[j] = alpha @ h_enc
+        weights[j] = alpha
+        caches.append((u, alpha))
+    return contexts, weights, caches
+
+
+def reference_decode_step(model, state, y_prev):
+    """One decode step of a ``ToyLasModel`` for one utterance, written apart
+    from the package's batched forward pass: one head at a time, on vectors,
+    with the keys recomputed every step.  Returns (distribution, next
+    :class:`ReferenceStepState`, caches of the step)."""
+    contexts, weights, att_caches = reference_attend(model, state.h_enc, state.s)
+    x = np.concatenate([model.params["emb"][y_prev], contexts.ravel()])
+    p = model.params
+    s_new, cell_cache = _reference_cell(
+        x, state.s, p["dec_Wz"], p["dec_Uz"], p["dec_bz"],
+        p["dec_Wh"], p["dec_Uh"], p["dec_bh"],
+    )
+    logits = s_new @ p["out_W"] + p["out_b"]
+    dist = _reference_masked_softmax(logits, model.emit_mask)
+    new_state = ReferenceStepState(
+        h_enc=state.h_enc,
+        s=s_new,
+        cum_attention=state.cum_attention + weights.mean(axis=0),
+        steps=state.steps + 1,
+    )
+    return dist, new_state, (att_caches, cell_cache, dist, contexts, weights)
 
 
 def replay_coverage(scorer, utt, prefix, threshold):

@@ -53,14 +53,22 @@ def test_tracer_wraps_every_name_and_sees_the_scorer_steps():
         assert tracer.absent == {}
         alphabet = SymbolTable(["a", "b", "<space>", "<sos>", "<eos>"])
         model = ToyLasModel.init(alphabet, 2, enc_hidden=3, dec_hidden=3, att_dim=2, embed_dim=2)
-        utts = [Utterance(f"u{i}", np.full((3, 2), float(i)), (1,)) for i in range(2)]
-        tracer.active, tracer.phase = True, "decode"
+        utts = [Utterance(f"u{i}", np.full((3, 2), float(i)), (1, alphabet.id("<eos>"))) for i in range(2)]
+        # training shares the forward pass with decoding, but must not show
+        # up as encodes or model steps
+        tracer.active = True
+        fusedec.scorer.train_model(model, utts, 2)
+        training = tracer.take().calls
+        tracer.phase = "decode"
         decode_batch(model, DecodeResources(), utts, DecodeConfig(beam_width=2, max_steps=4))
         calls = tracer.take().calls
     finally:
         tracer.restore()
     for (owner, attr), fn in originals.items():
         assert getattr(owner, attr) is fn
+    assert training["scorer.train"] == 1
+    assert training.get("scorer.encode", 0) == 0
+    assert training.get("scorer.model_step", 0) == 0
     assert calls["decode"] == 2
     assert calls["scorer.encode"] == 2
     assert calls["scorer.step"] > 2

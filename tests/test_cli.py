@@ -17,7 +17,8 @@ from fusedec import sweep as sweep_mod
 from fusedec.cli import main
 from fusedec.fst import SymbolTable, read_fst_text
 from fusedec.ngram import read_arpa, score_sequence
-from fusedec.synth import load_task
+from fusedec.scorer import ToyLasModel, save_checkpoint
+from fusedec.synth import build_table_scorer, load_task, task_alphabet
 from fusedec.wer import corpus_wer
 
 LEXICON = "I\tay\neye\tay\nam\tae m\n"
@@ -343,6 +344,31 @@ def _checkpoint_without_arrays(task, ckpt):
     return ckpt
 
 
+def _edited_checkpoint(task, ckpt, **fields):
+    """A checkpoint for ``task`` at the default sizes, with ``fields`` set in
+    its header."""
+    loaded = load_task(task)
+    _, utts = build_table_scorer(loaded)
+    save_checkpoint(ToyLasModel.init(task_alphabet(loaded), utts[0].features.shape[1]), ckpt)
+    raw = ckpt.read_bytes()
+    (size,) = struct.unpack_from("<I", raw, 8)
+    header = json.dumps({**json.loads(raw[12 : 12 + size]), **fields}).encode()
+    ckpt.write_bytes(raw[:4] + struct.pack("<II", 1, len(header)) + header + raw[12 + size :])
+    return ckpt
+
+
+def _checkpoint_with_a_string_max_prefix(task, ckpt):
+    return _edited_checkpoint(task, ckpt, max_prefix="7")
+
+
+def _checkpoint_with_a_negative_max_prefix(task, ckpt):
+    return _edited_checkpoint(task, ckpt, max_prefix=-3)
+
+
+def _checkpoint_with_a_float_dimension(task, ckpt):
+    return _edited_checkpoint(task, ckpt, dec_hidden=16.0)
+
+
 def _utterance_without_words(task, ckpt):
     path = task / "utterances.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -425,6 +451,9 @@ class TestMalformedInputFiles:
         [
             _truncated_checkpoint,
             _checkpoint_without_arrays,
+            _checkpoint_with_a_string_max_prefix,
+            _checkpoint_with_a_negative_max_prefix,
+            _checkpoint_with_a_float_dimension,
             _utterance_without_words,
             _utterance_with_a_repeated_uid,
             _utterance_with_string_words,
@@ -450,6 +479,24 @@ class TestMalformedInputFiles:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_decode_refuses_a_backoff_above_one(self, pipeline, tmp_path, capsys):
+        # a task may carry such an LM (synth only samples from it), but no
+        # fusion graph can charge a backoff weight above 1
+        lm = tmp_path / "lm.arpa"
+        lines = (pipeline / "lm.arpa").read_text(encoding="utf-8").splitlines()
+        n = next(i for i, line in enumerate(lines) if line.split("\t")[1:2] == ["<s>"])
+        lines[n] = "\t".join([*lines[n].split("\t")[:2], "0.3"])
+        lm.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        args = decode_args(pipeline, out, "--fusion", "beam", "--lm-weight", "0.1")
+        args[args.index("--lm") + 1] = str(lm)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {lm}: context '<s>' has log10 backoff 0.3")
         assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()

@@ -629,7 +629,7 @@ class TestAttentionScorerSearch:
 
         def attend(*args):
             attends[0] += 1
-            return ToyLasModel._attend_cached(model, *args)
+            return ToyLasModel._attend(*args)
 
         def seen(fn):
             def wrapper(state, *args):
@@ -637,7 +637,7 @@ class TestAttentionScorerSearch:
                 return fn(state, *args)
             return wrapper
 
-        monkeypatch.setattr(model, "_attend_cached", attend)
+        monkeypatch.setattr(model, "_attend", attend)
         monkeypatch.setattr(model, "step", seen(model.step))
         monkeypatch.setattr(model, "covered", seen(model.covered))
         utt = Utterance("u0", np.random.default_rng(7).normal(size=(4, 3)), (1,))

@@ -265,6 +265,23 @@ class TestFstExport:
                 assert weight <= -score + 1e-9
         return compared
 
+    @pytest.mark.parametrize("bos_backoff, named", [("0.3", "'<s>' has log10 backoff 0.3"),
+                                                    ("-0.3", "'a' has log10 backoff 0.2")])
+    def test_backoff_weight_above_one_is_refused(self, tmp_path, bos_backoff, named):
+        # log10 backoff > 0 would need a negative arc; clamped to 0 instead,
+        # "b" cost 2.763 against -score_sequence 2.072 with both positive
+        path = tmp_path / "lm.arpa"
+        path.write_text(
+            "\\data\\\nngram 1=4\nngram 2=2\n\n\\1-grams:\n"
+            f"-99\t<s>\t{bos_backoff}\n-0.5\t</s>\n-0.6\ta\t0.2\n-0.7\tb\n\n"
+            "\\2-grams:\n-0.1\t<s> a\n-0.2\ta </s>\n\n\\end\\\n",
+            encoding="utf-8",
+        )
+        lm = read_arpa(path)
+        assert math.isfinite(score_sequence(lm, ["b", "a"]))
+        with pytest.raises(NGramError, match=f"^context {named}: "):
+            lm_to_fst(lm)
+
     def test_direct_arc_never_beaten_by_backoff(self):
         # the tropical min only matches the query rule if stored grams are
         # at least as probable as their own backoff route

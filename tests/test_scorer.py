@@ -25,7 +25,7 @@ from fusedec.scorer import (
     write_loss_trace,
 )
 
-from oracles import replay_coverage, replay_distribution
+from oracles import reference_decode_step, reference_state, replay_coverage, replay_distribution
 
 
 @pytest.fixture
@@ -239,11 +239,19 @@ class TestEncode:
             np.testing.assert_allclose(got, np.array(want), atol=1e-10)
 
 
+def attend(model, h_enc, s):
+    """``model._attend`` for one utterance, with the keys ``init_state``
+    computes: (contexts (H, enc_hidden), weights (H, T))."""
+    state = model.init_state(h_enc)
+    _, alpha, contexts = model._attend(state.keys, s, h_enc, state.Wq, state.v)
+    return contexts.reshape(model.n_heads, model.enc_hidden), alpha[0]
+
+
 class TestAttend:
     def test_single_frame_attends_fully(self, abc_alphabet):
         m = tiny_model(abc_alphabet, n_heads=2)
         h_enc = np.random.default_rng(1).normal(size=(1, 4))
-        contexts, weights, _ = m._attend_cached(h_enc, np.zeros(4))
+        contexts, weights = attend(m, h_enc, np.zeros(4))
         np.testing.assert_allclose(weights, np.ones((2, 1)))
         for j in range(2):
             np.testing.assert_allclose(contexts[j], h_enc[0])
@@ -251,7 +259,7 @@ class TestAttend:
     def test_identical_frames_uniform(self, abc_alphabet):
         m = tiny_model(abc_alphabet)
         h_enc = np.tile(np.random.default_rng(2).normal(size=4), (5, 1))
-        _, weights, _ = m._attend_cached(h_enc, np.ones(4))
+        _, weights = attend(m, h_enc, np.ones(4))
         np.testing.assert_allclose(weights, np.full((1, 5), 0.2))
 
     def test_matches_straight_line_formula(self, abc_alphabet):
@@ -259,7 +267,7 @@ class TestAttend:
         m = tiny_model(abc_alphabet, n_heads=3, seed=4, scale=4.0)
         h_enc = rng.normal(size=(5, 4))
         s = rng.normal(size=4)
-        contexts, weights, _ = m._attend_cached(h_enc, s)
+        contexts, weights = attend(m, h_enc, s)
         want_c, want_w = attend_oracle(m, h_enc.tolist(), s.tolist())
         np.testing.assert_allclose(contexts, np.array(want_c), atol=1e-10)
         np.testing.assert_allclose(weights, np.array(want_w), atol=1e-10)
@@ -270,7 +278,7 @@ class TestAttend:
             for part in ("Wq", "Wk", "v"):
                 m.params[f"att{j}_{part}"] = m.params[f"att0_{part}"].copy()
         rng = np.random.default_rng(7)
-        contexts, weights, _ = m._attend_cached(rng.normal(size=(6, 4)), rng.normal(size=4))
+        contexts, weights = attend(m, rng.normal(size=(6, 4)), rng.normal(size=4))
         for j in range(1, 4):
             np.testing.assert_array_equal(contexts[j], contexts[0])
             np.testing.assert_array_equal(weights[j], weights[0])
@@ -308,6 +316,31 @@ class TestDecodeStep:
             assert np.all(state.cum_attention >= prev - 1e-15)
             assert state.cum_attention.sum() == pytest.approx(prev.sum() + 1.0, abs=1e-9)
             prev = state.cum_attention
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_heads=st.integers(1, 4),
+        n_enc_layers=st.integers(1, 2),
+        sizes=st.tuples(*[st.integers(1, 5)] * 4),
+        frames=st.integers(1, 6),
+        tokens=st.lists(st.integers(0, 5), max_size=6),
+    )
+    def test_matches_per_head_reference(self, seed, n_heads, n_enc_layers, sizes, frames, tokens):
+        alphabet = SymbolTable(["a", "b", "c", "<sos>", "<eos>"])
+        enc_hidden, dec_hidden, att_dim, embed_dim = sizes
+        m = ToyLasModel.init(alphabet, 3, enc_hidden=enc_hidden, dec_hidden=dec_hidden, att_dim=att_dim,
+                             embed_dim=embed_dim, n_heads=n_heads, n_enc_layers=n_enc_layers, seed=seed)
+        for k in m.params:
+            m.params[k] *= 3.0
+        h_enc = m.encode(np.random.default_rng(seed).normal(size=(frames, 3)))
+        state, ref = m.init_state(h_enc), reference_state(m, h_enc)
+        for y in (m.sos_id, *tokens):
+            dist, state = m.decode_step(state, y)
+            want, ref, _ = reference_decode_step(m, ref, y)
+            np.testing.assert_allclose(dist, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.cum_attention, ref.cum_attention, rtol=0, atol=1e-12)
+            assert state.steps == ref.steps
 
     def test_step_distributions_equals_manual_chain(self, abc_alphabet):
         m = tiny_model(abc_alphabet, seed=12)
