@@ -358,8 +358,9 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
 
     A live entry is (total_cost, tokens, hypothesis, scorer state): the
     leading pair is ``_hyp_key``, unique per entry, so entries sort natively;
-    the state is the parent's after the parent's step, so every expansion is
-    one scorer step.
+    the state is the parent's after the parent's step.  Each depth makes one
+    scorer step over every live entry at once, and one coverage count when
+    ``coverage_weight`` is positive.
 
     Children are ranked before any is built.  A candidate is the tuple
     ``(total, parent's token rank, tid, score, ahead, parent's index)``:
@@ -377,7 +378,8 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
 
     Finished hypotheses go into ``best``, the bounded n-best itself: at
     most ``nbest_size`` of them in ``_hyp_key`` order, returned as it
-    stands.  Threshold pruning keeps it exactly the unpruned beam's.  Once
+    stands; once it is full, one that would sort after its last entry is
+    not built.  Threshold pruning keeps it exactly the unpruned beam's.  Once
     it is full, the bar is the cost of its last entry.  Along any path
     ``-score + lm_weight * lm_cost`` never falls: each step adds ``-log p
     >= 0``, and ``StateSet.best`` and ``graph.final_best`` cannot fall, as
@@ -407,32 +409,32 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     root = Hypothesis((), 0.0, start_cost, 0, lam * start_cost, False, start_state)
     live = [(root.total_cost, (), root, scorer.start(utt))]
     best: list[Hypothesis] = []
+    unfused = [(tid, 0.0) for tid in range(len(alphabet))]
     for depth in range(steps + 1):
         extend = depth < steps
         rank = {tokens: r for r, tokens in enumerate(sorted(tokens for _, tokens, _, _ in live))}
-        parents: list[tuple[Hypothesis, object, int]] = []
+        prev = [tokens[-1] if tokens else None for _, tokens, _, _ in live]
+        dists, states = step_distributions(scorer, [state for _, _, _, state in live], prev)
+        covs = coverage_count(scorer, states, config.coverage_threshold) if eta > 0.0 else [0] * len(live)
+        rows = dists.tolist()
+        if len(rows) < len(live):  # one row standing for every state
+            rows *= len(live)
         candidates: list[tuple[float, int, int, float, float, int]] = []
-        for i, (_, tokens, hyp, state) in enumerate(live):
-            dist, state = step_distributions(scorer, state, tokens[-1] if tokens else None)
-            cov = coverage_count(scorer, state, config.coverage_threshold) if eta > 0.0 else 0
-            parents.append((hyp, state, cov))
-            probs = dist.tolist()
+        for i, (_, tokens, hyp, _) in enumerate(live):
+            probs, cov = rows[i], covs[i]
             p = probs[eos]
             if p > 0.0:
                 score = hyp.model_score + math.log(p)
                 stop = graph.final_best(hyp.lm_state) if graph is not None else 0.0
                 if stop is not None:
                     total = -score + lam * stop - eta * cov
-                    done = Hypothesis(tokens, score, stop, cov, total, True)
-                    bisect.insort(best, done, key=_hyp_key)
-                    del best[nbest:]
+                    if len(best) < nbest or (total, tokens) < _hyp_key(best[-1]):
+                        bisect.insort(best, Hypothesis(tokens, score, stop, cov, total, True), key=_hyp_key)
+                        del best[nbest:]
             if not extend:
                 continue
             r = rank[tokens]
-            if graph is not None:
-                children = graph.ahead(hyp.lm_state).items()
-            else:
-                children = dict.fromkeys(range(len(probs)), 0.0).items()
+            children = graph.ahead(hyp.lm_state).items() if graph is not None else unfused
             for tid, ahead in children:
                 p = probs[tid]
                 if p > 0.0 and tid != eos:
@@ -441,12 +443,12 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
         if not extend or not candidates:
             break
         candidates.sort()
-        live = []
+        parents, live = live, []
         for total, _, tid, score, ahead, i in candidates[: config.beam_width]:
-            hyp, state, cov = parents[i]
+            hyp = parents[i][2]
             nxt = graph.advance(hyp.lm_state, tid) if graph is not None else None
             tokens = (*hyp.tokens, tid)
-            live.append((total, tokens, Hypothesis(tokens, score, ahead, cov, total, False, nxt), state))
+            live.append((total, tokens, Hypothesis(tokens, score, ahead, covs[i], total, False, nxt), states[i]))
         if len(best) == nbest:
             bar = best[-1].total_cost
             if eta == 0.0:

@@ -1,32 +1,39 @@
 """Step-distribution scorers for the decoder: a trainable toy
 listener/attender/speller and a deterministic table-backed stand-in.
 
-Both implement one incremental protocol, so the beam never needs to know
+Both implement one incremental protocol, batched over the live hypotheses
+of one utterance's beam at one depth, so the beam never needs to know
 which scorer it holds:
 
 - ``scorer.token_limit(utt)``: the longest token string (``<eos>`` not
   counted) the scorer can grade for this utterance;
 - ``scorer.start(utt) -> state``: per-utterance work, done once (the model
   encodes the features and computes its attention keys here);
-- ``scorer.step(state, token) -> (dist, state)``: consume ``token``
-  (``None`` on the first step, which the model reads as ``<sos>``) and
-  return the next-symbol distribution with the state after it;
-- ``scorer.covered(state, threshold) -> int``: how many encoder frames the
-  hypothesis at ``state`` will have covered once it is closed with
-  ``<eos>``; never more than the larger of the steps taken and the
-  utterance's frame count, which the beam's threshold pruning relies on.
+- ``scorer.step(states, tokens) -> (dists, states)``: state ``i`` consumes
+  ``tokens[i]`` (``None`` on the first step, which the model reads as
+  ``<sos>``); row ``i`` of ``dists`` is the next-symbol distribution that
+  follows, and ``states[i]`` the state after it.  A scorer whose states
+  all share one distribution may return a single row that stands for
+  every state, as numpy broadcasting does;
+- ``scorer.covered(states, threshold) -> counts``: for each state, how
+  many encoder frames the hypothesis at it will have covered once it is
+  closed with ``<eos>``; never more than the larger of the steps taken and
+  the utterance's frame count, which the beam's threshold pruning relies
+  on.
 
 The decoder reaches the last two through :func:`step_distributions` and
-:func:`coverage_count`.  States are never mutated, so a beam keeps one per
-live hypothesis and every survivor of pruning steps once from its parent's
-state: no prefix is replayed and no utterance is encoded twice.
+:func:`coverage_count`, once per depth each.  States are never mutated, so
+a beam keeps one per live hypothesis and every survivor of pruning steps
+once from its parent's state: no prefix is replayed and no utterance is
+encoded twice.
 
 Distributions are dense float64 arrays of probabilities (at most 1, so no
 step lowers a hypothesis's cost) indexed by symbol id; epsilon and
 ``<sos>`` positions are structurally zero since a decode step can never
 produce them.  Everything runs in float64 so the analytic gradients can be
 checked against central finite differences at tight tolerance.  Training
-and decoding run one ``ToyLasModel`` forward pass, batched over utterances.
+and decoding run one ``ToyLasModel`` forward pass, batched over utterances
+in training and over a beam's hypotheses in decoding.
 """
 
 from __future__ import annotations
@@ -93,11 +100,17 @@ def _emit_mask(alphabet: SymbolTable) -> np.ndarray:
 
 def _masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, among the positions ``mask`` keeps; the
-    others are exactly 0."""
+    others are exactly 0.
+
+    Each row is summed left to right, as a cumulative sum: ``sum`` would
+    pick its order from the array's shape and memory layout (pairwise along
+    one contiguous row, left to right across a batch), and a beam's row
+    must come out the same whatever is stepped beside it.  Left to right is
+    the order training's batches always had."""
     out = np.zeros(logits.shape)
     live = logits[..., mask]
     live = np.exp(live - live.max(axis=-1, keepdims=True))
-    out[..., mask] = live / live.sum(axis=-1, keepdims=True)
+    out[..., mask] = live / live.cumsum(axis=-1)[..., -1:]
     return out
 
 
@@ -150,17 +163,23 @@ class TableScorer:
     def start(self, utt: Utterance) -> tuple[str, np.ndarray, int]:
         return utt.uid, self._rows_for(utt), 0
 
-    def step(self, state: tuple[str, np.ndarray, int], token: int | None):
-        uid, rows, k = state
+    def step(self, states: Sequence[tuple[str, np.ndarray, int]], tokens: Sequence[int | None]):
+        """Row k of the table, for states that all hold one utterance's
+        prefixes of length k, as a beam's live entries at one depth do:
+        one (1, V) row that stands for every state, and the one state that
+        follows them all."""
+        uid, rows, k = states[0]
+        if any(st[2] != k or st[0] != uid for st in states):
+            raise ScorerError("a table step takes the states of one utterance at one depth")
         if k >= len(rows):
             raise ScorerError(f"prefix of length {k} exceeds the {len(rows)} stored steps for {uid!r}")
-        return rows[k], (uid, rows, k + 1)
+        return rows[k : k + 1], [(uid, rows, k + 1)] * len(states)
 
-    def covered(self, state: tuple[str, np.ndarray, int], threshold: float) -> int:
-        return state[2]
+    def covered(self, states: Sequence[tuple[str, np.ndarray, int]], threshold: float) -> list[int]:
+        return [st[2] for st in states]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoderStepState:
     """Carried between decode steps.  Fixed per utterance by
     ``ToyLasModel.init_state``: the encoder output ``h_enc`` (T, E), and
@@ -169,7 +188,11 @@ class DecoderStepState:
     vector ``s``, how much attention mass each encoder frame has accumulated
     so far (non-decreasing), and how many steps have been taken.  The
     attention of the step leaving the state is filled in on first use, so
-    siblings and ``covered()`` share it."""
+    siblings and ``covered()`` share it.
+
+    Two states are equal when their arrays and step counts are, whether or
+    not their attention is filled in yet.  States hold arrays, so they are
+    not hashable."""
 
     h_enc: np.ndarray
     keys: np.ndarray
@@ -178,7 +201,17 @@ class DecoderStepState:
     s: np.ndarray
     cum_attention: np.ndarray
     steps: int = 0
-    _attention: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _attention: tuple | None = field(default=None, init=False, repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DecoderStepState):
+            return NotImplemented
+        arrays = ("h_enc", "keys", "Wq", "v", "s", "cum_attention")
+        return self.steps == other.steps and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in arrays
+        )
+
+    __hash__ = None
 
 
 def _param_shapes(vocab, feat_dim, enc_hidden, dec_hidden, att_dim, embed_dim, n_heads, n_enc_layers):
@@ -247,10 +280,11 @@ class ToyLasModel:
     concatenated with the embedded previous symbol and fed to the decoder
     cell, whose new state produces the output logits.
 
-    The forward pass is written once, over a batch of N utterances:
-    ``_encode``, ``_attend`` and ``_masked_softmax``.  Training runs it over
-    the whole padded corpus; decoding runs it at N = 1, with the attention
-    keys computed once per utterance by :meth:`init_state`.
+    The forward pass is written once, over a batch: ``_encode``,
+    ``_attend``, ``_cell_forward`` and ``_masked_softmax``.  Training runs
+    it over the whole padded corpus (:meth:`_forward`); decoding encodes
+    one utterance, computes its attention keys once in :meth:`init_state`,
+    and steps a beam's live hypotheses together (:meth:`decode_steps`).
     """
 
     def __init__(
@@ -360,14 +394,15 @@ class ToyLasModel:
     def _attend(keys, s, h_enc, Wq, v, pad=None):
         """Additive attention, every head and utterance of a batch at once.
 
-        ``keys`` (N, T, H, A) is ``h_enc @ Wk``, ``s`` (N, dec_hidden) the
-        decoder states before the step (one (dec_hidden,) vector at N = 1),
+        ``s`` holds the N decoder states before the step, as (N, dec_hidden)
+        or as N (1, dec_hidden) rows; ``keys`` (N, T, H, A) is ``h_enc @
+        Wk``, or (1, T, H, A) for one utterance's keys shared by every row;
         and ``pad`` (N, 1, T), if given, is True on padded frames, whose
         weight is then exactly 0.  Returns the tanh scores u (N, T, H, A),
         the weights alpha (N, H, T), and the contexts (N, H * E), head j's
         in columns j*E:(j+1)*E.
         """
-        N, _, H, A = keys.shape
+        N, (H, A) = s.shape[0], keys.shape[2:]
         u = np.tanh(keys + (s @ Wq).reshape(N, 1, H, A))
         e = np.einsum("ntha,ha->nht", u, v)
         if pad is not None:
@@ -392,18 +427,21 @@ class ToyLasModel:
     def start(self, utt: Utterance) -> DecoderStepState:
         return self.init_state(self.encode(utt.features))
 
-    def step(self, state: DecoderStepState, token: int | None):
-        """``decode_step`` on ``token``, or on <sos> when it is None; the
+    def step(self, states: Sequence[DecoderStepState], tokens: Sequence[int | None]):
+        """:meth:`decode_steps` on ``tokens``, reading None as <sos>; a
         prefix may grow to ``max_prefix`` symbols."""
-        if state.steps > self.max_prefix:
-            raise ScorerError(f"prefix of length {state.steps} exceeds max_prefix={self.max_prefix}")
-        return self.decode_step(state, self.sos_id if token is None else token)
+        for state in states:
+            if state.steps > self.max_prefix:
+                raise ScorerError(f"prefix of length {state.steps} exceeds max_prefix={self.max_prefix}")
+        return self.decode_steps(states, [self.sos_id if t is None else t for t in tokens])
 
-    def covered(self, state: DecoderStepState, threshold: float) -> int:
-        """Frames above ``threshold`` after one more step, whose attention
-        depends only on ``state`` and not on the symbol it consumes."""
-        coverage, _ = self._state_attention(state)
-        return int(np.count_nonzero(state.cum_attention + coverage > threshold))
+    def covered(self, states: Sequence[DecoderStepState], threshold: float) -> list[int]:
+        """For each state, the frames above ``threshold`` after one more
+        step, whose attention depends only on the state and not on the
+        symbol it consumes."""
+        coverage, _ = self._attention(states)
+        cum = np.array([state.cum_attention for state in states])
+        return np.count_nonzero(cum + coverage > threshold, axis=1).tolist()
 
     def init_state(self, h_enc: np.ndarray) -> DecoderStepState:
         """The state before <sos>, for the encoder output ``h_enc``."""
@@ -414,36 +452,111 @@ class ToyLasModel:
 
     def decode_step(self, state: DecoderStepState, y_prev: int):
         """One decoder step; returns (distribution, next state)."""
-        if not 0 <= y_prev < len(self.alphabet):
-            raise ScorerError(f"symbol id {y_prev} out of range for this alphabet")
-        coverage, context = self._state_attention(state)
+        dists, (nxt,) = self.decode_steps([state], [y_prev])
+        return dists[0], nxt
+
+    def decode_steps(self, states: Sequence[DecoderStepState], ys: Sequence[int]):
+        """One decoder step for each of B states of one utterance (all
+        descended from one :meth:`init_state`), state ``i`` consuming
+        ``ys[i]``: the (B, V) distributions and the B next states.  States
+        may repeat and may differ in depth.
+
+        The B rows run through one ``_cell_forward`` and one
+        ``_masked_softmax``, each row a (1, d) matrix: every product is then
+        one vector-matrix product per row, so a row comes out bit for bit
+        the same whatever else is stepped beside it."""
+        ys = np.asarray(ys, dtype=np.intp)
+        bad = ys[(ys < 0) | (ys >= len(self.alphabet))]
+        if bad.size:
+            raise ScorerError(f"symbol id {bad[0]} out of range for this alphabet")
+        coverage, contexts = self._attention(states)
         p = self.params
-        s, _ = _cell_forward(np.concatenate([p["emb"][y_prev], context]), state.s, *self._cell("dec_"))
-        dist = _masked_softmax(s @ p["out_W"] + p["out_b"], self.emit_mask)
-        return dist, DecoderStepState(
-            state.h_enc, state.keys, state.Wq, state.v, s, state.cum_attention + coverage, state.steps + 1
-        )
+        x = np.concatenate([p["emb"][ys], contexts], axis=1)[:, None]
+        s_prev = np.array([state.s for state in states])[:, None]
+        s, _ = _cell_forward(x, s_prev, *self._cell("dec_"))
+        dists = _masked_softmax(s @ p["out_W"] + p["out_b"], self.emit_mask)[:, 0]
+        cum = np.array([state.cum_attention for state in states]) + coverage
+        return dists, [
+            DecoderStepState(st.h_enc, st.keys, st.Wq, st.v, s[i, 0], cum[i], st.steps + 1)
+            for i, st in enumerate(states)
+        ]
 
-    def _state_attention(self, state: DecoderStepState):
-        """The attention of the step leaving ``state``, once per state: the
-        mass it adds to each frame (the heads' mean weight) and the
-        concatenated contexts."""
-        if state._attention is None:
-            _, alpha, contexts = self._attend(state.keys, state.s, state.h_enc, state.Wq, state.v)
+    def _attention(self, states: Sequence[DecoderStepState]):
+        """The attention of the step leaving each state: the mass it adds
+        to each frame (the heads' mean weight), (B, T), and the
+        concatenated contexts, (B, H * E).  One ``_attend`` runs over the
+        distinct states whose memo is still empty, which all share one
+        utterance's keys; siblings share their parent's state, and
+        ``covered()`` the state it is asked about, so each state's
+        attention is computed once."""
+        todo = list({id(state): state for state in states if state._attention is None}.values())
+        if todo:
+            first = todo[0]
+            if any(state.keys is not first.keys for state in todo):
+                raise ScorerError("a decode step takes the states of one utterance at a time")
+            s = np.array([state.s for state in todo])[:, None]
+            _, alpha, contexts = self._attend(first.keys, s, first.h_enc, first.Wq, first.v)
             # the sum over heads / H is np.mean's arithmetic, without its wrapper
-            object.__setattr__(state, "_attention", (alpha[0].sum(axis=0) / self.n_heads, contexts[0]))
-        return state._attention
+            for state, coverage, context in zip(todo, alpha.sum(axis=1) / self.n_heads, contexts):
+                object.__setattr__(state, "_attention", (coverage, context))
+        return (np.array([state._attention[0] for state in states]),
+                np.array([state._attention[1] for state in states]))
+
+    def _forward(self, corpus: Sequence[Utterance]):
+        """The teacher-forced forward pass over a corpus, as one padded
+        batch (see :func:`loss_and_gradients` for the padding).  Returns
+        the (N, L_max, V) distributions, the (N, L_max) token mask, inputs
+        and targets, and what the backward pass reads: the encoder output
+        and caches, the (N, L_max, dec_hidden) decoder states and each
+        step's ``_attend`` and ``_cell_forward`` caches."""
+        if not corpus:
+            raise ScorerError("corpus is empty")
+        for utt in corpus:
+            _validate(self, utt)
+        p = self.params
+        N, H, A = len(corpus), self.n_heads, self.att_dim
+        frames = np.array([utt.features.shape[0] for utt in corpus])
+        tokens = np.array([len(utt.reference) for utt in corpus])
+        T, L = int(frames.max()), int(tokens.max())
+        frame_mask = np.arange(T) < frames[:, None]
+        token_mask = np.arange(L) < tokens[:, None]
+        x = np.zeros((N, T, self.feat_dim))
+        y_in = np.full((N, L), self.sos_id)
+        y_out = np.full((N, L), self.eos_id)
+        for n, utt in enumerate(corpus):
+            x[n, : frames[n]] = utt.features
+            y_in[n, 1 : tokens[n]] = utt.reference[:-1]
+            y_out[n, : tokens[n]] = utt.reference
+
+        h_enc, enc_caches = self._encode(x)
+        Wq, Wk, v = self._heads()
+        keys = (h_enc @ Wk).reshape(N, T, H, A)
+        pad = ~frame_mask[:, None, :]
+        dec = self._cell("dec_")
+        s = np.zeros((N, self.dec_hidden))
+        states, step_caches = [], []
+        for l in range(L):
+            u, alpha, contexts = self._attend(keys, s, h_enc, Wq, v, pad)
+            s, cell_cache = _cell_forward(
+                np.concatenate([p["emb"][y_in[:, l]], contexts], axis=1), s, *dec
+            )
+            states.append(s)
+            step_caches.append((u, alpha, cell_cache))
+        states = np.stack(states, axis=1)
+        dist = _masked_softmax(states @ p["out_W"] + p["out_b"], self.emit_mask)
+        return dist, token_mask, y_in, y_out, h_enc, enc_caches, states, step_caches
 
 
-def step_distributions(scorer, state, token: int | None):
-    """One protocol step: the distribution after ``token`` and the state
-    that follows it (``token`` None on a hypothesis's first step)."""
-    return scorer.step(state, token)
+def step_distributions(scorer, states, tokens):
+    """One protocol step of a beam's live hypotheses: the distributions
+    after ``tokens`` (None on a hypothesis's first step), a row per state
+    or one row for all, and the states that follow them."""
+    return scorer.step(states, tokens)
 
 
-def coverage_count(scorer, state, threshold: float) -> int:
-    """Frames the hypothesis at ``state`` covers once closed with <eos>."""
-    return scorer.covered(state, threshold)
+def coverage_count(scorer, states, threshold: float) -> list[int]:
+    """Frames each hypothesis at ``states`` covers once closed with <eos>."""
+    return scorer.covered(states, threshold)
 
 
 def _validate(model: ToyLasModel, utt: Utterance) -> None:
@@ -473,8 +586,9 @@ def loss_and_gradients(model: ToyLasModel, corpus: Sequence[Utterance]):
     recurrences never read it; attention gives padded frames a -inf logit
     (weight exactly 0), and padded steps get a zero dlogits row.  Padded
     positions therefore add exactly 0 to the loss and to every gradient.
-    The forward pass is the model's own ``_encode``, ``_attend`` and
-    ``_masked_softmax``, the same code a decode step runs at N = 1.
+    The forward pass is :meth:`ToyLasModel._forward`, built from the same
+    ``_encode``, ``_attend``, ``_cell_forward`` and ``_masked_softmax`` a
+    decode step runs.
 
     The backward pass is hand-derived backpropagation through the decoder
     steps, the attention heads, and the encoder recurrence, in that order,
@@ -483,42 +597,10 @@ def loss_and_gradients(model: ToyLasModel, corpus: Sequence[Utterance]):
     all steps at once.  Returns (loss, grads) with grads keyed like
     ``model.params``.
     """
-    if not corpus:
-        raise ScorerError("corpus is empty")
-    for utt in corpus:
-        _validate(model, utt)
+    dist, token_mask, y_in, y_out, h_enc, enc_caches, states, step_caches = model._forward(corpus)
     p = model.params
-    grads = {k: np.zeros_like(v) for k, v in p.items()}
-    N, H, A, E = len(corpus), model.n_heads, model.att_dim, model.enc_hidden
-    frames = np.array([utt.features.shape[0] for utt in corpus])
-    tokens = np.array([len(utt.reference) for utt in corpus])
-    T, L = int(frames.max()), int(tokens.max())
-    frame_mask = np.arange(T) < frames[:, None]
-    token_mask = np.arange(L) < tokens[:, None]
-    x = np.zeros((N, T, model.feat_dim))
-    y_in = np.full((N, L), model.sos_id)
-    y_out = np.full((N, L), model.eos_id)
-    for n, utt in enumerate(corpus):
-        x[n, : frames[n]] = utt.features
-        y_in[n, 1 : tokens[n]] = utt.reference[:-1]
-        y_out[n, : tokens[n]] = utt.reference
-
-    h_enc, enc_caches = model._encode(x)
-    Wq, Wk, v = model._heads()
-    keys = (h_enc @ Wk).reshape(N, T, H, A)
-    pad = ~frame_mask[:, None, :]
-    dec = model._cell("dec_")
-    s = np.zeros((N, model.dec_hidden))
-    states, step_caches = [], []
-    for l in range(L):
-        u, alpha, contexts = model._attend(keys, s, h_enc, Wq, v, pad)
-        s, cell_cache = _cell_forward(
-            np.concatenate([p["emb"][y_in[:, l]], contexts], axis=1), s, *dec
-        )
-        states.append(s)
-        step_caches.append((u, alpha, cell_cache))
-    states = np.stack(states, axis=1)
-    dist = _masked_softmax(states @ p["out_W"] + p["out_b"], model.emit_mask)
+    N, T, E = h_enc.shape
+    L, H, A = token_mask.shape[1], model.n_heads, model.att_dim
     rows, steps = np.nonzero(token_mask)
     targets = dist[rows, steps, y_out[rows, steps]]
     if np.any(targets <= 0.0):
@@ -527,6 +609,8 @@ def loss_and_gradients(model: ToyLasModel, corpus: Sequence[Utterance]):
     total_tokens = len(targets)
     loss = float(-np.log(targets).sum()) / total_tokens
 
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    Wq, Wk, v = model._heads()
     dlogits = dist
     dlogits[rows, steps, y_out[rows, steps]] -= 1.0
     dlogits[~token_mask] = 0.0
@@ -634,19 +718,11 @@ def train_model(
 
 
 def teacher_forced_accuracy(model: ToyLasModel, corpus: Sequence[Utterance]) -> float:
-    """Fraction of teacher-forced steps whose argmax equals the target."""
-    if not corpus:
-        raise ScorerError("corpus is empty")
-    hits = 0
-    total = 0
-    for utt in corpus:
-        _validate(model, utt)
-        state = model.init_state(model.encode(utt.features))
-        for y_in, y_out in zip((model.sos_id, *utt.reference[:-1]), utt.reference):
-            dist, state = model.decode_step(state, y_in)
-            hits += int(np.argmax(dist) == y_out)
-            total += 1
-    return hits / total
+    """Fraction of teacher-forced steps whose argmax equals the target,
+    read off one batched forward pass over the corpus."""
+    dist, token_mask, _, y_out, *_ = model._forward(corpus)
+    hits = dist.argmax(axis=2) == y_out
+    return int(hits[token_mask].sum()) / int(token_mask.sum())
 
 
 def write_loss_trace(path: str | Path, losses: Sequence[float]) -> None:

@@ -326,6 +326,19 @@ def reference_decode_step(model, state, y_prev):
     return dist, new_state, (att_caches, cell_cache, dist, contexts, weights)
 
 
+def reference_teacher_forced_accuracy(model, corpus):
+    """Fraction of teacher-forced steps whose argmax equals the target,
+    stepping each utterance alone, one ``decode_step`` per token."""
+    hits = total = 0
+    for utt in corpus:
+        state = model.init_state(model.encode(utt.features))
+        for y_in, y_out in zip((model.sos_id, *utt.reference[:-1]), utt.reference):
+            dist, state = model.decode_step(state, y_in)
+            hits += int(np.argmax(dist) == y_out)
+            total += 1
+    return hits / total
+
+
 def replay_coverage(scorer, utt, prefix, threshold):
     """Encoder frames whose accumulated attention exceeds ``threshold`` after
     the steps that consume <sos> and ``prefix``; a table scorer counts one
@@ -381,8 +394,9 @@ def reference_expand(scorer, utt: Utterance, config: DecodeConfig, graph: Fusion
 
     A live entry is (total_cost, tokens, hypothesis, scorer state): the
     leading pair is ``_hyp_key``, unique per entry, so entries sort natively;
-    the state is the parent's after the parent's step, so every expansion is
-    one scorer step.
+    the state is the parent's after the parent's step.  Each live entry is
+    stepped, and its coverage counted, alone: one scorer call at B = 1 per
+    entry, where the decoder steps a whole depth at once.
     """
     alphabet = scorer.alphabet
     try:
@@ -401,8 +415,9 @@ def reference_expand(scorer, utt: Utterance, config: DecodeConfig, graph: Fusion
         extend = depth < steps
         candidates: list[tuple[float, tuple[int, ...], Hypothesis, object]] = []
         for _, _, hyp, state in live:
-            dist, state = step_distributions(scorer, state, hyp.tokens[-1] if hyp.tokens else None)
-            cov = coverage_count(scorer, state, config.coverage_threshold) if eta > 0.0 else 0
+            dists, (state,) = step_distributions(scorer, [state], [hyp.tokens[-1] if hyp.tokens else None])
+            dist = dists[0]
+            cov = coverage_count(scorer, [state], config.coverage_threshold)[0] if eta > 0.0 else 0
             for tid in np.flatnonzero(dist > 0.0):
                 tid = int(tid)
                 score = hyp.model_score + math.log(dist[tid])

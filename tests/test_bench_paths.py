@@ -60,6 +60,14 @@ def test_tracer_wraps_every_name_and_sees_the_scorer_steps():
         fusedec.scorer.train_model(model, utts, 2)
         training = tracer.take().calls
         tracer.phase = "decode"
+        # the step counts of the states of each scorer step, seen under the tracer
+        depths, step = [], model.step
+
+        def recorded(states, tokens):
+            depths.append({state.steps for state in states})
+            return step(states, tokens)
+
+        model.step = recorded
         decode_batch(model, DecodeResources(), utts, DecodeConfig(beam_width=2, max_steps=4))
         calls = tracer.take().calls
     finally:
@@ -71,8 +79,14 @@ def test_tracer_wraps_every_name_and_sees_the_scorer_steps():
     assert training.get("scorer.model_step", 0) == 0
     assert calls["decode"] == 2
     assert calls["scorer.encode"] == 2
-    assert calls["scorer.step"] > 2
-    assert calls["scorer.model_step"] == calls["scorer.step"]
+    # a beam steps all its live hypotheses at once, one scorer step per
+    # depth, and never through the single-state decode_step
+    assert calls["scorer.step"] == len(depths) > 2
+    starts = [i for i, d in enumerate(depths) if d == {0}]
+    assert len(starts) == 2
+    for first, end in zip(starts, [*starts[1:], len(depths)]):
+        assert depths[first:end] == [{d} for d in range(end - first)]
+    assert calls.get("scorer.model_step", 0) == 0
 
 
 def test_word_recovery_composes_nothing_under_the_tracer():

@@ -598,10 +598,12 @@ class TestAttentionScorerSearch:
         assert nb.entries[0].tokens == expect[1]
         assert nb.entries[0].total_cost == pytest.approx(expect[0], abs=1e-9)
 
-    def test_one_encode_and_one_model_step_per_expansion(self, homophone, monkeypatch):
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_one_encode_and_one_scorer_step_per_depth(self, homophone, monkeypatch, eta):
         _, resources, alphabet = homophone
         model = ToyLasModel.init(alphabet, 3, enc_hidden=4, dec_hidden=4, att_dim=3, embed_dim=3)
-        counts = {"encode": 0, "decode_step": 0, "expand": 0}
+        counts = {"encode": 0, "decode_step": 0, "coverage": 0}
+        depths: list[set[int]] = []  # the step counts of each call's states
 
         def counted(name, fn):
             def wrapper(*args):
@@ -609,32 +611,41 @@ class TestAttentionScorerSearch:
                 return fn(*args)
             return wrapper
 
+        def stepped(scorer, states, tokens):
+            depths.append({state.steps for state in states})
+            return real_step(scorer, states, tokens)
+
+        real_step = decoder_mod.step_distributions
         monkeypatch.setattr(model, "encode", counted("encode", model.encode))
         monkeypatch.setattr(model, "decode_step", counted("decode_step", model.decode_step))
+        monkeypatch.setattr(decoder_mod, "step_distributions", stepped)
         monkeypatch.setattr(
-            decoder_mod, "step_distributions", counted("expand", decoder_mod.step_distributions)
+            decoder_mod, "coverage_count", counted("coverage", decoder_mod.coverage_count)
         )
         utt = Utterance("u0", np.random.default_rng(7).normal(size=(4, 3)), (1,))
-        cfg = DecodeConfig(fusion="beam", lm_weight=0.2, coverage_weight=0.5, beam_width=3, max_steps=6)
+        cfg = DecodeConfig(fusion="beam", lm_weight=0.2, coverage_weight=eta, beam_width=3, max_steps=6)
         decode(model, resources, utt, cfg)
         assert counts["encode"] == 1
-        assert counts["expand"] > 6
-        assert counts["decode_step"] == counts["expand"]
+        assert counts["decode_step"] == 0
+        # one call per depth, over every live hypothesis at that depth
+        assert len(depths) > 2
+        assert depths == [{d} for d in range(len(depths))]
+        assert counts["coverage"] == (len(depths) if eta else 0)
 
     @pytest.mark.parametrize("eta", [0.0, 0.5])
     def test_one_attention_per_distinct_state(self, homophone, monkeypatch, eta):
         _, resources, alphabet = homophone
         model = ToyLasModel.init(alphabet, 3, enc_hidden=4, dec_hidden=4, att_dim=3, embed_dim=3)
-        attends, states = [0], []  # states stepped or covered, held so no id is reused
+        rows, states = [0], []  # states stepped or covered, held so no id is reused
 
-        def attend(*args):
-            attends[0] += 1
-            return ToyLasModel._attend(*args)
+        def attend(keys, s, *args):
+            rows[0] += s.shape[0]
+            return ToyLasModel._attend(keys, s, *args)
 
         def seen(fn):
-            def wrapper(state, *args):
-                states.append(state)
-                return fn(state, *args)
+            def wrapper(batch, *args):
+                states.extend(batch)
+                return fn(batch, *args)
             return wrapper
 
         monkeypatch.setattr(model, "_attend", attend)
@@ -646,11 +657,11 @@ class TestAttentionScorerSearch:
         # siblings step from their parent's state, which covered() also reads
         distinct = len({id(s) for s in states})
         assert distinct < len(states)
-        assert attends[0] == distinct
+        assert rows[0] == distinct
         # the memo is invisible to equality and repr
         state = model.start(utt)
         twin, before = dataclasses.replace(state), repr(state)
-        model.covered(state, 0.5)
+        model.covered([state], 0.5)
         assert state == twin and repr(state) == before
 
 
@@ -1080,8 +1091,8 @@ class TestBeamMonotonicity:
 
 @contextmanager
 def counted_steps():
-    """Count the scorer steps of the decoder and of the reference beam
-    inside the block."""
+    """Count the scorer step calls of the decoder (one per depth) and of
+    the reference beam (one per live entry) inside the block."""
     calls = [0]
     real = decoder_mod.step_distributions
 
@@ -1143,15 +1154,18 @@ class ScriptedScorer:
     def start(self, utt):
         return None
 
-    def step(self, state, token):
-        prefix = () if token is None else (*state, token)
+    def step(self, states, tokens):
+        prefixes = [() if token is None else (*state, token) for state, token in zip(states, tokens)]
         stop = rows_for(self.alphabet, [{EOS: 1.0}])[0]
-        return self.dists.get(prefix, stop), prefix
+        return np.stack([self.dists.get(prefix, stop) for prefix in prefixes]), prefixes
 
-    def covered(self, state, threshold):
-        while state not in self.cov:
-            state = state[:-1]
-        return self.cov[state]
+    def covered(self, states, threshold):
+        counts = []
+        for state in states:
+            while state not in self.cov:
+                state = state[:-1]
+            counts.append(self.cov[state])
+        return counts
 
 
 class TestThresholdPruning:
@@ -1340,8 +1354,9 @@ class TestThresholdPruning:
         real = decoder_mod.coverage_count
 
         def recorded(*args):
-            seen.append(real(*args))
-            return seen[-1]
+            counts = real(*args)
+            seen.extend(counts)
+            return counts
 
         with mock.patch.object(oracles, "coverage_count", recorded):
             reference_expand(scorer, utt, cfg, resources.graph_for(alphabet))

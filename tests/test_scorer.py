@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -25,7 +26,13 @@ from fusedec.scorer import (
     write_loss_trace,
 )
 
-from oracles import reference_decode_step, reference_state, replay_coverage, replay_distribution
+from oracles import (
+    reference_decode_step,
+    reference_state,
+    reference_teacher_forced_accuracy,
+    replay_coverage,
+    replay_distribution,
+)
 
 
 @pytest.fixture
@@ -49,12 +56,18 @@ def make_utt(alphabet, rng, uid="u0", T=4, words="a b"):
     return Utterance(uid, rng.normal(size=(T, 3)), ref)
 
 
+def step_one(scorer, state, token):
+    """One protocol step of a single state: (distribution, next state)."""
+    dists, (state,) = step_distributions(scorer, [state], [token])
+    return dists[0], state
+
+
 def chain(scorer, utt, prefix):
     """Step a scorer from its start state through ``prefix``; returns the
     distribution after the last step and the state that follows it."""
-    dist, state = step_distributions(scorer, scorer.start(utt), None)
+    dist, state = step_one(scorer, scorer.start(utt), None)
     for y in prefix:
-        dist, state = step_distributions(scorer, state, y)
+        dist, state = step_one(scorer, state, y)
     return dist, state
 
 
@@ -95,7 +108,7 @@ class TestTableScorer:
         utt = Utterance("u0", np.zeros((2, 2)), (1,))
         _, state = chain(ts, utt, [1])
         with pytest.raises(ScorerError, match="exceeds the 2 stored steps"):
-            step_distributions(ts, state, 1)
+            step_distributions(ts, [state], [1])
 
     def test_bad_row_sum(self, abc_alphabet):
         rows = np.zeros((1, len(abc_alphabet)))
@@ -142,7 +155,40 @@ class TestTableScorer:
         ts = TableScorer(abc_alphabet, {"u0": rows})
         utt = Utterance("u0", np.zeros((4, 2)), (1,))
         _, state = chain(ts, utt, [1, 1])
-        assert coverage_count(ts, state, 0.5) == 3
+        assert coverage_count(ts, [state, state], 0.5) == [3, 3]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        steps=st.integers(1, 6),
+        depth=st.integers(0, 5),
+        tokens=st.lists(st.sampled_from([None, 1, 2]), min_size=1, max_size=8),
+    )
+    def test_one_depth_steps_to_its_row(self, seed, steps, depth, tokens):
+        # B states at one depth get row k of the table bit for bit, as one
+        # row standing for every state, and all move to depth k + 1
+        alphabet = SymbolTable(["a", "b", "<sos>", "<eos>"])
+        rows = np.random.default_rng(seed).random((steps, len(alphabet)))
+        rows[:, [0, alphabet.id("<sos>")]] = 0.0
+        ts = TableScorer(alphabet, {"u": rows / rows.sum(axis=1, keepdims=True)})
+        utt = Utterance("u", np.zeros((1, 1)), (1,))
+        k = min(depth, steps - 1)
+        state = ts.start(utt)
+        for _ in range(k):
+            _, state = step_one(ts, state, 1)
+        dists, states = step_distributions(ts, [state] * len(tokens), tokens)
+        assert dists.shape == (1, len(alphabet))
+        assert np.array_equal(dists[0], ts.rows["u"][k])
+        assert states == [("u", ts.rows["u"], k + 1)] * len(tokens)
+        assert coverage_count(ts, states, 0.5) == [k + 1] * len(tokens)
+
+    def test_states_of_two_depths_are_refused(self, abc_alphabet):
+        rows = np.zeros((3, len(abc_alphabet)))
+        rows[:, abc_alphabet.id("a")] = 1.0
+        ts = TableScorer(abc_alphabet, {"u0": rows})
+        utt = Utterance("u0", np.zeros((3, 2)), (1,))
+        with pytest.raises(ScorerError, match="one utterance at one depth"):
+            step_distributions(ts, [ts.start(utt), chain(ts, utt, [])[1]], [1, 1])
 
 
 def sigmoid(x):
@@ -243,7 +289,7 @@ def attend(model, h_enc, s):
     """``model._attend`` for one utterance, with the keys ``init_state``
     computes: (contexts (H, enc_hidden), weights (H, T))."""
     state = model.init_state(h_enc)
-    _, alpha, contexts = model._attend(state.keys, s, h_enc, state.Wq, state.v)
+    _, alpha, contexts = model._attend(state.keys, s[None], h_enc, state.Wq, state.v)
     return contexts.reshape(model.n_heads, model.enc_hidden), alpha[0]
 
 
@@ -360,7 +406,7 @@ class TestDecodeStep:
         assert m.token_limit(utt) == 2
         _, state = chain(m, utt, [1, 1])
         with pytest.raises(ScorerError, match="max_prefix"):
-            step_distributions(m, state, 1)
+            step_distributions(m, [state], [1])
 
     def test_teacher_forced_nll_recomputes(self, abc_alphabet):
         # the training loss must equal the probabilities of a chain of
@@ -378,11 +424,91 @@ class TestDecodeStep:
             for utt in utts:
                 state, prev = m.start(utt), None
                 for y in utt.reference:
-                    dist, state = step_distributions(m, state, prev)
+                    dist, state = step_one(m, state, prev)
                     total += -math.log(dist[y])
                     tokens += 1
                     prev = y
             assert loss == pytest.approx(total / tokens, abs=1e-12)
+
+
+class TestDecodeSteps:
+    """A beam's live hypotheses stepped at once: row i is state i's step."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_heads=st.integers(1, 4),
+        n_enc_layers=st.integers(1, 2),
+        sizes=st.tuples(*[st.integers(1, 5)] * 4),
+        frames=st.integers(1, 6),
+        paths=st.lists(st.lists(st.integers(0, 11), max_size=4), min_size=1, max_size=3),
+        picks=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 11)), min_size=1, max_size=8),
+    )
+    def test_rows_match_per_head_reference(self, seed, n_heads, n_enc_layers, sizes, frames, paths, picks):
+        # ten emittable symbols: numpy sums eight or more values pairwise
+        # along a contiguous row, so a row summed in another order shows
+        alphabet = SymbolTable([*"abcdefghi", "<sos>", "<eos>"])
+        enc_hidden, dec_hidden, att_dim, embed_dim = sizes
+        m = ToyLasModel.init(alphabet, 3, enc_hidden=enc_hidden, dec_hidden=dec_hidden, att_dim=att_dim,
+                             embed_dim=embed_dim, n_heads=n_heads, n_enc_layers=n_enc_layers, seed=seed)
+        for k in m.params:
+            m.params[k] *= 3.0
+        h_enc = m.encode(np.random.default_rng(seed).normal(size=(frames, 3)))
+        # every prefix of every path: states of mixed depths, the last of
+        # each path with its attention not yet computed
+        pool = [(m.init_state(h_enc), reference_state(m, h_enc))]
+        for path in paths:
+            state, ref = pool[0]
+            for y in (m.sos_id, *path):
+                _, state = m.decode_step(state, y)
+                _, ref, _ = reference_decode_step(m, ref, y)
+                pool.append((state, ref))
+        chosen = [(*pool[i % len(pool)], y) for i, y in picks]  # parents may repeat
+        dists, states = m.decode_steps([state for state, _, _ in chosen], [y for _, _, y in chosen])
+        assert dists.shape == (len(chosen), len(alphabet)) and len(states) == len(chosen)
+        for row, nxt, (state, ref, y) in zip(dists, states, chosen):
+            want, ref_next, _ = reference_decode_step(m, ref, y)
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(nxt.cum_attention, ref_next.cum_attention, rtol=0, atol=1e-12)
+            assert nxt.steps == ref_next.steps == state.steps + 1
+            # and bit for bit what the state gives when stepped alone
+            alone, after = m.decode_step(dataclasses.replace(state), y)
+            assert np.array_equal(row, alone)
+            assert after == nxt
+
+    def test_states_of_two_utterances_are_refused(self, abc_alphabet):
+        m = tiny_model(abc_alphabet, seed=54)
+        rng = np.random.default_rng(55)
+        a, b = (m.init_state(m.encode(rng.normal(size=(3, 3)))) for _ in range(2))
+        with pytest.raises(ScorerError, match="one utterance"):
+            m.decode_steps([a, b], [1, 1])
+
+
+class TestStepStateEquality:
+    def test_equal_states_compare_equal(self, abc_alphabet):
+        m = tiny_model(abc_alphabet, seed=50)
+        x = np.random.default_rng(51).normal(size=(4, 3))
+        a, b = m.init_state(m.encode(x)), m.init_state(m.encode(x))
+        assert a.h_enc is not b.h_enc
+        assert a == b and not a != b
+        assert m.decode_step(a, 1)[1] == m.decode_step(b, 1)[1]
+
+    def test_a_different_field_compares_unequal(self, abc_alphabet):
+        m = tiny_model(abc_alphabet, seed=52)
+        state = m.init_state(m.encode(np.ones((3, 3))))
+        assert state != dataclasses.replace(state, s=state.s + 1.0)
+        assert state != dataclasses.replace(state, steps=1)
+        assert state != "not a state"
+
+    def test_memo_is_invisible_and_states_are_unhashable(self, abc_alphabet):
+        m = tiny_model(abc_alphabet, seed=53)
+        state = m.init_state(m.encode(np.ones((3, 3))))
+        twin, before = dataclasses.replace(state), repr(state)
+        m.covered([state], 0.5)
+        assert state._attention is not None and twin._attention is None
+        assert state == twin and repr(state) == before
+        with pytest.raises(TypeError):
+            hash(state)
 
 
 class TestGradients:
@@ -575,6 +701,25 @@ class TestTraining:
         with pytest.raises(ScorerError, match="optimizer"):
             train_model(m, [utt], 1, optimizer="lbfgs")
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_heads=st.integers(1, 4),
+        n_enc_layers=st.integers(1, 2),
+        scale=st.sampled_from([0.0, 1.0, 4.0]),
+        shapes=st.lists(st.tuples(st.integers(1, 6), st.lists(st.integers(1, 3), max_size=5)),
+                        min_size=1, max_size=4),
+    )
+    def test_accuracy_matches_per_step_reference(self, seed, n_heads, n_enc_layers, scale, shapes):
+        # one batched forward against one decode_step per token; a scale
+        # of 0 makes every distribution uniform, so argmax ties everywhere
+        alphabet = SymbolTable(["a", "b", "c", "<sos>", "<eos>"])
+        m = tiny_model(alphabet, n_heads=n_heads, n_enc_layers=n_enc_layers, seed=seed, scale=scale)
+        rng = np.random.default_rng(seed)
+        utts = [Utterance(f"u{i}", rng.normal(size=(frames, 3)), (*ref, alphabet.id("<eos>")))
+                for i, (frames, ref) in enumerate(shapes)]
+        assert teacher_forced_accuracy(m, utts) == reference_teacher_forced_accuracy(m, utts)
+
     def test_accuracy_of_empty_corpus(self, abc_alphabet):
         with pytest.raises(ScorerError, match="corpus is empty"):
             teacher_forced_accuracy(tiny_model(abc_alphabet), [])
@@ -614,14 +759,18 @@ class TestCoverage:
         m = tiny_model(abc_alphabet, seed=28)
         utt = make_utt(abc_alphabet, np.random.default_rng(29), T=5)
         _, state = chain(m, utt, [1])
-        assert coverage_count(m, state, -1.0) == 5
-        assert coverage_count(m, state, 1e9) == 0
+        assert coverage_count(m, [state], -1.0) == [5]
+        assert coverage_count(m, [state], 1e9) == [0]
 
     def test_monotone_in_prefix_length(self, abc_alphabet):
         m = tiny_model(abc_alphabet, seed=30)
         utt = make_utt(abc_alphabet, np.random.default_rng(31), T=6)
         prefix = [1, 2, 1, 2]
-        counts = [coverage_count(m, chain(m, utt, prefix[:k])[1], 0.3) for k in range(5)]
+        states = [chain(m, utt, [])[1]]
+        for y in prefix:
+            states.append(step_one(m, states[-1], y)[1])
+        counts = coverage_count(m, states, 0.3)
+        assert counts == [coverage_count(m, [state], 0.3)[0] for state in states]
         assert counts == sorted(counts)
 
 
@@ -644,10 +793,10 @@ class TestProtocolMatchesReplay:
         utt = Utterance("u", np.random.default_rng(seed).normal(size=(frames, 3)), (5,))
         state, prev = m.start(utt), None
         for k in range(len(prefix) + 1):
-            dist, state = step_distributions(m, state, prev)
+            dist, state = step_one(m, state, prev)
             assert np.array_equal(dist, replay_distribution(m, utt, prefix[:k]))
             want = replay_coverage(m, utt, (*prefix[:k], m.eos_id), threshold)
-            assert coverage_count(m, state, threshold) == want
+            assert coverage_count(m, [state], threshold) == [want]
             prev = prefix[k] if k < len(prefix) else None
 
     @settings(max_examples=25, deadline=None)
@@ -662,9 +811,9 @@ class TestProtocolMatchesReplay:
         prefix = prefix[: ts.token_limit(utt)]
         state = ts.start(utt)
         for k, prev in enumerate((None, *prefix)):
-            dist, state = step_distributions(ts, state, prev)
+            dist, state = step_one(ts, state, prev)
             assert np.array_equal(dist, replay_distribution(ts, utt, prefix[:k]))
-            assert coverage_count(ts, state, 0.5) == replay_coverage(ts, utt, (*prefix[:k], eos), 0.5)
+            assert coverage_count(ts, [state], 0.5) == [replay_coverage(ts, utt, (*prefix[:k], eos), 0.5)]
 
 
 class TestCheckpoint:
