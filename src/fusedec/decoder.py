@@ -207,20 +207,27 @@ class FusionGraph:
     epsilon cycle would never close.
 
     The beam ranks a set's children before building any of them:
-    :meth:`ahead` gives, in one scan of the set's arcs, the cost each label
-    leads to, and only the children that survive the beam are built with
-    :meth:`advance`, their closures left until they are expanded or asked to
-    stop.  Each :class:`StateSet` remembers its label table and where it
-    leads, so the sets form a trie of the token prefixes decoded so far,
-    and :meth:`words` remembers the word strings of each finished token
-    string: a sweep that decodes the same utterances at many weights
-    computes each closure and table, and recovers each token string's
-    words, once.  At most ``_MAX_STORED`` (4,096) results, transitions,
-    label tables and word maps together, are stored per graph.  When the
-    bound is reached, ``start`` is rebuilt from the same pairs, the word
-    maps are dropped and the count starts again; the old trie is freed once
-    no live hypothesis holds a set of it.  A stored result is the very one a
-    fresh computation gives.
+    :meth:`ahead` gives the cost each label leads to, and only the children
+    that survive the beam are built with :meth:`advance`, their closures
+    left until they are expanded or asked to stop.  ``ahead`` reads no arc:
+    each L∘G state's cheapest arc weight per label is worked out the first
+    time a set holding that state is ranked, and kept for the graph's
+    lifetime.  Those per-state tables are facts of the graph, at most one
+    per state, so they are not counted against the bound below and a
+    rebuild keeps them; they speed up a first decode as much as a repeated
+    one.
+
+    Each :class:`StateSet` remembers its label table and where it leads, so
+    the sets form a trie of the token prefixes decoded so far, and
+    :meth:`words` remembers the word strings of each finished token string:
+    a sweep that decodes the same utterances at many weights computes each
+    closure and set table, and recovers each token string's words, once.
+    At most ``_MAX_STORED`` (4,096) of these per-prefix results,
+    transitions, set tables and word maps together, are stored per graph.
+    When the bound is reached, ``start`` is rebuilt from the same pairs, the
+    word maps are dropped and the count starts again; the old trie is freed
+    once no live hypothesis holds a set of it.  A stored result is the very
+    one a fresh computation gives.
     """
 
     def __init__(self, lg: WeightedFst, alphabet: SymbolTable):
@@ -235,11 +242,13 @@ class FusionGraph:
         except FstError as e:
             raise DecodeError(f"fusion graph incompatible with the scorer alphabet: {e}") from e
         self.alphabet = alphabet
+        self._cheapest: list[dict[int, float] | None] = [None] * self.fst.num_states
         self.start = StateSet(None, _eps_closure(self.fst, {self.fst.start: 0.0}))
         self._rebuild()
 
     def _rebuild(self) -> None:
-        """Forget every stored result: a fresh ``start`` and no word maps."""
+        """Forget every per-prefix result: a fresh ``start`` and no word
+        maps.  The per-state label costs stay."""
         self.start = StateSet(None, dict(self.start.pairs))
         self._words: dict[tuple[int, ...], tuple[WordParse, ...]] = {}
         self._stored = 0
@@ -252,22 +261,37 @@ class FusionGraph:
 
     def ahead(self, states: StateSet) -> dict[int, float]:
         """Each non-epsilon label some state of the set reads, mapped to
-        ``advance(states, label).best``: one scan of the set's arcs the
-        first time it is asked for.  A label is absent exactly when
-        ``advance`` would return None."""
+        ``advance(states, label).best``, the first time it is asked for: a
+        min-merge of ``w + cheapest[q][label]`` over the set's ``(q, w)``
+        pairs, where ``cheapest[q]`` is :meth:`_label_costs`.  Rounding
+        ``w + c`` is monotone in ``c``, so that equals the cheapest ``w +
+        arc.weight`` over the set's arcs bit for bit.  A label is absent
+        exactly when ``advance`` would return None."""
         table = states.ahead
         if table is None:
             table = {}
+            cheapest = self._cheapest
             for q, w in states.pairs:
-                for arc in self.fst.arcs_from(q):
-                    label = arc.ilabel
-                    if label:
-                        cand = w + arc.weight
-                        if cand < table.get(label, math.inf):
-                            table[label] = cand
+                costs = cheapest[q]
+                if costs is None:
+                    costs = cheapest[q] = self._label_costs(q)
+                for label, c in costs.items():
+                    cand = w + c
+                    if cand < table.get(label, math.inf):
+                        table[label] = cand
             self._store()
             states.ahead = table
         return table
+
+    def _label_costs(self, q: int) -> dict[int, float]:
+        """Each non-epsilon label state ``q`` reads, mapped to its cheapest
+        arc weight; a label whose arcs all weigh +inf is absent."""
+        costs: dict[int, float] = {}
+        for arc in self.fst.arcs_from(q):
+            label = arc.ilabel
+            if label and arc.weight < costs.get(label, math.inf):
+                costs[label] = arc.weight
+        return costs
 
     def advance(self, states: StateSet, label: int) -> StateSet | None:
         """Consume one token; None when no state survives.  The set returned
@@ -371,10 +395,12 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     children come from its label table, :meth:`FusionGraph.ahead`, which
     gives each child's lattice cost without building its state set.  Only
     the ``beam_width`` cheapest candidates get :meth:`FusionGraph.advance`,
-    a token tuple and a :class:`Hypothesis`.  Each child's log-probability
-    is one ``math.log`` where its probability is positive: ``np.log`` over
-    the row would differ from it in the last bit on some values and change
-    the results.
+    a token tuple and a :class:`Hypothesis`.  Log-probabilities are taken
+    once per entry of each row the scorer returns, so a row that stands for
+    every live entry costs one ``math.log`` per symbol, not one per child;
+    None marks an entry that is not positive.  ``np.log`` over the row
+    would differ from ``math.log`` in the last bit on some values and
+    change the results.
 
     Finished hypotheses go into ``best``, the bounded n-best itself: at
     most ``nbest_size`` of them in ``_hyp_key`` order, returned as it
@@ -416,15 +442,15 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
         prev = [tokens[-1] if tokens else None for _, tokens, _, _ in live]
         dists, states = step_distributions(scorer, [state for _, _, _, state in live], prev)
         covs = coverage_count(scorer, states, config.coverage_threshold) if eta > 0.0 else [0] * len(live)
-        rows = dists.tolist()
-        if len(rows) < len(live):  # one row standing for every state
-            rows *= len(live)
+        logs = [[math.log(p) if p > 0.0 else None for p in row] for row in dists.tolist()]
+        if len(logs) < len(live):  # one row standing for every state
+            logs *= len(live)
         candidates: list[tuple[float, int, int, float, float, int]] = []
         for i, (_, tokens, hyp, _) in enumerate(live):
-            probs, cov = rows[i], covs[i]
-            p = probs[eos]
-            if p > 0.0:
-                score = hyp.model_score + math.log(p)
+            row, cov = logs[i], covs[i]
+            lp = row[eos]
+            if lp is not None:
+                score = hyp.model_score + lp
                 stop = graph.final_best(hyp.lm_state) if graph is not None else 0.0
                 if stop is not None:
                     total = -score + lam * stop - eta * cov
@@ -436,9 +462,9 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
             r = rank[tokens]
             children = graph.ahead(hyp.lm_state).items() if graph is not None else unfused
             for tid, ahead in children:
-                p = probs[tid]
-                if p > 0.0 and tid != eos:
-                    score = hyp.model_score + math.log(p)
+                lp = row[tid]
+                if lp is not None and tid != eos:
+                    score = hyp.model_score + lp
                     candidates.append((-score + lam * ahead - eta * cov, r, tid, score, ahead, i))
         if not extend or not candidates:
             break

@@ -67,7 +67,9 @@ class Utterance:
     """Synthetic input features paired with the reference symbol ids.
 
     ``reference`` ends with the ``<eos>`` id; ``features`` is a (T, d) array
-    with T >= 1.
+    with T >= 1.  Its values are not checked here, so training on a
+    non-finite frame fails as a diverged epoch; :func:`as_features`, which
+    a task file's frames go through, refuses one.
     """
 
     uid: str
@@ -75,14 +77,23 @@ class Utterance:
     reference: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "features", as_features(self.features))
+        object.__setattr__(self, "features", _frames(self.features))
         object.__setattr__(self, "reference", tuple(int(y) for y in self.reference))
         if len(self.reference) == 0:
             raise ScorerError("reference is empty (it must at least contain <eos>)")
 
 
 def as_features(x) -> np.ndarray:
-    """``x`` as a float64 (T, d) array of frames, T >= 1."""
+    """``x`` as a float64 (T, d) array of finite frames, T >= 1."""
+    feats = _frames(x)
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise ScorerError(f"features hold a non-finite value in frame {bad[0]}")
+    return feats
+
+
+def _frames(x) -> np.ndarray:
+    """``x`` as a float64 (T, d) array, T >= 1, its values unchecked."""
     feats = np.asarray(x, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise ScorerError(f"features must be a (T, d) array with T >= 1, got shape {feats.shape}")
@@ -780,6 +791,8 @@ def _parse_checkpoint(raw: bytes) -> ToyLasModel:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ScorerError(f"array {entry['name']} holds a non-finite value")
         params[entry["name"]] = arr.astype(np.float64)
         offset += count * 8
     if offset != len(raw):

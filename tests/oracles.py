@@ -494,6 +494,21 @@ def reference_advance(
     return reference_closure(graph.fst, seeds)
 
 
+def reference_ahead(graph: FusionGraph, states: tuple[tuple[int, float], ...]) -> dict[int, float]:
+    """``FusionGraph.ahead`` as one scan of every arc of the set's states,
+    computed afresh on every call: each non-epsilon label some state reads,
+    mapped to its cheapest ``w + arc.weight``."""
+    table: dict[int, float] = {}
+    for q, w in states:
+        for arc in graph.fst.arcs_from(q):
+            label = arc.ilabel
+            if label:
+                cand = w + arc.weight
+                if cand < table.get(label, math.inf):
+                    table[label] = cand
+    return table
+
+
 def reference_best(states: tuple[tuple[int, float], ...]) -> float:
     return min(w for _, w in states)
 

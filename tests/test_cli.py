@@ -407,6 +407,26 @@ def _utterance_with_null_features(task, ckpt):
     return f"{path}:2"
 
 
+def _utterance_with_nan_features(task, ckpt):
+    _edited_checkpoint(task, ckpt)
+    path = task / "utterances.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record["features"][0][0] = math.nan
+    lines[1] = json.dumps(record) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return f"{path}:2"
+
+
+def _checkpoint_with_a_nan_parameter(task, ckpt):
+    loaded = load_task(task)
+    _, utts = build_table_scorer(loaded)
+    model = ToyLasModel.init(task_alphabet(loaded), utts[0].features.shape[1])
+    model.params["out_b"][0] = math.nan
+    save_checkpoint(model, ckpt)
+    return ckpt
+
+
 def _empty_meta(task, ckpt):
     (task / "meta.json").write_text("{}\n", encoding="utf-8")
     return task / "meta.json"
@@ -458,6 +478,8 @@ class TestMalformedInputFiles:
             _utterance_with_a_repeated_uid,
             _utterance_with_string_words,
             _utterance_with_null_features,
+            _utterance_with_nan_features,
+            _checkpoint_with_a_nan_parameter,
             _empty_meta,
             _lexicon_line_without_tab,
             _lexicon_with_epsilon,

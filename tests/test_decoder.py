@@ -385,6 +385,73 @@ class TestStateSetCache:
                     assert graph._stored <= bound
         assert unclosed > 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        eow_mode=st.sampled_from(["required", "optional"]),
+        order=st.integers(1, 4),
+        bound=st.sampled_from([decoder_mod._MAX_STORED, 1, 3, 8]),
+    )
+    def test_label_tables_equal_the_arc_scan_bit_for_bit(self, seed, eow_mode, order, bound):
+        rng = np.random.default_rng(seed)
+        resources = random_resources(rng, eow_mode, order)
+        rebuilds = 0
+        with mock.patch.object(decoder_mod, "_MAX_STORED", bound):
+            graph = FusionGraph(resources.lg, self.ALPHABET)
+            cheapest = graph._cheapest
+            for _ in range(8):
+                states, ref = graph.start, oracles.reference_start(graph)
+                for _ in range(10):
+                    start, before = graph.start, list(cheapest)
+                    table = graph.ahead(states)
+                    scan = oracles.reference_ahead(graph, ref)
+                    # same labels in the same order, each value the same float
+                    assert [(k, v.hex()) for k, v in table.items()] == [(k, v.hex()) for k, v in scan.items()]
+                    if not table:
+                        break
+                    label = int(rng.choice(sorted(table)))
+                    states = graph.advance(states, label)
+                    ref = oracles.reference_advance(graph, ref, label)
+                    assert graph._stored <= bound
+                    rebuilds += graph.start is not start
+                    # a rebuild forgets per-prefix results, never a state's label costs
+                    assert graph._cheapest is cheapest
+                    assert all(b is None or b is a for b, a in zip(before, cheapest))
+        if bound == 1:
+            assert rebuilds > 0
+
+    def test_label_costs_keep_the_cheapest_arc_and_drop_infinite_ones(self):
+        alphabet = make_alphabet("a", "b", "c")
+        a, b, c = (alphabet.id(x) for x in "abc")
+        lg = build_fst(
+            [
+                (0, 1, a, 1, 2.0),
+                (0, 2, a, 1, 0.5),  # the same label again, cheaper
+                (0, 1, b, 1, math.inf),  # the only arc reading b here
+                (0, 3, 0, 0, 0.25),
+                (3, 1, c, 1, 1.0),
+                (3, 2, a, 0, 0.125),
+                (2, 1, b, 1, math.inf),
+            ],
+            0,
+            {1: 0.0, 2: 0.0},
+            SymbolTable(["a", "b", "c"]),
+            SymbolTable(["w"]),
+        )
+        graph = FusionGraph(lg, alphabet)
+        table = graph.ahead(graph.start)
+        assert table == {a: 0.375, c: 1.25}
+        assert graph._cheapest[0] == {a: 0.5} and graph._cheapest[3] == {a: 0.125, c: 1.0}
+        after_a = graph.advance(graph.start, a)
+        for states in (graph.start, after_a):
+            table = graph.ahead(states)
+            for label in range(1, len(alphabet)):
+                nxt = graph.advance(states, label)
+                assert (label in table) == (nxt is not None)
+                if nxt is not None:
+                    assert table[label] == nxt.best
+        assert graph.ahead(after_a) == {} and graph._cheapest[2] == {}
+
     def test_only_survivors_are_built_and_only_used_sets_closed(self):
         _, resources, alphabet = homophone_setup()
         graph = resources.graph_for(alphabet)
@@ -1166,6 +1233,61 @@ class ScriptedScorer:
                 state = state[:-1]
             counts.append(self.cov[state])
         return counts
+
+
+class RowPerState:
+    """A table scorer that returns its one shared row once per state, as a
+    scorer with a (B, V) step does."""
+
+    def __init__(self, table: TableScorer):
+        self.table, self.alphabet = table, table.alphabet
+        self.widest = 0
+
+    def token_limit(self, utt):
+        return self.table.token_limit(utt)
+
+    def start(self, utt):
+        return self.table.start(utt)
+
+    def step(self, states, tokens):
+        dists, nxt = self.table.step(states, tokens)
+        self.widest = max(self.widest, len(states))
+        return np.repeat(dists, len(states), axis=0), nxt
+
+    def covered(self, states, threshold):
+        return self.table.covered(states, threshold)
+
+
+class TestSharedRows:
+    """A row that stands for every live entry decodes exactly as one copy
+    of it per entry."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "fusion, eta", [("none", 0.0), ("nbest", 0.0), ("beam", 0.0), ("beam", 0.3), ("both", 0.0), ("both", 0.3)]
+    )
+    def test_one_shared_row_decodes_as_a_row_per_state(self, seed, fusion, eta):
+        rng = np.random.default_rng(seed)
+        if fusion == "none":
+            resources, alphabet = None, make_alphabet("a", "b", "<space>")
+        else:
+            resources, alphabet = random_resources(rng, "optional"), make_alphabet("a", "b", "c", EOW)
+        steps = 6
+        # some exact zeros, so entries without a log-probability are met too
+        banned = [(int(rng.integers(steps)), str(rng.choice(["a", "b", EOS]))) for _ in range(4)]
+        table = TableScorer(alphabet, {"u0": random_rows(alphabet, rng, steps, banned)})
+        cfg = DecodeConfig(
+            fusion=fusion,
+            lm_weight=0.0 if fusion in ("none", "nbest") else 0.4,
+            lm_weight_nbest=0.3 if fusion in ("nbest", "both") else None,
+            coverage_weight=eta,
+            beam_width=4,
+            nbest_size=3,
+        )
+        per_state = RowPerState(table)
+        shared = json.dumps(decode(table, resources, make_utt(), cfg).to_dict())
+        assert json.dumps(decode(per_state, resources, make_utt(), cfg).to_dict()) == shared
+        assert per_state.widest > 1
 
 
 class TestThresholdPruning:
