@@ -32,7 +32,7 @@ from .decoder import (
     decode_batch,
 )
 from .fst import SymbolTable, write_fst_text
-from .lexicon import EOW_MODES, compile_lexicon, parse_lexicon
+from .lexicon import EOW_MODES, LexiconError, compile_lexicon, parse_lexicon
 from .ngram import NGramError, lm_to_fst, read_arpa, train_ngram, write_arpa
 from .scorer import (
     ToyLasModel,
@@ -89,10 +89,19 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _lexicon(path: str, eow_mode: str | None = None, phoneset: SymbolTable | None = None):
+    """The lexicon file at ``path``, compiled in ``eow_mode`` unless that
+    is None; a malformed or empty file raises an error naming it."""
+    try:
+        lex = parse_lexicon(_read_text(path), phoneset)
+        return lex if eow_mode is None else compile_lexicon(lex, eow_mode)
+    except LexiconError as err:
+        raise LexiconError(f"{path}: {err}") from None
+
+
 def _cmd_compile_lexicon(args: argparse.Namespace) -> RunManifest:
     phoneset = SymbolTable.read(args.phones) if args.phones else None
-    lex = parse_lexicon(_read_text(args.lexicon), phoneset)
-    fst = compile_lexicon(lex, args.eow_mode)
+    fst = _lexicon(args.lexicon, args.eow_mode, phoneset)
     out = Path(args.out)
     write_fst_text(fst, out)
     fst.isyms.write(f"{out}.isyms")
@@ -109,7 +118,7 @@ def _cmd_train_lm(args: argparse.Namespace) -> RunManifest:
 
 
 def _cmd_synth(args: argparse.Namespace) -> RunManifest:
-    lex = parse_lexicon(_read_text(args.lexicon))
+    lex = _lexicon(args.lexicon)
     lm = read_arpa(args.lm)
     task = synth_corpus(args.seed, lex, lm, args.count, args.noise)
     save_task(task, args.out)
@@ -153,13 +162,13 @@ def _decode_config(args: argparse.Namespace, **fields) -> DecodeConfig:
 
 
 def _load_resources(args: argparse.Namespace) -> DecodeResources:
-    lex = parse_lexicon(_read_text(args.lexicon))
+    lexicon_fst = _lexicon(args.lexicon, args.eow_mode)
     lm = read_arpa(args.lm)
     try:
         lm_fst = lm_to_fst(lm)
     except NGramError as err:
         raise NGramError(f"{args.lm}: {err}") from None
-    return DecodeResources(compile_lexicon(lex, args.eow_mode), lm_fst)
+    return DecodeResources(lexicon_fst, lm_fst)
 
 
 def _task_scorer(args: argparse.Namespace, task):

@@ -423,12 +423,11 @@ class ToyLasModel:
         return u, alpha, (alpha @ h_enc).reshape(N, -1)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        """Run the recurrent encoder; returns one hidden vector per frame."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.feat_dim:
+        """Run the recurrent encoder over finite (T, feat_dim) frames, T >=
+        1; returns one hidden vector per frame."""
+        x = as_features(x)
+        if x.shape[1] != self.feat_dim:
             raise ScorerError(f"expected features shaped (T, {self.feat_dim}), got {x.shape}")
-        if x.shape[0] < 1:
-            raise ScorerError("encoder needs at least one frame")
         h_enc, _ = self._encode(x[None])
         return h_enc[0]
 

@@ -505,6 +505,23 @@ class TestMalformedInputFiles:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["decode", "compile-lexicon"])
+    @pytest.mark.parametrize("text", ["I ay\n", "# no entries\n"], ids=["line-without-tab", "empty"])
+    def test_lexicon_flag_names_the_file(self, pipeline, tmp_path, capsys, command, text):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "decode":
+            args = decode_args(pipeline, out, "--fusion", "beam", "--lm-weight", "0.1")
+            args[args.index("--lexicon") + 1] = str(lexicon)
+        else:
+            args = ["compile-lexicon", "--lexicon", str(lexicon), "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {lexicon}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_decode_refuses_a_backoff_above_one(self, pipeline, tmp_path, capsys):
         # a task may carry such an LM (synth only samples from it), but no
         # fusion graph can charge a backoff weight above 1

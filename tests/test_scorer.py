@@ -275,6 +275,16 @@ class TestEncode:
         with pytest.raises(ScorerError, match=r"\(T, 3\)"):
             m.encode(np.ones((4, 5)))
 
+    def test_non_finite_frame_is_refused(self, abc_alphabet):
+        # a decode starts here, so it must not search over NaN attention
+        m = tiny_model(abc_alphabet)
+        x = np.ones((4, 3))
+        x[2, 1] = np.nan
+        with pytest.raises(ScorerError, match="non-finite value in frame 2"):
+            m.encode(x)
+        with pytest.raises(ScorerError, match="non-finite value in frame 0"):
+            m.start(Utterance("u", np.full((3, 3), np.inf), (1,)))
+
     def test_matches_straight_line_recurrence(self, abc_alphabet):
         rng = np.random.default_rng(5)
         for layers in (1, 2):
