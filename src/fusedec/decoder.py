@@ -241,7 +241,6 @@ class FusionGraph:
             self.fst = relabel(lg, isyms=alphabet)
         except FstError as e:
             raise DecodeError(f"fusion graph incompatible with the scorer alphabet: {e}") from e
-        self.alphabet = alphabet
         self._cheapest: list[dict[int, float] | None] = [None] * self.fst.num_states
         self.start = StateSet(None, _eps_closure(self.fst, {self.fst.start: 0.0}))
         self._rebuild()
@@ -380,22 +379,22 @@ def _hyp_key(h: Hypothesis) -> tuple[float, tuple[int, ...]]:
 def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | None) -> NBestList:
     """Shared beam core; ``graph`` None gives the plain model-score search.
 
-    A live entry is (total_cost, tokens, hypothesis, scorer state): the
-    leading pair is ``_hyp_key``, unique per entry, so entries sort natively;
-    the state is the parent's after the parent's step.  Each depth makes one
-    scorer step over every live entry at once, and one coverage count when
-    ``coverage_weight`` is positive.
+    A live entry is (hypothesis, scorer state), the state being the
+    parent's after the parent's step; live entries are kept in ``_hyp_key``
+    order.  Each depth makes one scorer step over every live entry at once,
+    and one coverage count when ``coverage_weight`` is positive.
 
     Children are ranked before any is built.  A candidate is the tuple
-    ``(total, parent's token rank, tid, score, ahead, parent's index)``:
-    every live entry at one depth holds as many tokens as the others, so
-    the rank of the parent's token tuple among them, then the token id,
-    orders children exactly as their token tuples do, and the candidates
-    sort as ``_hyp_key`` would sort the children.  A fused parent's
-    children come from its label table, :meth:`FusionGraph.ahead`, which
-    gives each child's lattice cost without building its state set.  Only
-    the ``beam_width`` cheapest candidates get :meth:`FusionGraph.advance`,
-    a token tuple and a :class:`Hypothesis`.  Log-probabilities are taken
+    ``(total, parent's tokens, tid, score, ahead, parent's index)``: the
+    live entries at one depth all hold as many tokens and no two hold the
+    same ones, so the parent's tokens, then the token id, order children
+    exactly as their own token tuples do, and the candidates sort as
+    ``_hyp_key`` would sort the children.  The tuples are compared only on
+    a cost tie.  A fused parent's children come from its label table,
+    :meth:`FusionGraph.ahead`, which gives each child's lattice cost without
+    building its state set.  Only the ``beam_width`` cheapest candidates
+    get :meth:`FusionGraph.advance`, a token tuple and a
+    :class:`Hypothesis`.  Log-probabilities are taken
     once per entry of each row the scorer returns, so a row that stands for
     every live entry costs one ``math.log`` per symbol, not one per child;
     None marks an entry that is not positive.  ``np.log`` over the row
@@ -425,7 +424,7 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
         eos = alphabet.id(EOS)
     except FstError as e:
         raise DecodeError(f"scorer alphabet lacks {EOS}: {e}") from e
-    lam = config.lm_weight if graph is not None else 0.0
+    lam = config.lm_weight  # 0 without a graph: DecodeConfig refuses any other
     eta = config.coverage_weight
     steps = min(config.max_steps, scorer.token_limit(utt))
     slack = eta * max(steps + 1, utt.features.shape[0])
@@ -433,21 +432,20 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     start_state = graph.start if graph is not None else None
     start_cost = start_state.best if graph is not None else 0.0
     root = Hypothesis((), 0.0, start_cost, 0, lam * start_cost, False, start_state)
-    live = [(root.total_cost, (), root, scorer.start(utt))]
+    live = [(root, scorer.start(utt))]
     best: list[Hypothesis] = []
     unfused = [(tid, 0.0) for tid in range(len(alphabet))]
     for depth in range(steps + 1):
         extend = depth < steps
-        rank = {tokens: r for r, tokens in enumerate(sorted(tokens for _, tokens, _, _ in live))}
-        prev = [tokens[-1] if tokens else None for _, tokens, _, _ in live]
-        dists, states = step_distributions(scorer, [state for _, _, _, state in live], prev)
+        prev = [hyp.tokens[-1] if hyp.tokens else None for hyp, _ in live]
+        dists, states = step_distributions(scorer, [state for _, state in live], prev)
         covs = coverage_count(scorer, states, config.coverage_threshold) if eta > 0.0 else [0] * len(live)
         logs = [[math.log(p) if p > 0.0 else None for p in row] for row in dists.tolist()]
         if len(logs) < len(live):  # one row standing for every state
             logs *= len(live)
-        candidates: list[tuple[float, int, int, float, float, int]] = []
-        for i, (_, tokens, hyp, _) in enumerate(live):
-            row, cov = logs[i], covs[i]
+        candidates: list[tuple[float, tuple[int, ...], int, float, float, int]] = []
+        for i, (hyp, _) in enumerate(live):
+            tokens, row, cov = hyp.tokens, logs[i], covs[i]
             lp = row[eos]
             if lp is not None:
                 score = hyp.model_score + lp
@@ -459,34 +457,31 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
                         del best[nbest:]
             if not extend:
                 continue
-            r = rank[tokens]
             children = graph.ahead(hyp.lm_state).items() if graph is not None else unfused
             for tid, ahead in children:
                 lp = row[tid]
                 if lp is not None and tid != eos:
                     score = hyp.model_score + lp
-                    candidates.append((-score + lam * ahead - eta * cov, r, tid, score, ahead, i))
+                    candidates.append((-score + lam * ahead - eta * cov, tokens, tid, score, ahead, i))
         if not extend or not candidates:
             break
         candidates.sort()
         parents, live = live, []
-        for total, _, tid, score, ahead, i in candidates[: config.beam_width]:
-            hyp = parents[i][2]
-            nxt = graph.advance(hyp.lm_state, tid) if graph is not None else None
-            tokens = (*hyp.tokens, tid)
-            live.append((total, tokens, Hypothesis(tokens, score, ahead, covs[i], total, False, nxt), states[i]))
+        for total, tokens, tid, score, ahead, i in candidates[: config.beam_width]:
+            nxt = graph.advance(parents[i][0].lm_state, tid) if graph is not None else None
+            live.append((Hypothesis((*tokens, tid), score, ahead, covs[i], total, False, nxt), states[i]))
         if len(best) == nbest:
             bar = best[-1].total_cost
             if eta == 0.0:
-                while live and live[-1][0] > bar:
+                while live and live[-1][0].total_cost > bar:
                     live.pop()
-            elif all(-h.model_score + lam * h.lm_cost - slack > bar for _, _, h, _ in live):
+            elif all(-h.model_score + lam * h.lm_cost - slack > bar for h, _ in live):
                 live = []
             if not live:
                 break
     if best:
         return NBestList(tuple(best), True)
-    return NBestList(tuple(hyp for _, _, hyp, _ in live[:nbest]), False)
+    return NBestList(tuple(hyp for hyp, _ in live[:nbest]), False)
 
 
 def beam_search(scorer, utt: Utterance, config: DecodeConfig) -> NBestList:

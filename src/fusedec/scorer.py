@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -198,12 +198,13 @@ class DecoderStepState:
     (dec_hidden, H * A) and scores ``v`` (H, A).  Per step: the recurrent
     vector ``s``, how much attention mass each encoder frame has accumulated
     so far (non-decreasing), and how many steps have been taken.  The
-    attention of the step leaving the state is filled in on first use, so
-    siblings and ``covered()`` share it.
+    attention of the step leaving the state depends on ``s`` alone, so it is
+    computed when the state is made: ``coverage`` (T,), the mass that step
+    adds to each frame (the heads' mean weight), and ``context`` (H * E,),
+    the heads' concatenated contexts.
 
-    Two states are equal when their arrays and step counts are, whether or
-    not their attention is filled in yet.  States hold arrays, so they are
-    not hashable."""
+    Two states are equal when their arrays and step counts are.  States
+    hold arrays, so they are not hashable."""
 
     h_enc: np.ndarray
     keys: np.ndarray
@@ -211,13 +212,14 @@ class DecoderStepState:
     v: np.ndarray
     s: np.ndarray
     cum_attention: np.ndarray
+    coverage: np.ndarray
+    context: np.ndarray
     steps: int = 0
-    _attention: tuple | None = field(default=None, init=False, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DecoderStepState):
             return NotImplemented
-        arrays = ("h_enc", "keys", "Wq", "v", "s", "cum_attention")
+        arrays = ("h_enc", "keys", "Wq", "v", "s", "cum_attention", "coverage", "context")
         return self.steps == other.steps and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in arrays
         )
@@ -449,16 +451,17 @@ class ToyLasModel:
         """For each state, the frames above ``threshold`` after one more
         step, whose attention depends only on the state and not on the
         symbol it consumes."""
-        coverage, _ = self._attention(states)
-        cum = np.array([state.cum_attention for state in states])
-        return np.count_nonzero(cum + coverage > threshold, axis=1).tolist()
+        cum = np.array([state.cum_attention + state.coverage for state in states])
+        return np.count_nonzero(cum > threshold, axis=1).tolist()
 
     def init_state(self, h_enc: np.ndarray) -> DecoderStepState:
         """The state before <sos>, for the encoder output ``h_enc``."""
         Wq, Wk, v = self._heads()
         T = h_enc.shape[0]
         keys = (h_enc @ Wk).reshape(1, T, self.n_heads, self.att_dim)
-        return DecoderStepState(h_enc, keys, Wq, v, np.zeros(self.dec_hidden), np.zeros(T))
+        s = np.zeros(self.dec_hidden)
+        (coverage,), (context,) = self._step_attention(keys, s[None, None], h_enc, Wq, v)
+        return DecoderStepState(h_enc, keys, Wq, v, s, np.zeros(T), coverage, context)
 
     def decode_step(self, state: DecoderStepState, y_prev: int):
         """One decoder step; returns (distribution, next state)."""
@@ -471,46 +474,39 @@ class ToyLasModel:
         ``ys[i]``: the (B, V) distributions and the B next states.  States
         may repeat and may differ in depth.
 
-        The B rows run through one ``_cell_forward`` and one
-        ``_masked_softmax``, each row a (1, d) matrix: every product is then
-        one vector-matrix product per row, so a row comes out bit for bit
-        the same whatever else is stepped beside it."""
+        The B rows run through one ``_cell_forward``, one
+        ``_masked_softmax`` and one ``_attend`` for the B states made, each
+        row a (1, d) matrix: every product is then one vector-matrix
+        product per row, so a row comes out bit for bit the same whatever
+        else is stepped beside it."""
         ys = np.asarray(ys, dtype=np.intp)
         bad = ys[(ys < 0) | (ys >= len(self.alphabet))]
         if bad.size:
             raise ScorerError(f"symbol id {bad[0]} out of range for this alphabet")
-        coverage, contexts = self._attention(states)
+        first = states[0]
+        if any(state.keys is not first.keys for state in states):
+            raise ScorerError("a decode step takes the states of one utterance at a time")
         p = self.params
+        contexts = np.array([state.context for state in states])
         x = np.concatenate([p["emb"][ys], contexts], axis=1)[:, None]
         s_prev = np.array([state.s for state in states])[:, None]
         s, _ = _cell_forward(x, s_prev, *self._cell("dec_"))
         dists = _masked_softmax(s @ p["out_W"] + p["out_b"], self.emit_mask)[:, 0]
-        cum = np.array([state.cum_attention for state in states]) + coverage
+        coverage, contexts = self._step_attention(first.keys, s, first.h_enc, first.Wq, first.v)
         return dists, [
-            DecoderStepState(st.h_enc, st.keys, st.Wq, st.v, s[i, 0], cum[i], st.steps + 1)
+            DecoderStepState(st.h_enc, st.keys, st.Wq, st.v, s[i, 0], st.cum_attention + st.coverage,
+                             coverage[i], contexts[i], st.steps + 1)
             for i, st in enumerate(states)
         ]
 
-    def _attention(self, states: Sequence[DecoderStepState]):
-        """The attention of the step leaving each state: the mass it adds
-        to each frame (the heads' mean weight), (B, T), and the
-        concatenated contexts, (B, H * E).  One ``_attend`` runs over the
-        distinct states whose memo is still empty, which all share one
-        utterance's keys; siblings share their parent's state, and
-        ``covered()`` the state it is asked about, so each state's
-        attention is computed once."""
-        todo = list({id(state): state for state in states if state._attention is None}.values())
-        if todo:
-            first = todo[0]
-            if any(state.keys is not first.keys for state in todo):
-                raise ScorerError("a decode step takes the states of one utterance at a time")
-            s = np.array([state.s for state in todo])[:, None]
-            _, alpha, contexts = self._attend(first.keys, s, first.h_enc, first.Wq, first.v)
-            # the sum over heads / H is np.mean's arithmetic, without its wrapper
-            for state, coverage, context in zip(todo, alpha.sum(axis=1) / self.n_heads, contexts):
-                object.__setattr__(state, "_attention", (coverage, context))
-        return (np.array([state._attention[0] for state in states]),
-                np.array([state._attention[1] for state in states]))
+    def _step_attention(self, keys, s, h_enc, Wq, v):
+        """The attention of the step leaving each of N states of one
+        utterance, from their (N, 1, dec_hidden) vectors ``s``: the mass it
+        adds to each frame (the heads' mean weight), (N, T), and the
+        concatenated contexts, (N, H * E)."""
+        _, alpha, contexts = self._attend(keys, s, h_enc, Wq, v)
+        # the sum over heads / H is np.mean's arithmetic, without its wrapper
+        return alpha.sum(axis=1) / self.n_heads, contexts
 
     def _forward(self, corpus: Sequence[Utterance]):
         """The teacher-forced forward pass over a corpus, as one padded

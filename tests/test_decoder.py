@@ -700,36 +700,34 @@ class TestAttentionScorerSearch:
         assert counts["coverage"] == (len(depths) if eta else 0)
 
     @pytest.mark.parametrize("eta", [0.0, 0.5])
-    def test_one_attention_per_distinct_state(self, homophone, monkeypatch, eta):
+    def test_one_attention_per_step_and_start(self, homophone, monkeypatch, eta):
         _, resources, alphabet = homophone
         model = ToyLasModel.init(alphabet, 3, enc_hidden=4, dec_hidden=4, att_dim=3, embed_dim=3)
-        rows, states = [0], []  # states stepped or covered, held so no id is reused
+        starts, stepped, attended = [], [], []  # the rows of each call
+        real_start, real_step = model.start, model.step
 
         def attend(keys, s, *args):
-            rows[0] += s.shape[0]
+            attended.append(s.shape[0])
             return ToyLasModel._attend(keys, s, *args)
 
-        def seen(fn):
-            def wrapper(batch, *args):
-                states.extend(batch)
-                return fn(batch, *args)
-            return wrapper
+        def start(utt):
+            starts.append(1)
+            return real_start(utt)
+
+        def step(states, tokens):
+            stepped.append(len(states))
+            return real_step(states, tokens)
 
         monkeypatch.setattr(model, "_attend", attend)
-        monkeypatch.setattr(model, "step", seen(model.step))
-        monkeypatch.setattr(model, "covered", seen(model.covered))
+        monkeypatch.setattr(model, "start", start)
+        monkeypatch.setattr(model, "step", step)
         utt = Utterance("u0", np.random.default_rng(7).normal(size=(4, 3)), (1,))
         cfg = DecodeConfig(fusion="beam", lm_weight=0.2, coverage_weight=eta, beam_width=3, max_steps=6)
         decode(model, resources, utt, cfg)
-        # siblings step from their parent's state, which covered() also reads
-        distinct = len({id(s) for s in states})
-        assert distinct < len(states)
-        assert rows[0] == distinct
-        # the memo is invisible to equality and repr
-        state = model.start(utt)
-        twin, before = dataclasses.replace(state), repr(state)
-        model.covered([state], 0.5)
-        assert state == twin and repr(state) == before
+        # the attention of the step leaving a state is computed when the
+        # state is made, over every state one call makes; covered() reads it
+        assert starts == [1] and len(stepped) > 2
+        assert attended == [1, *stepped]
 
 
 class TestNBestRescore:
