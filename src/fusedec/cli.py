@@ -32,7 +32,7 @@ from .decoder import (
     decode_batch,
 )
 from .fst import SymbolTable, write_fst_text
-from .lexicon import EOW_MODES, LexiconError, compile_lexicon, parse_lexicon
+from .lexicon import EOW, EOW_MODES, LexiconError, compile_lexicon, parse_lexicon
 from .ngram import NGramError, lm_to_fst, read_arpa, train_ngram, write_arpa
 from .scorer import (
     ToyLasModel,
@@ -101,6 +101,8 @@ def _lexicon(path: str, eow_mode: str | None = None, phoneset: SymbolTable | Non
 
 def _cmd_compile_lexicon(args: argparse.Namespace) -> RunManifest:
     phoneset = SymbolTable.read(args.phones) if args.phones else None
+    if phoneset is not None and EOW not in phoneset:
+        raise ValueError(f"{args.phones}: the phone table lacks {EOW}")
     fst = _lexicon(args.lexicon, args.eow_mode, phoneset)
     out = Path(args.out)
     write_fst_text(fst, out)

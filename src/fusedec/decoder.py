@@ -394,12 +394,11 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     :meth:`FusionGraph.ahead`, which gives each child's lattice cost without
     building its state set.  Only the ``beam_width`` cheapest candidates
     get :meth:`FusionGraph.advance`, a token tuple and a
-    :class:`Hypothesis`.  Log-probabilities are taken
-    once per entry of each row the scorer returns, so a row that stands for
-    every live entry costs one ``math.log`` per symbol, not one per child;
-    None marks an entry that is not positive.  ``np.log`` over the row
-    would differ from ``math.log`` in the last bit on some values and
-    change the results.
+    :class:`Hypothesis`.  Log-probabilities are taken once per entry of
+    each row the scorer returns, so a row that stands for every live entry
+    costs one ``math.log`` per symbol, not one per child; None marks an
+    entry that is not positive.  ``np.log`` over the row would differ from
+    ``math.log`` in the last bit on some values and change the results.
 
     Finished hypotheses go into ``best``, the bounded n-best itself: at
     most ``nbest_size`` of them in ``_hyp_key`` order, returned as it

@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -203,8 +203,8 @@ class DecoderStepState:
     adds to each frame (the heads' mean weight), and ``context`` (H * E,),
     the heads' concatenated contexts.
 
-    Two states are equal when their arrays and step counts are.  States
-    hold arrays, so they are not hashable."""
+    Two states are equal when all their fields are.  States hold arrays,
+    so they are not hashable."""
 
     h_enc: np.ndarray
     keys: np.ndarray
@@ -219,10 +219,7 @@ class DecoderStepState:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DecoderStepState):
             return NotImplemented
-        arrays = ("h_enc", "keys", "Wq", "v", "s", "cum_attention", "coverage", "context")
-        return self.steps == other.steps and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in arrays
-        )
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     __hash__ = None
 

@@ -60,14 +60,10 @@ def collect(name: str, seed: int, workdir: Path):
     if name == "las_decode":
         return records
     points: dict[str, list[dict]] = {}
-    last = None
     for record in records:
         probe = "probe " if record["uid"] == workloads.PROBE_UID else ""
         key = f"{probe}{record['strategy']} {json.dumps(record['config'], sort_keys=True)}"
-        if key != last and key in points:
-            raise ValueError(f"{name}: point {key} decoded in two runs")
         points.setdefault(key, []).append(record)
-        last = key
     return {key: _digest(group) for key, group in points.items()}
 
 
@@ -79,7 +75,7 @@ def differences(want, got, where: str = "") -> list[str]:
     """Where ``got`` departs from ``want``: floats within ``REL_TOL``
     relative, everything else exactly."""
     if isinstance(want, float) and isinstance(got, float):
-        if want == got or math.isclose(want, got, rel_tol=REL_TOL, abs_tol=0.0):
+        if math.isclose(want, got, rel_tol=REL_TOL):
             return []
         return [f"{where}: {got!r}, expected {want!r}"]
     if isinstance(want, dict) and isinstance(got, dict):

@@ -522,6 +522,16 @@ class TestMalformedInputFiles:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_phone_table_without_eow_names_the_phone_file(self, pipeline, tmp_path, capsys):
+        phones = tmp_path / "phones.syms"
+        phones.write_text("<eps>\t0\nay\t1\nae\t2\nm\t3\n", encoding="utf-8")
+        out = tmp_path / "l.fst"
+        args = ["compile-lexicon", "--lexicon", str(pipeline / "lexicon.txt"), "--phones", str(phones)]
+        assert main([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {phones}: the phone table lacks <eow>\n"
+        assert not out.exists()
+
     def test_decode_refuses_a_backoff_above_one(self, pipeline, tmp_path, capsys):
         # a task may carry such an LM (synth only samples from it), but no
         # fusion graph can charge a backoff weight above 1
