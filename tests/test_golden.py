@@ -28,3 +28,11 @@ def test_round_matches_the_golden_outputs(name, tmp_path):
     want = json.loads(golden.golden_path(1).read_text(encoding="utf-8"))[name]
     got = golden.collect(name, 1, tmp_path)
     assert golden.differences(want, got, name) == []
+
+
+def test_cli_matches_the_golden_outputs(tmp_path, capsys):
+    golden = _regenerate()
+    want = json.loads(golden.CLI_PATH.read_text(encoding="utf-8"))
+    got = golden.collect_cli(tmp_path)
+    capsys.readouterr()
+    assert golden.differences(want, got, "cli") == []
