@@ -53,9 +53,11 @@ SOS = "<sos>"
 EOS = "<eos>"
 
 _CKPT_MAGIC = b"FDSC"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 # The model dimensions a checkpoint header records, each under its own name.
 _MODEL_DIMS = ("feat_dim", "enc_hidden", "dec_hidden", "att_dim", "embed_dim", "n_heads", "n_enc_layers")
+# The longest prefix a ToyLasModel decode grows, <eos> not counted.
+MAX_PREFIX = 256
 
 
 class ScorerError(ValueError):
@@ -67,9 +69,7 @@ class Utterance:
     """Synthetic input features paired with the reference symbol ids.
 
     ``reference`` ends with the ``<eos>`` id; ``features`` is a (T, d) array
-    with T >= 1.  Its values are not checked here, so training on a
-    non-finite frame fails as a diverged epoch; :func:`as_features`, which
-    a task file's frames go through, refuses one.
+    of finite frames with T >= 1 (see :func:`as_features`).
     """
 
     uid: str
@@ -77,7 +77,7 @@ class Utterance:
     reference: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "features", _frames(self.features))
+        object.__setattr__(self, "features", as_features(self.features))
         object.__setattr__(self, "reference", tuple(int(y) for y in self.reference))
         if len(self.reference) == 0:
             raise ScorerError("reference is empty (it must at least contain <eos>)")
@@ -85,18 +85,12 @@ class Utterance:
 
 def as_features(x) -> np.ndarray:
     """``x`` as a float64 (T, d) array of finite frames, T >= 1."""
-    feats = _frames(x)
-    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-    if bad.size:
-        raise ScorerError(f"features hold a non-finite value in frame {bad[0]}")
-    return feats
-
-
-def _frames(x) -> np.ndarray:
-    """``x`` as a float64 (T, d) array, T >= 1, its values unchecked."""
     feats = np.asarray(x, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise ScorerError(f"features must be a (T, d) array with T >= 1, got shape {feats.shape}")
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise ScorerError(f"features hold a non-finite value in frame {bad[0]}")
     return feats
 
 
@@ -193,23 +187,21 @@ class TableScorer:
 @dataclass(frozen=True, eq=False)
 class DecoderStepState:
     """Carried between decode steps.  Fixed per utterance by
-    ``ToyLasModel.init_state``: the encoder output ``h_enc`` (T, E), and
-    every head's keys ``h_enc @ Wk`` (1, T, H, A), query weights ``Wq``
-    (dec_hidden, H * A) and scores ``v`` (H, A).  Per step: the recurrent
-    vector ``s``, how much attention mass each encoder frame has accumulated
-    so far (non-decreasing), and how many steps have been taken.  The
-    attention of the step leaving the state depends on ``s`` alone, so it is
-    computed when the state is made: ``coverage`` (T,), the mass that step
-    adds to each frame (the heads' mean weight), and ``context`` (H * E,),
-    the heads' concatenated contexts.
+    ``ToyLasModel.init_state``: the encoder output ``h_enc`` (T, E) and
+    every head's keys ``h_enc @ att_Wk`` (1, T, H, A); the attention
+    weights themselves stay in the model's ``params``.  Per step: the
+    recurrent vector ``s``, how much attention mass each encoder frame has
+    accumulated so far (non-decreasing), and how many steps have been
+    taken.  The attention of the step leaving the state depends on ``s``
+    alone, so it is computed when the state is made: ``coverage`` (T,), the
+    mass that step adds to each frame (the heads' mean weight), and
+    ``context`` (H * E,), the heads' concatenated contexts.
 
     Two states are equal when all their fields are.  States hold arrays,
     so they are not hashable."""
 
     h_enc: np.ndarray
     keys: np.ndarray
-    Wq: np.ndarray
-    v: np.ndarray
     s: np.ndarray
     cum_attention: np.ndarray
     coverage: np.ndarray
@@ -225,7 +217,9 @@ class DecoderStepState:
 
 
 def _param_shapes(vocab, feat_dim, enc_hidden, dec_hidden, att_dim, embed_dim, n_heads, n_enc_layers):
-    """Every ``ToyLasModel`` parameter's shape, from the model dimensions."""
+    """Every ``ToyLasModel`` parameter's shape, from the model dimensions.
+    Attention holds every head at once: head j owns columns j*A:(j+1)*A of
+    ``att_Wq`` and ``att_Wk`` and row j of ``att_v``."""
     shapes: dict[str, tuple[int, ...]] = {}
     for layer in range(n_enc_layers):
         d_in = feat_dim if layer == 0 else enc_hidden
@@ -234,12 +228,11 @@ def _param_shapes(vocab, feat_dim, enc_hidden, dec_hidden, att_dim, embed_dim, n
             f"enc{layer}_Wz": (d_in, h), f"enc{layer}_Uz": (h, h), f"enc{layer}_bz": (h,),
             f"enc{layer}_Wh": (d_in, h), f"enc{layer}_Uh": (h, h), f"enc{layer}_bh": (h,),
         })
-    for head in range(n_heads):
-        shapes.update({
-            f"att{head}_Wq": (dec_hidden, att_dim),
-            f"att{head}_Wk": (enc_hidden, att_dim),
-            f"att{head}_v": (att_dim,),
-        })
+    shapes.update({
+        "att_Wq": (dec_hidden, n_heads * att_dim),
+        "att_Wk": (enc_hidden, n_heads * att_dim),
+        "att_v": (n_heads, att_dim),
+    })
     d_dec = embed_dim + n_heads * enc_hidden
     h = dec_hidden
     shapes.update({
@@ -309,13 +302,11 @@ class ToyLasModel:
         embed_dim: int,
         n_heads: int,
         n_enc_layers: int,
-        max_prefix: int = 256,
     ):
         dims = (feat_dim, enc_hidden, dec_hidden, att_dim, embed_dim, n_heads, n_enc_layers)
-        for name, value in (*zip(_MODEL_DIMS, dims), ("max_prefix", max_prefix)):
-            least = 0 if name == "max_prefix" else 1
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise ScorerError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, value in zip(_MODEL_DIMS, dims):
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ScorerError(f"{name} must be an integer >= 1, got {value!r}")
         if n_enc_layers not in (1, 2):
             raise ScorerError(f"n_enc_layers must be 1 or 2, got {n_enc_layers}")
         for required in (SOS, EOS):
@@ -329,7 +320,6 @@ class ToyLasModel:
         self.embed_dim = embed_dim
         self.n_heads = n_heads
         self.n_enc_layers = n_enc_layers
-        self.max_prefix = max_prefix
         self.sos_id = alphabet.id(SOS)
         self.eos_id = alphabet.id(EOS)
         self.emit_mask = _emit_mask(alphabet)
@@ -355,32 +345,32 @@ class ToyLasModel:
         embed_dim: int = 8,
         n_heads: int = 1,
         n_enc_layers: int = 1,
-        max_prefix: int = 256,
         seed: int = 0,
     ) -> "ToyLasModel":
-        """Fresh model with uniform [-0.1, 0.1] parameters from the seed."""
+        """Fresh model with uniform [-0.1, 0.1] parameters from the seed.
+
+        The attention weights are drawn one head at a time (its query
+        weights, key weights and scores, in that order) and then joined, so
+        a seed gives each head the numbers it had when every head was
+        stored apart."""
         dims = dict(enc_hidden=enc_hidden, dec_hidden=dec_hidden, att_dim=att_dim,
                     embed_dim=embed_dim, n_heads=n_heads, n_enc_layers=n_enc_layers)
         rng = np.random.default_rng(seed)
-        shapes = _param_shapes(len(alphabet), feat_dim, **dims)
-        params = {k: rng.uniform(-0.1, 0.1, size=shape) for k, shape in shapes.items()}
-        return cls(alphabet, feat_dim, params, **dims, max_prefix=max_prefix)
+        params = {}
+        for k, shape in _param_shapes(len(alphabet), feat_dim, **dims).items():
+            if k == "att_Wq":
+                head = ((dec_hidden, att_dim), (enc_hidden, att_dim), (att_dim,))
+                Wq, Wk, v = zip(*([rng.uniform(-0.1, 0.1, size=s) for s in head] for _ in range(n_heads)))
+                params.update(att_Wq=np.hstack(Wq), att_Wk=np.hstack(Wk), att_v=np.stack(v))
+            elif k not in params:
+                params[k] = rng.uniform(-0.1, 0.1, size=shape)
+        return cls(alphabet, feat_dim, params, **dims)
 
     def _cell(self, prefix: str) -> tuple[np.ndarray, ...]:
         """The weights of the recurrent cell ``prefix``, in ``_cell_forward``'s order."""
         p = self.params
         return (p[prefix + "Wz"], p[prefix + "Uz"], p[prefix + "bz"],
                 p[prefix + "Wh"], p[prefix + "Uh"], p[prefix + "bh"])
-
-    def _heads(self):
-        """(Wq, Wk, v) of every head at once: head j owns columns
-        j*A:(j+1)*A of Wq and Wk and row j of v."""
-        p, H = self.params, range(self.n_heads)
-        return (
-            np.concatenate([p[f"att{j}_Wq"] for j in H], axis=1),
-            np.concatenate([p[f"att{j}_Wk"] for j in H], axis=1),
-            np.stack([p[f"att{j}_v"] for j in H]),
-        )
 
     def _encode(self, x: np.ndarray):
         """The encoder over an (N, T, d) batch: the top layer's (N, T,
@@ -400,21 +390,20 @@ class ToyLasModel:
             seq = outs
         return seq, caches
 
-    @staticmethod
-    def _attend(keys, s, h_enc, Wq, v, pad=None):
+    def _attend(self, keys, s, h_enc, pad=None):
         """Additive attention, every head and utterance of a batch at once.
 
         ``s`` holds the N decoder states before the step, as (N, dec_hidden)
         or as N (1, dec_hidden) rows; ``keys`` (N, T, H, A) is ``h_enc @
-        Wk``, or (1, T, H, A) for one utterance's keys shared by every row;
-        and ``pad`` (N, 1, T), if given, is True on padded frames, whose
-        weight is then exactly 0.  Returns the tanh scores u (N, T, H, A),
-        the weights alpha (N, H, T), and the contexts (N, H * E), head j's
-        in columns j*E:(j+1)*E.
+        att_Wk``, or (1, T, H, A) for one utterance's keys shared by every
+        row; and ``pad`` (N, 1, T), if given, is True on padded frames,
+        whose weight is then exactly 0.  Returns the tanh scores u (N, T, H,
+        A), the weights alpha (N, H, T), and the contexts (N, H * E), head
+        j's in columns j*E:(j+1)*E.
         """
         N, (H, A) = s.shape[0], keys.shape[2:]
-        u = np.tanh(keys + (s @ Wq).reshape(N, 1, H, A))
-        e = np.einsum("ntha,ha->nht", u, v)
+        u = np.tanh(keys + (s @ self.params["att_Wq"]).reshape(N, 1, H, A))
+        e = np.einsum("ntha,ha->nht", u, self.params["att_v"])
         if pad is not None:
             e = np.where(pad, -np.inf, e)
         e = np.exp(e - e.max(axis=2, keepdims=True))
@@ -431,17 +420,17 @@ class ToyLasModel:
         return h_enc[0]
 
     def token_limit(self, utt: Utterance) -> int:
-        return self.max_prefix
+        return MAX_PREFIX
 
     def start(self, utt: Utterance) -> DecoderStepState:
         return self.init_state(self.encode(utt.features))
 
     def step(self, states: Sequence[DecoderStepState], tokens: Sequence[int | None]):
         """:meth:`decode_steps` on ``tokens``, reading None as <sos>; a
-        prefix may grow to ``max_prefix`` symbols."""
+        prefix may grow to ``MAX_PREFIX`` symbols."""
         for state in states:
-            if state.steps > self.max_prefix:
-                raise ScorerError(f"prefix of length {state.steps} exceeds max_prefix={self.max_prefix}")
+            if state.steps > MAX_PREFIX:
+                raise ScorerError(f"prefix of length {state.steps} exceeds the model's limit of {MAX_PREFIX}")
         return self.decode_steps(states, [self.sos_id if t is None else t for t in tokens])
 
     def covered(self, states: Sequence[DecoderStepState], threshold: float) -> list[int]:
@@ -453,12 +442,11 @@ class ToyLasModel:
 
     def init_state(self, h_enc: np.ndarray) -> DecoderStepState:
         """The state before <sos>, for the encoder output ``h_enc``."""
-        Wq, Wk, v = self._heads()
         T = h_enc.shape[0]
-        keys = (h_enc @ Wk).reshape(1, T, self.n_heads, self.att_dim)
+        keys = (h_enc @ self.params["att_Wk"]).reshape(1, T, self.n_heads, self.att_dim)
         s = np.zeros(self.dec_hidden)
-        (coverage,), (context,) = self._step_attention(keys, s[None, None], h_enc, Wq, v)
-        return DecoderStepState(h_enc, keys, Wq, v, s, np.zeros(T), coverage, context)
+        (coverage,), (context,) = self._step_attention(keys, s[None, None], h_enc)
+        return DecoderStepState(h_enc, keys, s, np.zeros(T), coverage, context)
 
     def decode_step(self, state: DecoderStepState, y_prev: int):
         """One decoder step; returns (distribution, next state)."""
@@ -489,19 +477,19 @@ class ToyLasModel:
         s_prev = np.array([state.s for state in states])[:, None]
         s, _ = _cell_forward(x, s_prev, *self._cell("dec_"))
         dists = _masked_softmax(s @ p["out_W"] + p["out_b"], self.emit_mask)[:, 0]
-        coverage, contexts = self._step_attention(first.keys, s, first.h_enc, first.Wq, first.v)
+        coverage, contexts = self._step_attention(first.keys, s, first.h_enc)
         return dists, [
-            DecoderStepState(st.h_enc, st.keys, st.Wq, st.v, s[i, 0], st.cum_attention + st.coverage,
+            DecoderStepState(st.h_enc, st.keys, s[i, 0], st.cum_attention + st.coverage,
                              coverage[i], contexts[i], st.steps + 1)
             for i, st in enumerate(states)
         ]
 
-    def _step_attention(self, keys, s, h_enc, Wq, v):
+    def _step_attention(self, keys, s, h_enc):
         """The attention of the step leaving each of N states of one
         utterance, from their (N, 1, dec_hidden) vectors ``s``: the mass it
         adds to each frame (the heads' mean weight), (N, T), and the
         concatenated contexts, (N, H * E)."""
-        _, alpha, contexts = self._attend(keys, s, h_enc, Wq, v)
+        _, alpha, contexts = self._attend(keys, s, h_enc)
         # the sum over heads / H is np.mean's arithmetic, without its wrapper
         return alpha.sum(axis=1) / self.n_heads, contexts
 
@@ -532,14 +520,13 @@ class ToyLasModel:
             y_out[n, : tokens[n]] = utt.reference
 
         h_enc, enc_caches = self._encode(x)
-        Wq, Wk, v = self._heads()
-        keys = (h_enc @ Wk).reshape(N, T, H, A)
+        keys = (h_enc @ p["att_Wk"]).reshape(N, T, H, A)
         pad = ~frame_mask[:, None, :]
         dec = self._cell("dec_")
         s = np.zeros((N, self.dec_hidden))
         states, step_caches = [], []
         for l in range(L):
-            u, alpha, contexts = self._attend(keys, s, h_enc, Wq, v, pad)
+            u, alpha, contexts = self._attend(keys, s, h_enc, pad)
             s, cell_cache = _cell_forward(
                 np.concatenate([p["emb"][y_in[:, l]], contexts], axis=1), s, *dec
             )
@@ -613,7 +600,6 @@ def loss_and_gradients(model: ToyLasModel, corpus: Sequence[Utterance]):
     loss = float(-np.log(targets).sum()) / total_tokens
 
     grads = {k: np.zeros_like(v) for k, v in p.items()}
-    Wq, Wk, v = model._heads()
     dlogits = dist
     dlogits[rows, steps, y_out[rows, steps]] -= 1.0
     dlogits[~token_mask] = 0.0
@@ -622,8 +608,6 @@ def loss_and_gradients(model: ToyLasModel, corpus: Sequence[Utterance]):
     ds_out = dlogits @ p["out_W"].T
     d_h_enc = np.zeros_like(h_enc)
     d_scores = np.zeros((N, T, H, A))
-    grads_Wq = np.zeros_like(Wq)
-    grads_v = np.zeros_like(v)
     d_emb = np.empty((L, N, model.embed_dim))
     ds_carry = np.zeros((N, model.dec_hidden))
     dec_das = []
@@ -638,23 +622,18 @@ def loss_and_gradients(model: ToyLasModel, corpus: Sequence[Utterance]):
         d_h_enc += alpha.transpose(0, 2, 1) @ dc
         dalpha = dc @ h_enc.transpose(0, 2, 1)
         de = alpha * (dalpha - (alpha * dalpha).sum(axis=2, keepdims=True))
-        grads_v += np.einsum("nht,ntha->ha", de, u)
-        dA = de.transpose(0, 2, 1)[..., None] * v * (1.0 - u * u)
+        grads["att_v"] += np.einsum("nht,ntha->ha", de, u)
+        dA = de.transpose(0, 2, 1)[..., None] * p["att_v"] * (1.0 - u * u)
         dq = dA.sum(axis=1).reshape(N, H * A)
         d_scores += dA
-        grads_Wq += cell_cache[1].T @ dq
-        ds_carry = ds_prev + dq @ Wq.T
+        grads["att_Wq"] += cell_cache[1].T @ dq
+        ds_carry = ds_prev + dq @ p["att_Wq"].T
     _cell_weight_grads(grads, "dec_", [c[2] for c in reversed(step_caches)], dec_das)
     np.add.at(grads["emb"], y_in.T.ravel(), d_emb.reshape(-1, model.embed_dim))
     # the keys are the same at every step, so their gradient sums first
     d_scores = d_scores.reshape(N * T, H * A)
-    grads_Wk = h_enc.reshape(N * T, E).T @ d_scores
-    for j in range(H):
-        cols = slice(j * A, (j + 1) * A)
-        grads[f"att{j}_Wq"] += grads_Wq[:, cols]
-        grads[f"att{j}_Wk"] += grads_Wk[:, cols]
-        grads[f"att{j}_v"] += grads_v[j]
-    d_seq = d_h_enc + (d_scores @ Wk.T).reshape(N, T, E)
+    grads["att_Wk"] += h_enc.reshape(N * T, E).T @ d_scores
+    d_seq = d_h_enc + (d_scores @ p["att_Wk"].T).reshape(N, T, E)
 
     for layer in reversed(range(model.n_enc_layers)):
         layer_cache = enc_caches[layer]
@@ -739,7 +718,6 @@ def save_checkpoint(model: ToyLasModel, path: str | Path) -> None:
     float64 little-endian parameter arrays in header order."""
     header = {
         **{name: getattr(model, name) for name in _MODEL_DIMS},
-        "max_prefix": model.max_prefix,
         "alphabet": list(model.alphabet),
         "arrays": [
             {"name": k, "shape": list(model.params[k].shape)}
@@ -775,11 +753,13 @@ def _parse_checkpoint(raw: bytes) -> ToyLasModel:
         raise ScorerError("checkpoint ends inside its header")
     version, header_len = struct.unpack_from("<II", raw, 4)
     if version != _CKPT_VERSION:
-        raise ScorerError(f"unsupported checkpoint version {version}")
+        raise ScorerError(f"unsupported checkpoint version {version} (this build reads version {_CKPT_VERSION})")
     header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
     offset = 12 + header_len
     params = {}
     for entry in header["arrays"]:
+        if entry["name"] in params:
+            raise ScorerError(f"array {entry['name']} is listed twice")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
@@ -793,5 +773,4 @@ def _parse_checkpoint(raw: bytes) -> ToyLasModel:
         SymbolTable(header["alphabet"]),
         params=params,
         **{name: header[name] for name in _MODEL_DIMS},
-        max_prefix=header["max_prefix"],
     )

@@ -277,6 +277,14 @@ def _reference_masked_softmax(logits, mask):
     return out
 
 
+def head_weights(model, j):
+    """Head ``j``'s (Wq, Wk, v) of a ``ToyLasModel``, as views: its columns
+    of ``att_Wq`` and ``att_Wk`` and its row of ``att_v``."""
+    cols = slice(j * model.att_dim, (j + 1) * model.att_dim)
+    p = model.params
+    return p["att_Wq"][:, cols], p["att_Wk"][:, cols], p["att_v"][j]
+
+
 def reference_attend(model, h_enc, s_prev):
     """Additive attention of a ``ToyLasModel``, one head at a time, with
     every head's keys recomputed from ``h_enc``.
@@ -290,9 +298,7 @@ def reference_attend(model, h_enc, s_prev):
     weights = np.empty((model.n_heads, T))
     caches = []
     for j in range(model.n_heads):
-        Wq = model.params[f"att{j}_Wq"]
-        Wk = model.params[f"att{j}_Wk"]
-        v = model.params[f"att{j}_v"]
+        Wq, Wk, v = head_weights(model, j)
         u = np.tanh(s_prev @ Wq + h_enc @ Wk)
         e = u @ v
         e = np.exp(e - e.max())

@@ -13,6 +13,7 @@ import struct
 
 import pytest
 
+from fusedec import scorer as scorer_mod
 from fusedec import sweep as sweep_mod
 from fusedec.cli import main
 from fusedec.fst import SymbolTable, read_fst_text
@@ -340,7 +341,7 @@ def _truncated_checkpoint(task, ckpt):
 
 def _checkpoint_without_arrays(task, ckpt):
     header = json.dumps({"alphabet": ["ay", "<sos>", "<eos>"]}).encode()
-    ckpt.write_bytes(b"FDSC" + struct.pack("<II", 1, len(header)) + header)
+    ckpt.write_bytes(b"FDSC" + struct.pack("<II", scorer_mod._CKPT_VERSION, len(header)) + header)
     return ckpt
 
 
@@ -353,16 +354,9 @@ def _edited_checkpoint(task, ckpt, **fields):
     raw = ckpt.read_bytes()
     (size,) = struct.unpack_from("<I", raw, 8)
     header = json.dumps({**json.loads(raw[12 : 12 + size]), **fields}).encode()
-    ckpt.write_bytes(raw[:4] + struct.pack("<II", 1, len(header)) + header + raw[12 + size :])
+    version = struct.pack("<I", scorer_mod._CKPT_VERSION)
+    ckpt.write_bytes(raw[:4] + version + struct.pack("<I", len(header)) + header + raw[12 + size :])
     return ckpt
-
-
-def _checkpoint_with_a_string_max_prefix(task, ckpt):
-    return _edited_checkpoint(task, ckpt, max_prefix="7")
-
-
-def _checkpoint_with_a_negative_max_prefix(task, ckpt):
-    return _edited_checkpoint(task, ckpt, max_prefix=-3)
 
 
 def _checkpoint_with_a_float_dimension(task, ckpt):
@@ -471,8 +465,6 @@ class TestMalformedInputFiles:
         [
             _truncated_checkpoint,
             _checkpoint_without_arrays,
-            _checkpoint_with_a_string_max_prefix,
-            _checkpoint_with_a_negative_max_prefix,
             _checkpoint_with_a_float_dimension,
             _utterance_without_words,
             _utterance_with_a_repeated_uid,
@@ -503,6 +495,18 @@ class TestMalformedInputFiles:
         assert err.startswith(f"error: {where}: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_version_1_checkpoint_is_refused(self, pipeline, tmp_path, capsys):
+        # version 1 stored each attention head apart, with a max_prefix field
+        ckpt = _edited_checkpoint(pipeline / "task", tmp_path / "model.ckpt", max_prefix=256)
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        out = tmp_path / "out.jsonl"
+        args = decode_args(pipeline, out, "--scorer", str(ckpt), "--fusion", "nbest", "--lm-weight-nbest", "0.1")
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt}: unsupported checkpoint version 1 (this build reads version 2)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["decode", "compile-lexicon"])

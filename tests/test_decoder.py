@@ -704,11 +704,11 @@ class TestAttentionScorerSearch:
         _, resources, alphabet = homophone
         model = ToyLasModel.init(alphabet, 3, enc_hidden=4, dec_hidden=4, att_dim=3, embed_dim=3)
         starts, stepped, attended = [], [], []  # the rows of each call
-        real_start, real_step = model.start, model.step
+        real_start, real_step, real_attend = model.start, model.step, model._attend
 
         def attend(keys, s, *args):
             attended.append(s.shape[0])
-            return ToyLasModel._attend(keys, s, *args)
+            return real_attend(keys, s, *args)
 
         def start(utt):
             starts.append(1)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from fusedec.scorer import (
 )
 
 from oracles import (
+    head_weights,
     reference_decode_step,
     reference_state,
     reference_teacher_forced_accuracy,
@@ -87,6 +91,12 @@ class TestUtterance:
     def test_features_cast_to_float64(self):
         u = Utterance("u", np.ones((2, 3), dtype=np.float32), (1,))
         assert u.features.dtype == np.float64
+
+    def test_non_finite_frame_is_refused(self):
+        x = np.ones((3, 2))
+        x[1, 0] = np.nan
+        with pytest.raises(ScorerError, match="non-finite value in frame 1"):
+            Utterance("u", x, (1,))
 
 
 class TestTableScorer:
@@ -230,9 +240,7 @@ def attend_oracle(model, h_enc, s):
     contexts, weights = [], []
     T = len(h_enc)
     for j in range(model.n_heads):
-        Wq = model.params[f"att{j}_Wq"].tolist()
-        Wk = model.params[f"att{j}_Wk"].tolist()
-        v = model.params[f"att{j}_v"].tolist()
+        Wq, Wk, v = (w.tolist() for w in head_weights(model, j))
         scores = []
         for t in range(T):
             u = [
@@ -283,7 +291,7 @@ class TestEncode:
         with pytest.raises(ScorerError, match="non-finite value in frame 2"):
             m.encode(x)
         with pytest.raises(ScorerError, match="non-finite value in frame 0"):
-            m.start(Utterance("u", np.full((3, 3), np.inf), (1,)))
+            m.encode(np.full((3, 3), np.inf))
 
     def test_matches_straight_line_recurrence(self, abc_alphabet):
         rng = np.random.default_rng(5)
@@ -299,7 +307,7 @@ def attend(model, h_enc, s):
     """``model._attend`` for one utterance, with the keys ``init_state``
     computes: (contexts (H, enc_hidden), weights (H, T))."""
     state = model.init_state(h_enc)
-    _, alpha, contexts = model._attend(state.keys, s[None], h_enc, state.Wq, state.v)
+    _, alpha, contexts = model._attend(state.keys, s[None], h_enc)
     return contexts.reshape(model.n_heads, model.enc_hidden), alpha[0]
 
 
@@ -331,8 +339,8 @@ class TestAttend:
     def test_duplicated_heads_agree(self, abc_alphabet):
         m = tiny_model(abc_alphabet, n_heads=4, seed=6)
         for j in range(1, 4):
-            for part in ("Wq", "Wk", "v"):
-                m.params[f"att{j}_{part}"] = m.params[f"att0_{part}"].copy()
+            for block, first in zip(head_weights(m, j), head_weights(m, 0)):
+                block[...] = first
         rng = np.random.default_rng(7)
         contexts, weights = attend(m, rng.normal(size=(6, 4)), rng.normal(size=4))
         for j in range(1, 4):
@@ -410,13 +418,14 @@ class TestDecodeStep:
         np.testing.assert_array_equal(chain(m, utt, prefix)[0], dist)
 
     def test_prefix_limit(self, abc_alphabet):
-        m = ToyLasModel.init(abc_alphabet, 3, enc_hidden=4, dec_hidden=4, att_dim=3,
-                             embed_dim=3, max_prefix=2)
+        m = tiny_model(abc_alphabet)
         utt = make_utt(abc_alphabet, np.random.default_rng(14))
-        assert m.token_limit(utt) == 2
+        assert m.token_limit(utt) == scorer_mod.MAX_PREFIX == 256
         _, state = chain(m, utt, [1, 1])
-        with pytest.raises(ScorerError, match="max_prefix"):
-            step_distributions(m, [state], [1])
+        last = dataclasses.replace(state, steps=scorer_mod.MAX_PREFIX)
+        step_distributions(m, [last], [1])
+        with pytest.raises(ScorerError, match="prefix of length 257 exceeds the model's limit of 256"):
+            step_distributions(m, [dataclasses.replace(state, steps=scorer_mod.MAX_PREFIX + 1)], [1])
 
     def test_teacher_forced_nll_recomputes(self, abc_alphabet):
         # the training loss must equal the probabilities of a chain of
@@ -674,9 +683,10 @@ class TestTraining:
 
     def test_nan_reports_epoch(self, abc_alphabet):
         m = tiny_model(abc_alphabet, seed=26)
-        bad = Utterance("u", np.full((2, 3), np.nan), (1, abc_alphabet.id("<eos>")))
-        with pytest.raises(ScorerError, match="epoch 0"):
-            train_model(m, [bad], 3)
+        m.params["dec_bz"][0] = np.nan
+        utt = Utterance("u", np.ones((2, 3)), (1, abc_alphabet.id("<eos>")))
+        with pytest.raises(ScorerError, match="diverged at epoch 0: loss=nan"):
+            train_model(m, [utt], 3)
 
     @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
@@ -825,6 +835,36 @@ class TestProtocolMatchesReplay:
             assert coverage_count(ts, [state], 0.5) == [replay_coverage(ts, utt, (*prefix[:k], eos), 0.5)]
 
 
+class TestInit:
+    @pytest.mark.parametrize("n_enc_layers", [1, 2])
+    @pytest.mark.parametrize("n_heads", [1, 2, 3, 4])
+    def test_draws_follow_the_per_head_order(self, abc_alphabet, n_heads, n_enc_layers):
+        # a seed must give every parameter the numbers it had when each head
+        # was stored apart: the encoder, then each head's Wq, Wk and v in
+        # turn, then the embedding, the decoder cell and the output layer
+        F, E, D, A, M, V = 3, 4, 5, 2, 3, len(abc_alphabet)
+        m = ToyLasModel.init(abc_alphabet, F, enc_hidden=E, dec_hidden=D, att_dim=A, embed_dim=M,
+                             n_heads=n_heads, n_enc_layers=n_enc_layers, seed=70)
+        rng = np.random.default_rng(70)
+        order = []
+        for layer in range(n_enc_layers):
+            d_in = F if layer == 0 else E
+            order += [(f"enc{layer}_{k}", shape) for k, shape in (
+                ("Wz", (d_in, E)), ("Uz", (E, E)), ("bz", (E,)), ("Wh", (d_in, E)), ("Uh", (E, E)), ("bh", (E,)))]
+        order += [((j, k), shape) for j in range(n_heads) for k, shape in (("Wq", (D, A)), ("Wk", (E, A)), ("v", (A,)))]
+        d_dec = M + n_heads * E
+        order += [("emb", (V, M)), ("dec_Wz", (d_dec, D)), ("dec_Uz", (D, D)), ("dec_bz", (D,)),
+                  ("dec_Wh", (d_dec, D)), ("dec_Uh", (D, D)), ("dec_bh", (D,)), ("out_W", (D, V)), ("out_b", (V,))]
+        want = {name: rng.uniform(-0.1, 0.1, size=shape) for name, shape in order}
+        for j in range(n_heads):
+            for block, k in zip(head_weights(m, j), ("Wq", "Wk", "v")):
+                np.testing.assert_array_equal(block, want[j, k])
+        assert set(m.params) - {"att_Wq", "att_Wk", "att_v"} == {k for k in want if isinstance(k, str)}
+        for k, value in want.items():
+            if isinstance(k, str):
+                np.testing.assert_array_equal(m.params[k], value)
+
+
 class TestCheckpoint:
     def test_round_trip(self, abc_alphabet, tmp_path):
         m = tiny_model(abc_alphabet, n_heads=2, n_enc_layers=2, seed=32)
@@ -838,6 +878,20 @@ class TestCheckpoint:
             np.testing.assert_array_equal(back.params[k], v)
         utt = make_utt(abc_alphabet, np.random.default_rng(33))
         np.testing.assert_array_equal(chain(back, utt, [1])[0], chain(m, utt, [1])[0])
+
+    def test_repeated_array_is_refused(self, abc_alphabet, tmp_path):
+        # a header that lists an array twice must not load its later copy
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(abc_alphabet), path)
+        raw = path.read_bytes()
+        (size,) = struct.unpack_from("<I", raw, 8)
+        header = json.loads(raw[12 : 12 + size])
+        header["arrays"].append({"name": "out_b", "shape": [len(abc_alphabet)]})
+        header_bytes = json.dumps(header).encode()
+        body = raw[12 + size :] + np.full(len(abc_alphabet), 7.0).astype("<f8").tobytes()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(header_bytes)) + header_bytes + body)
+        with pytest.raises(ScorerError, match=re.escape(f"{path}: array out_b is listed twice")):
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
