@@ -354,8 +354,8 @@ def _edited_checkpoint(task, ckpt, **fields):
     raw = ckpt.read_bytes()
     (size,) = struct.unpack_from("<I", raw, 8)
     header = json.dumps({**json.loads(raw[12 : 12 + size]), **fields}).encode()
-    version = struct.pack("<I", scorer_mod._CKPT_VERSION)
-    ckpt.write_bytes(raw[:4] + version + struct.pack("<I", len(header)) + header + raw[12 + size :])
+    prefix = raw[:4] + struct.pack("<II", scorer_mod._CKPT_VERSION, len(header))
+    ckpt.write_bytes(prefix + header + raw[12 + size :])
     return ckpt
 
 
@@ -498,7 +498,8 @@ class TestMalformedInputFiles:
         assert not out.exists()
 
     def test_version_1_checkpoint_is_refused(self, pipeline, tmp_path, capsys):
-        # version 1 stored each attention head apart, with a max_prefix field
+        # the format before the attention heads were joined: version 1, with
+        # a max_prefix field
         ckpt = _edited_checkpoint(pipeline / "task", tmp_path / "model.ckpt", max_prefix=256)
         raw = ckpt.read_bytes()
         ckpt.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])

@@ -851,7 +851,8 @@ class TestInit:
             d_in = F if layer == 0 else E
             order += [(f"enc{layer}_{k}", shape) for k, shape in (
                 ("Wz", (d_in, E)), ("Uz", (E, E)), ("bz", (E,)), ("Wh", (d_in, E)), ("Uh", (E, E)), ("bh", (E,)))]
-        order += [((j, k), shape) for j in range(n_heads) for k, shape in (("Wq", (D, A)), ("Wk", (E, A)), ("v", (A,)))]
+        head = (("Wq", (D, A)), ("Wk", (E, A)), ("v", (A,)))
+        order += [((j, k), shape) for j in range(n_heads) for k, shape in head]
         d_dec = M + n_heads * E
         order += [("emb", (V, M)), ("dec_Wz", (d_dec, D)), ("dec_Uz", (D, D)), ("dec_bz", (D,)),
                   ("dec_Wh", (d_dec, D)), ("dec_Uh", (D, D)), ("dec_bh", (D,)), ("out_W", (D, V)), ("out_b", (V,))]
