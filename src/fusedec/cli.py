@@ -64,7 +64,12 @@ class RunManifest:
         digests: dict[str, str] = {}
         for entry in self.inputs:
             entry = Path(entry)
-            files = sorted(p for p in entry.rglob("*") if p.is_file()) if entry.is_dir() else [entry]
+            if entry.is_dir():
+                # skip the directory's own manifests: they hold durations
+                files = sorted(p for p in entry.rglob("*") if p.is_file()
+                               and p.name != "manifest.json" and not p.name.endswith(".manifest.json"))
+            else:
+                files = [entry]
             for f in files:
                 digests[str(f)] = hashlib.sha256(f.read_bytes()).hexdigest()
         payload = {

@@ -118,6 +118,7 @@ class SymbolTable:
     @classmethod
     def read(cls, path: str | Path) -> "SymbolTable":
         pairs = []
+        first_line: dict[str, int] = {}
         for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             line = raw.strip()
             if not line:
@@ -125,6 +126,9 @@ class SymbolTable:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise FstError(f"{path}: line {lineno}: expected 'symbol<TAB>id'")
+            first = first_line.setdefault(fields[0], lineno)
+            if first != lineno:
+                raise FstError(f"{path}: line {lineno}: symbol {fields[0]!r} already listed on line {first}")
             try:
                 pairs.append((fields[0], int(fields[1])))
             except ValueError:

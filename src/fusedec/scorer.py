@@ -33,29 +33,27 @@ step lowers a hypothesis's cost) indexed by symbol id; epsilon and
 produce them.  Everything runs in float64 so the analytic gradients can be
 checked against central finite differences at tight tolerance.  Training
 and decoding run one ``ToyLasModel`` forward pass, batched over utterances
-in training and over a beam's hypotheses in decoding.
+in training and over a beam's hypotheses in decoding.  A model is its
+alphabet and its arrays, whose shapes give its sizes; its checkpoint is one
+JSON document of the two (:func:`save_checkpoint`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fst import SymbolTable
+from .fst import EPSILON, SymbolTable
 
 SOS = "<sos>"
 EOS = "<eos>"
 
-_CKPT_MAGIC = b"FDSC"
-_CKPT_VERSION = 2
-# The model dimensions a checkpoint header records, each under its own name.
-_MODEL_DIMS = ("feat_dim", "enc_hidden", "dec_hidden", "att_dim", "embed_dim", "n_heads", "n_enc_layers")
+_CKPT_VERSION = 3
 # The longest prefix a ToyLasModel decode grows, <eos> not counted.
 MAX_PREFIX = 256
 
@@ -216,31 +214,22 @@ class DecoderStepState:
     __hash__ = None
 
 
+def _cell_shapes(prefix: str, d_in: int, h: int) -> dict[str, tuple[int, ...]]:
+    """The shapes of recurrent cell ``prefix``'s weights, in ``_cell``'s order."""
+    return {f"{prefix}{w}{gate}": shape for gate in "zh" for w, shape in (("W", (d_in, h)), ("U", (h, h)), ("b", (h,)))}
+
+
 def _param_shapes(vocab, feat_dim, enc_hidden, dec_hidden, att_dim, embed_dim, n_heads, n_enc_layers):
     """Every ``ToyLasModel`` parameter's shape, from the model dimensions.
     Attention holds every head at once: head j owns columns j*A:(j+1)*A of
     ``att_Wq`` and ``att_Wk`` and row j of ``att_v``."""
-    shapes: dict[str, tuple[int, ...]] = {}
+    shapes = {}
     for layer in range(n_enc_layers):
-        d_in = feat_dim if layer == 0 else enc_hidden
-        h = enc_hidden
-        shapes.update({
-            f"enc{layer}_Wz": (d_in, h), f"enc{layer}_Uz": (h, h), f"enc{layer}_bz": (h,),
-            f"enc{layer}_Wh": (d_in, h), f"enc{layer}_Uh": (h, h), f"enc{layer}_bh": (h,),
-        })
-    shapes.update({
-        "att_Wq": (dec_hidden, n_heads * att_dim),
-        "att_Wk": (enc_hidden, n_heads * att_dim),
-        "att_v": (n_heads, att_dim),
-    })
-    d_dec = embed_dim + n_heads * enc_hidden
-    h = dec_hidden
-    shapes.update({
-        "emb": (vocab, embed_dim),
-        "dec_Wz": (d_dec, h), "dec_Uz": (h, h), "dec_bz": (h,),
-        "dec_Wh": (d_dec, h), "dec_Uh": (h, h), "dec_bh": (h,),
-        "out_W": (h, vocab), "out_b": (vocab,),
-    })
+        shapes.update(_cell_shapes(f"enc{layer}_", feat_dim if layer == 0 else enc_hidden, enc_hidden))
+    shapes.update(att_Wq=(dec_hidden, n_heads * att_dim), att_Wk=(enc_hidden, n_heads * att_dim),
+                  att_v=(n_heads, att_dim), emb=(vocab, embed_dim))
+    shapes.update(_cell_shapes("dec_", embed_dim + n_heads * enc_hidden, dec_hidden))
+    shapes.update(out_W=(dec_hidden, vocab), out_b=(vocab,))
     return shapes
 
 
@@ -290,47 +279,35 @@ class ToyLasModel:
     and steps a beam's live hypotheses together (:meth:`decode_steps`).
     """
 
-    def __init__(
-        self,
-        alphabet: SymbolTable,
-        feat_dim: int,
-        params: dict[str, np.ndarray],
-        *,
-        enc_hidden: int,
-        dec_hidden: int,
-        att_dim: int,
-        embed_dim: int,
-        n_heads: int,
-        n_enc_layers: int,
-    ):
-        dims = (feat_dim, enc_hidden, dec_hidden, att_dim, embed_dim, n_heads, n_enc_layers)
-        for name, value in zip(_MODEL_DIMS, dims):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ScorerError(f"{name} must be an integer >= 1, got {value!r}")
-        if n_enc_layers not in (1, 2):
-            raise ScorerError(f"n_enc_layers must be 1 or 2, got {n_enc_layers}")
+    def __init__(self, alphabet: SymbolTable, params: dict[str, np.ndarray]):
+        """A model over ``alphabet`` with the weights ``params``, its sizes
+        read off the arrays: ``enc0_Wz`` is (feat_dim, enc_hidden), ``att_v``
+        (n_heads, att_dim), ``emb`` (vocab, embed_dim), ``dec_Uz`` (dec_hidden,
+        dec_hidden), and any ``enc1_*`` array makes a second encoder layer.
+        Each size must be at least 1 and every array shaped as the sizes say."""
         for required in (SOS, EOS):
             if alphabet.find(required) is None:
                 raise ScorerError(f"model alphabet must contain {required}")
+        shapes = {k: np.shape(v) for k, v in params.items()}
+        # a missing array reads as (1, 1), so that the key check below names it
+        dims = [shapes.get(k, (1, 1)) for k in ("enc0_Wz", "att_v", "emb", "dec_Uz")]
+        if any(len(shape) != 2 or 0 in shape for shape in dims):
+            raise ScorerError(f"enc0_Wz, att_v, emb and dec_Uz must be matrices of sizes >= 1, got {dims}")
+        (self.feat_dim, self.enc_hidden), (self.n_heads, self.att_dim), (_, self.embed_dim), (self.dec_hidden, _) = dims
+        self.n_enc_layers = 2 if any(k.startswith("enc1_") for k in params) else 1
         self.alphabet = alphabet
-        self.feat_dim = feat_dim
-        self.enc_hidden = enc_hidden
-        self.dec_hidden = dec_hidden
-        self.att_dim = att_dim
-        self.embed_dim = embed_dim
-        self.n_heads = n_heads
-        self.n_enc_layers = n_enc_layers
         self.sos_id = alphabet.id(SOS)
         self.eos_id = alphabet.id(EOS)
         self.emit_mask = _emit_mask(alphabet)
-        expected = _param_shapes(len(alphabet), *dims)
+        expected = _param_shapes(len(alphabet), self.feat_dim, self.enc_hidden, self.dec_hidden,
+                                 self.att_dim, self.embed_dim, self.n_heads, self.n_enc_layers)
         if set(params) != set(expected):
             missing = sorted(set(expected) - set(params))
             extra = sorted(set(params) - set(expected))
             raise ScorerError(f"parameter keys wrong: missing {missing}, unexpected {extra}")
         for k, shape in expected.items():
-            if params[k].shape != shape:
-                raise ScorerError(f"parameter {k} has shape {params[k].shape}, expected {shape}")
+            if shapes[k] != shape:
+                raise ScorerError(f"parameter {k} has shape {shapes[k]}, expected {shape}")
         self.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
 
     @classmethod
@@ -353,18 +330,23 @@ class ToyLasModel:
         weights, key weights and scores, in that order) and then joined, so
         a seed gives each head the numbers it had when every head was
         stored apart."""
-        dims = dict(enc_hidden=enc_hidden, dec_hidden=dec_hidden, att_dim=att_dim,
-                    embed_dim=embed_dim, n_heads=n_heads, n_enc_layers=n_enc_layers)
+        sizes = dict(feat_dim=feat_dim, enc_hidden=enc_hidden, dec_hidden=dec_hidden, att_dim=att_dim,
+                     embed_dim=embed_dim, n_heads=n_heads, n_enc_layers=n_enc_layers)
+        for name, value in sizes.items():
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ScorerError(f"{name} must be an integer >= 1, got {value!r}")
+        if n_enc_layers not in (1, 2):
+            raise ScorerError(f"n_enc_layers must be 1 or 2, got {n_enc_layers}")
         rng = np.random.default_rng(seed)
         params = {}
-        for k, shape in _param_shapes(len(alphabet), feat_dim, **dims).items():
+        for k, shape in _param_shapes(len(alphabet), **sizes).items():
             if k == "att_Wq":
                 head = ((dec_hidden, att_dim), (enc_hidden, att_dim), (att_dim,))
                 Wq, Wk, v = zip(*([rng.uniform(-0.1, 0.1, size=s) for s in head] for _ in range(n_heads)))
                 params.update(att_Wq=np.hstack(Wq), att_Wk=np.hstack(Wk), att_v=np.stack(v))
             elif k not in params:
                 params[k] = rng.uniform(-0.1, 0.1, size=shape)
-        return cls(alphabet, feat_dim, params, **dims)
+        return cls(alphabet, params)
 
     def _cell(self, prefix: str) -> tuple[np.ndarray, ...]:
         """The weights of the recurrent cell ``prefix``, in ``_cell_forward``'s order."""
@@ -714,63 +696,51 @@ def write_loss_trace(path: str | Path, losses: Sequence[float]) -> None:
 
 
 def save_checkpoint(model: ToyLasModel, path: str | Path) -> None:
-    """Single-file checkpoint: magic, version, JSON header, then the raw
-    float64 little-endian parameter arrays in header order."""
-    header = {
-        **{name: getattr(model, name) for name in _MODEL_DIMS},
-        "alphabet": list(model.alphabet),
-        "arrays": [
-            {"name": k, "shape": list(model.params[k].shape)}
-            for k in sorted(model.params)
-        ],
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob = bytearray()
-    blob += _CKPT_MAGIC
-    blob += struct.pack("<II", _CKPT_VERSION, len(header_bytes))
-    blob += header_bytes
-    for entry in header["arrays"]:
-        blob += np.ascontiguousarray(model.params[entry["name"]], dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    """One sorted-key JSON object: the format version, the alphabet, and every
+    array as nested lists.  A float's ``repr`` reads back as the same float,
+    so :func:`load_checkpoint` gives back every array bit for bit."""
+    params = {k: v.tolist() for k, v in model.params.items()}
+    doc = {"version": _CKPT_VERSION, "alphabet": list(model.alphabet), "params": params}
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> ToyLasModel:
     """Read a :func:`save_checkpoint` file; anything malformed in it raises
     one ``ScorerError`` naming the file."""
-    raw = Path(path).read_bytes()
     try:
-        return _parse_checkpoint(raw)
-    except KeyError as e:
-        raise ScorerError(f"{path}: checkpoint header lacks {e}") from None
-    except (ValueError, TypeError) as e:
+        return _parse_checkpoint(Path(path).read_bytes())
+    except (ValueError, OverflowError) as e:  # OverflowError: an integer too large for a float
         raise ScorerError(f"{path}: {e}") from None
 
 
 def _parse_checkpoint(raw: bytes) -> ToyLasModel:
-    if raw[:4] != _CKPT_MAGIC:
-        raise ScorerError("not a model checkpoint (bad magic)")
-    if len(raw) < 12:
-        raise ScorerError("checkpoint ends inside its header")
-    version, header_len = struct.unpack_from("<II", raw, 4)
+    try:
+        doc = json.loads(raw, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ScorerError(f"not a JSON checkpoint ({e})") from None
+    version = doc.get("version") if isinstance(doc, dict) else None
     if version != _CKPT_VERSION:
-        raise ScorerError(f"unsupported checkpoint version {version} (this build reads version {_CKPT_VERSION})")
-    header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-    offset = 12 + header_len
-    params = {}
-    for entry in header["arrays"]:
-        if entry["name"] in params:
-            raise ScorerError(f"array {entry['name']} is listed twice")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise ScorerError(f"array {entry['name']} holds a non-finite value")
-        params[entry["name"]] = arr.astype(np.float64)
-        offset += count * 8
-    if offset != len(raw):
-        raise ScorerError("trailing bytes after parameter arrays")
-    return ToyLasModel(
-        SymbolTable(header["alphabet"]),
-        params=params,
-        **{name: header[name] for name in _MODEL_DIMS},
-    )
+        raise ScorerError(f"unsupported checkpoint version {version!r} (this build reads version {_CKPT_VERSION})")
+    if set(doc) != {"alphabet", "params", "version"}:
+        raise ScorerError(f"checkpoint keys are {sorted(doc)}, expected alphabet, params and version")
+    alphabet, params = doc["alphabet"], doc["params"]
+    if not (isinstance(alphabet, list) and all(isinstance(s, str) for s in alphabet) and isinstance(params, dict)):
+        raise ScorerError("expected a list of strings under 'alphabet' and an object under 'params'")
+    table = SymbolTable(alphabet)
+    if list(table) != alphabet:
+        raise ScorerError(f"alphabet must list {EPSILON} first and every symbol once")
+    arrays = {name: np.array(values, dtype=object) for name, values in params.items()}
+    for name, arr in arrays.items():
+        if not all(type(x) in (int, float) and math.isfinite(x) for x in arr.flat):
+            raise ScorerError(f"array {name} is ragged or holds a value that is not a finite number")
+    return ToyLasModel(table, arrays)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is refused."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ScorerError(f"key {key!r} is listed twice")
+        doc[key] = value
+    return doc

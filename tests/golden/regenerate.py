@@ -22,8 +22,7 @@ temporary directory and writes or checks ``tests/golden/cli.json``.
   its manifests whole but for ``duration_s``.  What the attention model
   writes (its loss trace and the ``--scorer`` decode) is stored whole and
   compared as ``las_decode`` is.  The checkpoint's bytes are not pinned, so
-  the decode's manifest is stored without the checkpoint's digest; nor is
-  any manifest's digest, since each holds a duration.
+  the decode's manifest is stored without the checkpoint's digest.
 
 Regenerating is a change to a check: say which records moved and why.
 """
@@ -127,11 +126,7 @@ def collect_cli(workdir: Path) -> dict:
     for name in CLI_MANIFESTS:
         manifest = json.loads((workdir / name).read_text(encoding="utf-8"))
         del manifest["duration_s"]
-        # a task directory's digests include its own manifest, duration and all
-        manifest["inputs"] = {
-            path: digest for path, digest in manifest["inputs"].items()
-            if path != "model.ckpt" and not path.endswith("manifest.json")
-        }
+        manifest["inputs"].pop("model.ckpt", None)
         got[name] = manifest
     trace = (workdir / "model.ckpt.loss.csv").read_text(encoding="utf-8").splitlines()[1:]
     got["model.ckpt.loss.csv"] = [float(line.split(",")[1]) for line in trace]

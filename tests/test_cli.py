@@ -9,11 +9,9 @@ and byte-level reproducibility of reruns.
 import json
 import math
 import shutil
-import struct
 
 import pytest
 
-from fusedec import scorer as scorer_mod
 from fusedec import sweep as sweep_mod
 from fusedec.cli import main
 from fusedec.fst import SymbolTable, read_fst_text
@@ -114,6 +112,25 @@ class TestDecodeCommand:
         first_manifest.pop("duration_s")
         second_manifest.pop("duration_s")
         assert first_manifest == second_manifest
+
+    def test_rerun_after_a_fresh_synth_differs_only_in_timing(self, pipeline, tmp_path):
+        # each synth writes its task's manifest.json with a new duration; the
+        # decode manifest must not digest it
+        task, out = tmp_path / "task", tmp_path / "results.jsonl"
+        args = decode_args(pipeline, out, "--fusion", "nbest", "--lm-weight-nbest", "0.1")
+        args[args.index("--task") + 1] = str(task)
+        manifests = []
+        for _ in range(2):
+            assert main([
+                "synth", "--lexicon", str(pipeline / "lexicon.txt"), "--lm", str(pipeline / "lm.arpa"),
+                "--count", "4", "--seed", "3", "--out", str(task),
+            ]) == 0
+            assert main(args) == 0
+            manifest = json.loads((tmp_path / "results.jsonl.manifest.json").read_text())
+            manifest.pop("duration_s")
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
+        assert f"{task}/utterances.jsonl" in manifests[0]["inputs"]
 
     def test_beam_fusion_and_width_one(self, pipeline, tmp_path):
         out = tmp_path / "beam.jsonl"
@@ -334,33 +351,74 @@ class TestTrainScorerCommand:
         assert not ckpt.exists()
 
 
+def _edited_checkpoint(task, ckpt, edit=None):
+    """A checkpoint for ``task`` at the default sizes, its JSON document
+    passed through ``edit`` when one is given."""
+    loaded = load_task(task)
+    _, utts = build_table_scorer(loaded)
+    save_checkpoint(ToyLasModel.init(task_alphabet(loaded), utts[0].features.shape[1]), ckpt)
+    if edit is not None:
+        doc = json.loads(ckpt.read_text(encoding="utf-8"))
+        edit(doc)
+        ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    return ckpt
+
+
 def _truncated_checkpoint(task, ckpt):
-    ckpt.write_bytes(b"FDSC\x01")
+    _edited_checkpoint(task, ckpt)
+    ckpt.write_bytes(ckpt.read_bytes()[:100])
     return ckpt
 
 
 def _checkpoint_without_arrays(task, ckpt):
-    header = json.dumps({"alphabet": ["ay", "<sos>", "<eos>"]}).encode()
-    ckpt.write_bytes(b"FDSC" + struct.pack("<II", scorer_mod._CKPT_VERSION, len(header)) + header)
+    return _edited_checkpoint(task, ckpt, lambda doc: doc.pop("params"))
+
+
+def _checkpoint_with_one_head_too_many(task, ckpt):
+    # att_v has a row per head, so its heads no longer fit att_Wq's columns
+    return _edited_checkpoint(task, ckpt, lambda doc: doc["params"]["att_v"].append([0.0] * 8))
+
+
+def _checkpoint_with_half_a_second_layer(task, ckpt):
+    return _edited_checkpoint(task, ckpt, lambda doc: doc["params"].update(enc1_Wz=[[0.0] * 16] * 16))
+
+
+def _checkpoint_with_a_ragged_array(task, ckpt):
+    return _edited_checkpoint(task, ckpt, lambda doc: doc["params"]["out_W"][3].pop())
+
+
+def _checkpoint_with_a_repeated_key(task, ckpt):
+    _edited_checkpoint(task, ckpt)
+    text = ckpt.read_text(encoding="utf-8")
+    ckpt.write_text(text.replace('"params": {', '"params": {"out_b": [], ', 1), encoding="utf-8")
     return ckpt
 
 
-def _edited_checkpoint(task, ckpt, **fields):
-    """A checkpoint for ``task`` at the default sizes, with ``fields`` set in
-    its header."""
+def _version_2_checkpoint(task, ckpt):
+    """What the binary format of version 2 wrote: a magic, the version, a
+    JSON header's length, the header, then every array as float64."""
     loaded = load_task(task)
     _, utts = build_table_scorer(loaded)
-    save_checkpoint(ToyLasModel.init(task_alphabet(loaded), utts[0].features.shape[1]), ckpt)
-    raw = ckpt.read_bytes()
-    (size,) = struct.unpack_from("<I", raw, 8)
-    header = json.dumps({**json.loads(raw[12 : 12 + size]), **fields}).encode()
-    prefix = raw[:4] + struct.pack("<II", scorer_mod._CKPT_VERSION, len(header))
-    ckpt.write_bytes(prefix + header + raw[12 + size :])
+    model = ToyLasModel.init(task_alphabet(loaded), utts[0].features.shape[1])
+    sizes = ("feat_dim", "enc_hidden", "dec_hidden", "att_dim", "embed_dim", "n_heads", "n_enc_layers")
+    names = sorted(model.params)
+    header = json.dumps({
+        **{size: getattr(model, size) for size in sizes},
+        "alphabet": list(model.alphabet),
+        "arrays": [{"name": k, "shape": list(model.params[k].shape)} for k in names],
+    }, sort_keys=True).encode()
+    blob = b"FDSC" + (2).to_bytes(4, "little") + len(header).to_bytes(4, "little") + header
+    ckpt.write_bytes(blob + b"".join(model.params[k].astype("<f8").tobytes() for k in names))
     return ckpt
 
 
-def _checkpoint_with_a_float_dimension(task, ckpt):
-    return _edited_checkpoint(task, ckpt, dec_hidden=16.0)
+def _phone_table_with_a_repeated_symbol(task, ckpt):
+    path = task / "phones.syms"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    symbol = lines[1].split("\t")[0]
+    lines.append(f"{symbol}\t{len(lines)}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return f"{path}: line {len(lines)}"
 
 
 def _utterance_without_words(task, ckpt):
@@ -465,7 +523,11 @@ class TestMalformedInputFiles:
         [
             _truncated_checkpoint,
             _checkpoint_without_arrays,
-            _checkpoint_with_a_float_dimension,
+            _checkpoint_with_one_head_too_many,
+            _checkpoint_with_half_a_second_layer,
+            _checkpoint_with_a_ragged_array,
+            _checkpoint_with_a_repeated_key,
+            _version_2_checkpoint,
             _utterance_without_words,
             _utterance_with_a_repeated_uid,
             _utterance_with_string_words,
@@ -477,6 +539,7 @@ class TestMalformedInputFiles:
             _lexicon_with_epsilon,
             _lm_with_an_epsilon_unigram,
             _lm_with_a_repeated_unigram,
+            _phone_table_with_a_repeated_symbol,
         ],
         ids=lambda f: f.__name__.strip("_").replace("_", "-"),
     )
@@ -495,19 +558,6 @@ class TestMalformedInputFiles:
         assert err.startswith(f"error: {where}: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
-        assert not out.exists()
-
-    def test_version_1_checkpoint_is_refused(self, pipeline, tmp_path, capsys):
-        # the format before the attention heads were joined: version 1, with
-        # a max_prefix field
-        ckpt = _edited_checkpoint(pipeline / "task", tmp_path / "model.ckpt", max_prefix=256)
-        raw = ckpt.read_bytes()
-        ckpt.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
-        out = tmp_path / "out.jsonl"
-        args = decode_args(pipeline, out, "--scorer", str(ckpt), "--fusion", "nbest", "--lm-weight-nbest", "0.1")
-        assert main(args) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {ckpt}: unsupported checkpoint version 1 (this build reads version 2)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["decode", "compile-lexicon"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,18 @@ class TestSymbolTable:
         p = tmp_path / "t.syms"
         t.write(p)
         assert SymbolTable.read(p) == t
+
+    @pytest.mark.parametrize("text, line, symbol, first", [
+        ("<eps>\t0\na\t1\n<eps>\t2\nb\t3\n", 3, "<eps>", 1),
+        ("<eps>\t0\nay\t1\n\nae\t2\nay\t3\n", 5, "ay", 2),
+    ], ids=["epsilon", "phone"])
+    def test_read_refuses_a_repeated_symbol(self, tmp_path, text, line, symbol, first):
+        # every id stays as the file gives it: a repeat is never dropped
+        p = tmp_path / "dup.syms"
+        p.write_text(text)
+        want = f"{p}: line {line}: symbol {symbol!r} already listed on line {first}"
+        with pytest.raises(FstError, match=f"^{re.escape(want)}$"):
+            SymbolTable.read(p)
 
     def test_read_rejects_sparse_ids(self, tmp_path):
         p = tmp_path / "bad.syms"

@@ -5,7 +5,6 @@ import json
 import math
 import random
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -866,44 +865,112 @@ class TestInit:
                 np.testing.assert_array_equal(m.params[k], value)
 
 
+MODEL_SIZES = ("feat_dim", "enc_hidden", "dec_hidden", "att_dim", "embed_dim", "n_heads", "n_enc_layers")
+
+
+class TestConstructor:
+    def test_sizes_are_read_off_the_arrays(self, abc_alphabet):
+        m = ToyLasModel.init(abc_alphabet, 3, enc_hidden=4, dec_hidden=5, att_dim=2, embed_dim=6,
+                             n_heads=3, n_enc_layers=2)
+        back = ToyLasModel(m.alphabet, m.params)
+        assert [getattr(back, name) for name in MODEL_SIZES] == [3, 4, 5, 2, 6, 3, 2]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.pop("dec_Uz"), "parameter keys wrong: missing ['dec_Uz'], unexpected []"),
+        (lambda p: p.update(enc1_Wz=np.zeros((4, 4))), "parameter keys wrong: missing ['enc1_Uh', "),
+        (lambda p: p.update(att_v=np.zeros(3)), "enc0_Wz, att_v, emb and dec_Uz must be matrices of sizes >= 1, got "
+                                                "[(3, 4), (3,), (6, 3), (4, 4)]"),
+        (lambda p: p.update(emb=np.zeros((6, 0))), "enc0_Wz, att_v, emb and dec_Uz must be matrices of sizes >= 1, got "
+                                                  "[(3, 4), (1, 3), (6, 0), (4, 4)]"),
+        (lambda p: p.update(att_v=np.zeros((2, 3))), "parameter att_Wq has shape (4, 3), expected (4, 6)"),
+    ], ids=["missing-array", "half-a-layer", "vector-att_v", "zero-embed_dim", "one-head-too-many"])
+    def test_arrays_that_disagree_are_refused(self, abc_alphabet, edit, message):
+        params = dict(tiny_model(abc_alphabet).params)
+        edit(params)
+        with pytest.raises(ScorerError, match=f"^{re.escape(message)}"):
+            ToyLasModel(abc_alphabet, params)
+
+
 class TestCheckpoint:
-    def test_round_trip(self, abc_alphabet, tmp_path):
-        m = tiny_model(abc_alphabet, n_heads=2, n_enc_layers=2, seed=32)
-        path = tmp_path / "model.ckpt"
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_heads=st.integers(1, 4),
+        n_enc_layers=st.integers(1, 2),
+        sizes=st.tuples(*[st.integers(1, 5)] * 5),
+        scale=st.floats(1e-3, 20.0),
+        tokens=st.lists(st.integers(1, 5), max_size=4),
+    )
+    def test_round_trip(self, tmp_path_factory, seed, n_heads, n_enc_layers, sizes, scale, tokens):
+        alphabet = SymbolTable(["a", "b", "c", "<sos>", "<eos>"])
+        feat_dim, enc_hidden, dec_hidden, att_dim, embed_dim = sizes
+        m = ToyLasModel.init(alphabet, feat_dim, enc_hidden=enc_hidden, dec_hidden=dec_hidden, att_dim=att_dim,
+                             embed_dim=embed_dim, n_heads=n_heads, n_enc_layers=n_enc_layers, seed=seed)
+        for k in m.params:
+            m.params[k] *= scale
+        m.params["out_b"][0] = -0.0
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
         save_checkpoint(m, path)
         back = load_checkpoint(path)
         assert back.alphabet == m.alphabet
-        assert back.n_heads == m.n_heads and back.n_enc_layers == m.n_enc_layers
-        assert set(back.params) == set(m.params)
-        for k, v in m.params.items():
-            np.testing.assert_array_equal(back.params[k], v)
-        utt = make_utt(abc_alphabet, np.random.default_rng(33))
-        np.testing.assert_array_equal(chain(back, utt, [1])[0], chain(m, utt, [1])[0])
+        assert [getattr(back, name) for name in MODEL_SIZES] == [*sizes[:3], att_dim, embed_dim, n_heads, n_enc_layers]
+        assert {k: v.tobytes() for k, v in back.params.items()} == {k: v.tobytes() for k, v in m.params.items()}
+        x = np.random.default_rng(seed).normal(size=(3, feat_dim))
+        state, back_state = m.start(Utterance("u", x, (4,))), back.start(Utterance("u", x, (4,)))
+        for y in (m.sos_id, *tokens):
+            dist, state = m.decode_step(state, y)
+            back_dist, back_state = back.decode_step(back_state, y)
+            assert dist.tobytes() == back_dist.tobytes()
+            assert back_state == state
 
     def test_repeated_array_is_refused(self, abc_alphabet, tmp_path):
-        # a header that lists an array twice must not load its later copy
+        # an object that lists a key twice must not load its later copy
         path = tmp_path / "model.ckpt"
         save_checkpoint(tiny_model(abc_alphabet), path)
-        raw = path.read_bytes()
-        (size,) = struct.unpack_from("<I", raw, 8)
-        header = json.loads(raw[12 : 12 + size])
-        header["arrays"].append({"name": "out_b", "shape": [len(abc_alphabet)]})
-        header_bytes = json.dumps(header).encode()
-        body = raw[12 + size :] + np.full(len(abc_alphabet), 7.0).astype("<f8").tobytes()
-        path.write_bytes(raw[:8] + struct.pack("<I", len(header_bytes)) + header_bytes + body)
-        with pytest.raises(ScorerError, match=re.escape(f"{path}: array out_b is listed twice")):
+        text = path.read_text()
+        path.write_text(text.replace('"params": {', f'"params": {{"out_b": {[7.0] * len(abc_alphabet)}, ', 1))
+        with pytest.raises(ScorerError, match=f"^{re.escape(str(path))}: key 'out_b' is listed twice$"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
+        # the bytes a file of the old binary format starts with are not JSON
         path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ScorerError, match="magic"):
+        path.write_bytes(b"FDSC" + b"\x00" * 16)
+        with pytest.raises(ScorerError, match=f"^{re.escape(str(path))}: not a JSON checkpoint \\(Expecting value"):
             load_checkpoint(path)
 
     def test_trailing_bytes(self, abc_alphabet, tmp_path):
-        m = tiny_model(abc_alphabet)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(m, path)
+        save_checkpoint(tiny_model(abc_alphabet), path)
         path.write_bytes(path.read_bytes() + b"x")
-        with pytest.raises(ScorerError, match="trailing"):
+        with pytest.raises(ScorerError, match=f"^{re.escape(str(path))}: not a JSON checkpoint \\(Extra data"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(version=2), "unsupported checkpoint version 2 (this build reads version 3)"),
+        (lambda d: d.pop("version"), "unsupported checkpoint version None (this build reads version 3)"),
+        (lambda d: d.pop("params"), "checkpoint keys are ['alphabet', 'version'], expected alphabet"),
+        (lambda d: d.update(seed=0), "checkpoint keys are ['alphabet', 'params', 'seed', 'version'], expected"),
+        (lambda d: d.update(alphabet="abc"), "expected a list of strings under 'alphabet' and an object under"),
+        (lambda d: d["alphabet"].append(7), "expected a list of strings under 'alphabet' and an object under"),
+        (lambda d: d["alphabet"].pop(0), "alphabet must list <eps> first and every symbol once"),
+        (lambda d: d["alphabet"].insert(2, "<eps>"), "alphabet must list <eps> first and every symbol once"),
+        (lambda d: d.update(params=[]), "expected a list of strings under 'alphabet' and an object under"),
+        (lambda d: d["params"]["out_b"].pop(), "parameter out_b has shape (5,), expected (6,)"),
+        (lambda d: d["params"]["out_W"][0].pop(), "array out_W is ragged or holds a value that is not a finite"),
+        (lambda d: d["params"]["out_b"].__setitem__(0, "0.5"), "array out_b is ragged or holds a value that"),
+        (lambda d: d["params"]["out_b"].__setitem__(0, True), "array out_b is ragged or holds a value that"),
+        (lambda d: d["params"]["out_b"].__setitem__(0, None), "array out_b is ragged or holds a value that"),
+        (lambda d: d["params"]["out_b"].__setitem__(0, math.inf), "array out_b is ragged or holds a value that"),
+        (lambda d: d["params"]["out_b"].__setitem__(0, 10**400), "int too large to convert to float"),
+    ], ids=["version-2", "no-version", "no-params", "extra-key", "alphabet-string", "alphabet-number",
+            "alphabet-without-eps", "alphabet-with-two-eps", "params-list", "short-array", "ragged-array",
+            "string-value", "boolean-value", "null-value", "infinite-value", "huge-integer"])
+    def test_malformed_document_is_refused(self, abc_alphabet, tmp_path, edit, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(abc_alphabet), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScorerError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
             load_checkpoint(path)
