@@ -372,51 +372,53 @@ class DecodeResources:
         return graph
 
 
-def _hyp_key(h: Hypothesis) -> tuple[float, tuple[int, ...]]:
-    return (h.total_cost, h.tokens)
-
-
 def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | None) -> NBestList:
     """Shared beam core; ``graph`` None gives the plain model-score search.
 
-    A live entry is (hypothesis, scorer state), the state being the
-    parent's after the parent's step; live entries are kept in ``_hyp_key``
-    order.  Each depth makes one scorer step over every live entry at once,
-    and one coverage count when ``coverage_weight`` is positive.
+    A live entry is the plain tuple ``(total, tokens, model_score, lm_cost,
+    coverage, lm_state, scorer_state)``, the scorer state being the
+    parent's after the parent's step, and a finished entry is ``(total,
+    tokens, model_score, lm_cost, coverage)``.  No two finished entries, and
+    no two live entries of one depth, hold the same tokens, so the leading
+    ``(total, tokens)`` pair decides every comparison: the entries sort
+    natively, and no comparison reaches a state.  A :class:`Hypothesis` is
+    built only for the entries the returned :class:`NBestList` holds.  Each
+    depth makes one scorer step over every live entry at once, and one
+    coverage count when ``coverage_weight`` is positive.
 
     Children are ranked before any is built.  A candidate is the tuple
     ``(total, parent's tokens, tid, score, ahead, parent's index)``: the
     live entries at one depth all hold as many tokens and no two hold the
     same ones, so the parent's tokens, then the token id, order children
-    exactly as their own token tuples do, and the candidates sort as
-    ``_hyp_key`` would sort the children.  The tuples are compared only on
-    a cost tie.  A fused parent's children come from its label table,
-    :meth:`FusionGraph.ahead`, which gives each child's lattice cost without
-    building its state set.  Only the ``beam_width`` cheapest candidates
-    get :meth:`FusionGraph.advance`, a token tuple and a
-    :class:`Hypothesis`.  Log-probabilities are taken once per entry of
-    each row the scorer returns, so a row that stands for every live entry
-    costs one ``math.log`` per symbol, not one per child; None marks an
-    entry that is not positive.  ``np.log`` over the row would differ from
-    ``math.log`` in the last bit on some values and change the results.
+    exactly as their own token tuples do, and the candidates sort as the
+    children would.  The tuples are compared only on a cost tie.  A fused
+    parent's children come from its label table, :meth:`FusionGraph.ahead`,
+    which gives each child's lattice cost without building its state set.
+    Only the ``beam_width`` cheapest candidates get
+    :meth:`FusionGraph.advance`, a token tuple and a live entry.
+    Log-probabilities are taken once per entry of each row the scorer
+    returns, so a row that stands for every live entry costs one
+    ``math.log`` per symbol, not one per child; None marks an entry that is
+    not positive.  ``np.log`` over the row would differ from ``math.log`` in
+    the last bit on some values and change the results.
 
-    Finished hypotheses go into ``best``, the bounded n-best itself: at
-    most ``nbest_size`` of them in ``_hyp_key`` order, returned as it
-    stands; once it is full, one that would sort after its last entry is
-    not built.  Threshold pruning keeps it exactly the unpruned beam's.  Once
-    it is full, the bar is the cost of its last entry.  Along any path
-    ``-score + lm_weight * lm_cost`` never falls: each step adds ``-log p
-    >= 0``, and ``StateSet.best`` and ``graph.final_best`` cannot fall, as
-    :class:`FusionGraph` refuses a negative weight.  The coverage reward
-    takes at most ``coverage_weight * cap`` off a cost, where ``cap =
-    max(steps + 1, frames)`` bounds what ``covered()`` can reach.  So a live
-    entry whose ``-score + lm_weight * lm_cost - coverage_weight * cap`` is
-    strictly above the bar can only finish behind the n-best.  Without a
-    coverage reward that bound is the entry's own cost: the beam drops its entries above the bar, and those it keeps are
-    the ones the unpruned beam keeps at or under it.  With a coverage reward
-    a cost can fall along a path, so a dropped entry's children might have
-    pushed kept ones out of the beam; the search then only stops once every
-    live entry is above the bar.
+    Finished entries go into ``best``, the bounded n-best itself: at most
+    ``nbest_size`` of them in ``(total, tokens)`` order; once it is full,
+    one that would sort after its last entry is not kept.  Threshold pruning
+    keeps it exactly the unpruned beam's.  Once it is full, the bar is the
+    cost of its last entry.  Along any path ``-score + lm_weight * lm_cost``
+    never falls: each step adds ``-log p >= 0``, and ``StateSet.best`` and
+    ``graph.final_best`` cannot fall, as :class:`FusionGraph` refuses a
+    negative weight.  The coverage reward takes at most ``coverage_weight *
+    cap`` off a cost, where ``cap = max(steps + 1, frames)`` bounds what
+    ``covered()`` can reach.  So a live entry whose ``-score + lm_weight *
+    lm_cost - coverage_weight * cap`` is strictly above the bar can only
+    finish behind the n-best.  Without a coverage reward that bound is the
+    entry's own cost: the beam drops its entries above the bar, and those it
+    keeps are the ones the unpruned beam keeps at or under it.  With a
+    coverage reward a cost can fall along a path, so a dropped entry's
+    children might have pushed kept ones out of the beam; the search then
+    only stops once every live entry is above the bar.
     """
     alphabet = scorer.alphabet
     try:
@@ -430,57 +432,58 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     nbest = config.nbest_size
     start_state = graph.start if graph is not None else None
     start_cost = start_state.best if graph is not None else 0.0
-    root = Hypothesis((), 0.0, start_cost, 0, lam * start_cost, False, start_state)
-    live = [(root, scorer.start(utt))]
-    best: list[Hypothesis] = []
+    live = [(lam * start_cost, (), 0.0, start_cost, 0, start_state, scorer.start(utt))]
+    best: list[tuple[float, tuple[int, ...], float, float, int]] = []
     unfused = [(tid, 0.0) for tid in range(len(alphabet))]
     for depth in range(steps + 1):
         extend = depth < steps
-        prev = [hyp.tokens[-1] if hyp.tokens else None for hyp, _ in live]
-        dists, states = step_distributions(scorer, [state for _, state in live], prev)
+        prev = [e[1][-1] if e[1] else None for e in live]
+        dists, states = step_distributions(scorer, [e[6] for e in live], prev)
         covs = coverage_count(scorer, states, config.coverage_threshold) if eta > 0.0 else [0] * len(live)
         logs = [[math.log(p) if p > 0.0 else None for p in row] for row in dists.tolist()]
         if len(logs) < len(live):  # one row standing for every state
             logs *= len(live)
         candidates: list[tuple[float, tuple[int, ...], int, float, float, int]] = []
-        for i, (hyp, _) in enumerate(live):
-            tokens, row, cov = hyp.tokens, logs[i], covs[i]
+        for i, (_, tokens, model_score, _, _, lm_state, _) in enumerate(live):
+            row, cov = logs[i], covs[i]
             lp = row[eos]
             if lp is not None:
-                score = hyp.model_score + lp
-                stop = graph.final_best(hyp.lm_state) if graph is not None else 0.0
+                score = model_score + lp
+                stop = graph.final_best(lm_state) if graph is not None else 0.0
                 if stop is not None:
-                    total = -score + lam * stop - eta * cov
-                    if len(best) < nbest or (total, tokens) < _hyp_key(best[-1]):
-                        bisect.insort(best, Hypothesis(tokens, score, stop, cov, total, True), key=_hyp_key)
+                    entry = (-score + lam * stop - eta * cov, tokens, score, stop, cov)
+                    if len(best) < nbest or entry < best[-1]:
+                        bisect.insort(best, entry)
                         del best[nbest:]
             if not extend:
                 continue
-            children = graph.ahead(hyp.lm_state).items() if graph is not None else unfused
+            children = graph.ahead(lm_state).items() if graph is not None else unfused
             for tid, ahead in children:
                 lp = row[tid]
                 if lp is not None and tid != eos:
-                    score = hyp.model_score + lp
+                    score = model_score + lp
                     candidates.append((-score + lam * ahead - eta * cov, tokens, tid, score, ahead, i))
         if not extend or not candidates:
             break
         candidates.sort()
         parents, live = live, []
         for total, tokens, tid, score, ahead, i in candidates[: config.beam_width]:
-            nxt = graph.advance(parents[i][0].lm_state, tid) if graph is not None else None
-            live.append((Hypothesis((*tokens, tid), score, ahead, covs[i], total, False, nxt), states[i]))
+            nxt = graph.advance(parents[i][5], tid) if graph is not None else None
+            live.append((total, (*tokens, tid), score, ahead, covs[i], nxt, states[i]))
         if len(best) == nbest:
-            bar = best[-1].total_cost
+            bar = best[-1][0]
             if eta == 0.0:
-                while live and live[-1][0].total_cost > bar:
+                while live and live[-1][0] > bar:
                     live.pop()
-            elif all(-h.model_score + lam * h.lm_cost - slack > bar for h, _ in live):
+            elif all(-e[2] + lam * e[3] - slack > bar for e in live):
                 live = []
             if not live:
                 break
     if best:
-        return NBestList(tuple(best), True)
-    return NBestList(tuple(hyp for hyp, _ in live[:nbest]), False)
+        return NBestList(tuple(Hypothesis(t, s, lm, c, total, True) for total, t, s, lm, c in best), True)
+    return NBestList(
+        tuple(Hypothesis(t, s, lm, c, total, False, q) for total, t, s, lm, c, q, _ in live[:nbest]), False
+    )
 
 
 def beam_search(scorer, utt: Utterance, config: DecodeConfig) -> NBestList:

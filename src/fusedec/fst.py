@@ -41,7 +41,9 @@ class FstError(ValueError):
 class SymbolTable:
     """Dense bijective mapping between symbol strings and integer ids.
 
-    Id 0 is always ``<eps>``.  Tables are immutable; build a new one to
+    Id 0 is always ``<eps>``.  ``symbols`` may begin with it, as iterating
+    a table gives it; anywhere else it is refused, since it would not take
+    the id its position promises.  Tables are immutable; build a new one to
     extend the alphabet.
     """
 
@@ -50,9 +52,11 @@ class SymbolTable:
     def __init__(self, symbols: Iterable[str] = ()):
         syms = [EPSILON]
         seen = {EPSILON}
-        for s in symbols:
+        for i, s in enumerate(symbols):
             if s == EPSILON:
-                continue
+                if i == 0:
+                    continue
+                raise FstError(f"{EPSILON} may only come first, found at position {i}")
             if s in seen:
                 raise FstError(f"duplicate symbol {s!r}")
             seen.add(s)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fst import EPSILON, Arc, SymbolTable, WeightedFst, build_fst
+from .scorer import EOS, SOS
 
 EOW = "<eow>"
 
@@ -50,8 +51,10 @@ def parse_lexicon(text: str, phoneset: SymbolTable | None = None) -> PronLexicon
     """Parse ``word<TAB>phone phone ...`` lines.
 
     Blank lines and ``#`` comments are skipped; duplicate (word, pronunciation)
-    pairs collapse to one.  ``<eps>`` is refused as a word or a phoneme.  With
-    an explicit ``phoneset``, unknown phonemes are errors naming the line;
+    pairs collapse to one.  ``<eps>`` is refused as a word or a phoneme, and
+    ``<eow>``, ``<sos>`` and ``<eos>`` as a phoneme: the compiled lexicon
+    adds the word boundary itself, and only the scorer emits the others.
+    With an explicit ``phoneset``, unknown phonemes are errors naming the line;
     otherwise the phoneset is built from the data in first-appearance order,
     with ``<eow>`` appended when absent.
     """
@@ -72,6 +75,9 @@ def parse_lexicon(text: str, phoneset: SymbolTable | None = None) -> PronLexicon
             raise LexiconError(f"line {lineno}: empty pronunciation for {word!r}")
         if word == EPSILON or EPSILON in pron:
             raise LexiconError(f"line {lineno}: {EPSILON} is reserved for the empty string")
+        for ph in (EOW, SOS, EOS):
+            if ph in pron:
+                raise LexiconError(f"line {lineno}: {ph} is reserved and cannot appear in a pronunciation")
         if phoneset is not None:
             for ph in pron:
                 if ph not in phoneset:

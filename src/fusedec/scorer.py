@@ -698,7 +698,13 @@ def write_loss_trace(path: str | Path, losses: Sequence[float]) -> None:
 def save_checkpoint(model: ToyLasModel, path: str | Path) -> None:
     """One sorted-key JSON object: the format version, the alphabet, and every
     array as nested lists.  A float's ``repr`` reads back as the same float,
-    so :func:`load_checkpoint` gives back every array bit for bit."""
+    so :func:`load_checkpoint` gives back every array bit for bit.  A
+    parameter that is not finite raises ``ScorerError`` naming the array, and
+    no file is written: JSON has no such number, and the loader would refuse
+    it."""
+    for name, arr in sorted(model.params.items()):
+        if not np.isfinite(arr).all():
+            raise ScorerError(f"{path}: not written: array {name} holds a value that is not a finite number")
     params = {k: v.tolist() for k, v in model.params.items()}
     doc = {"version": _CKPT_VERSION, "alphabet": list(model.alphabet), "params": params}
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
@@ -726,9 +732,9 @@ def _parse_checkpoint(raw: bytes) -> ToyLasModel:
     alphabet, params = doc["alphabet"], doc["params"]
     if not (isinstance(alphabet, list) and all(isinstance(s, str) for s in alphabet) and isinstance(params, dict)):
         raise ScorerError("expected a list of strings under 'alphabet' and an object under 'params'")
-    table = SymbolTable(alphabet)
-    if list(table) != alphabet:
+    if alphabet[:1] != [EPSILON] or len(set(alphabet)) != len(alphabet):
         raise ScorerError(f"alphabet must list {EPSILON} first and every symbol once")
+    table = SymbolTable(alphabet)
     arrays = {name: np.array(values, dtype=object) for name, values in params.items()}
     for name, arr in arrays.items():
         if not all(type(x) in (int, float) and math.isfinite(x) for x in arr.flat):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from fusedec.decoder import DecodeConfig, DecodeError, FusionGraph, Hypothesis, NBestList, _hyp_key
+from fusedec.decoder import DecodeConfig, DecodeError, FusionGraph, Hypothesis, NBestList
 from fusedec.fst import FstError, WeightedFst, output_weights
 from fusedec.scorer import EOS, TableScorer, Utterance, coverage_count, step_distributions
 
@@ -390,6 +390,11 @@ def scorer_argmin_bruteforce(scorer, utt, max_len, lam, eta, threshold, graph):
 
     walk(())
     return best
+
+
+def _hyp_key(h: Hypothesis) -> tuple[float, tuple[int, ...]]:
+    """The order an n-best list is ranked in: cost, then tokens."""
+    return (h.total_cost, h.tokens)
 
 
 def reference_expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | None) -> NBestList:

@@ -471,11 +471,14 @@ def _utterance_with_nan_features(task, ckpt):
 
 
 def _checkpoint_with_a_nan_parameter(task, ckpt):
+    # save_checkpoint refuses a NaN, so the document is edited by hand
     loaded = load_task(task)
     _, utts = build_table_scorer(loaded)
-    model = ToyLasModel.init(task_alphabet(loaded), utts[0].features.shape[1])
-    model.params["out_b"][0] = math.nan
-    save_checkpoint(model, ckpt)
+    save_checkpoint(ToyLasModel.init(task_alphabet(loaded), utts[0].features.shape[1]), ckpt)
+    doc = json.loads(ckpt.read_text(encoding="utf-8"))
+    doc["params"]["out_b"][0] = math.nan
+    ckpt.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    assert "NaN" in ckpt.read_text(encoding="utf-8")
     return ckpt
 
 
@@ -561,7 +564,9 @@ class TestMalformedInputFiles:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["decode", "compile-lexicon"])
-    @pytest.mark.parametrize("text", ["I ay\n", "# no entries\n"], ids=["line-without-tab", "empty"])
+    @pytest.mark.parametrize(
+        "text", ["I ay\n", "# no entries\n", "I\tay\nam\tae <eow>\n"], ids=["line-without-tab", "empty", "eow-phoneme"]
+    )
     def test_lexicon_flag_names_the_file(self, pipeline, tmp_path, capsys, command, text):
         lexicon = tmp_path / "lexicon.txt"
         lexicon.write_text(text, encoding="utf-8")

@@ -633,6 +633,48 @@ class TestFusedSearch:
             assert f.model_score == pytest.approx(p.model_score, abs=1e-12)
 
 
+class TestBeamEntries:
+    """The beam keeps its entries as plain tuples; a :class:`Hypothesis` is
+    built only for what the search returns."""
+
+    def test_decode_builds_only_the_returned_hypotheses(self, homophone, monkeypatch):
+        _, resources, alphabet = homophone
+        built = []
+
+        class Counted(Hypothesis):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(decoder_mod, "Hypothesis", Counted)
+        rows = random_rows(alphabet, np.random.default_rng(31), 7)
+        scorer = TableScorer(alphabet, {"u0": rows})
+        cfg = DecodeConfig(fusion="both", lm_weight=0.2, lm_weight_nbest=0.1, beam_width=8, nbest_size=3)
+        with counted_steps() as calls:
+            result = decode(scorer, resources, make_utt(), cfg)
+        assert result.complete and result.hypotheses
+        assert calls[0] > 2  # the beam went deep enough to hold many more entries
+        assert 0 < len(built) <= cfg.nbest_size
+
+    def test_unfinished_entries_keep_their_state_set(self, homophone):
+        # no <eos> mass: the search returns its best live prefixes
+        _, resources, alphabet = homophone
+        graph = resources.graph_for(alphabet)
+        rows = random_rows(alphabet, np.random.default_rng(32), 4, banned=[(i, EOS) for i in range(4)])
+        scorer = TableScorer(alphabet, {"u0": rows})
+        cfg = DecodeConfig(fusion="beam", lm_weight=0.3, beam_width=6, nbest_size=4)
+        nb = fused_beam_search(scorer, graph, make_utt(), cfg)
+        assert not nb.complete and len(nb.entries) > 1
+        for h in nb.entries:
+            assert not h.finished and h.tokens
+            states = graph.start
+            for tid in h.tokens:
+                states = graph.advance(states, tid)
+            assert isinstance(h.lm_state, decoder_mod.StateSet)
+            assert h.lm_state == states
+            assert h.lm_cost == states.best
+
+
 class TestAttentionScorerSearch:
     """The fused beam over a real attention model, coverage reward included."""
 

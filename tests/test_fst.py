@@ -49,6 +49,22 @@ class TestSymbolTable:
         with pytest.raises(FstError, match="duplicate"):
             SymbolTable(["a", "a"])
 
+    def test_leading_epsilon_is_the_one_at_id_zero(self):
+        # iterating a table gives <eps> first, and that list rebuilds it
+        t = SymbolTable(["a", "b"])
+        assert SymbolTable(list(t)) == t
+        assert SymbolTable([EPSILON]) == SymbolTable()
+
+    @pytest.mark.parametrize("symbols, position", [
+        (["a", EPSILON, "b"], 1),
+        (["a", "b", EPSILON], 2),
+        ([EPSILON, EPSILON], 1),
+    ], ids=["middle", "last", "twice"])
+    def test_epsilon_anywhere_but_first_is_refused(self, symbols, position):
+        # skipping it would give every later symbol an id one below its position
+        with pytest.raises(FstError, match=f"^{EPSILON} may only come first, found at position {position}$"):
+            SymbolTable(symbols)
+
     def test_encode_accepts_strings_and_ids(self):
         t = SymbolTable(["a", "b"])
         assert t.encode(["a", 2, "a"]) == (1, 2, 1)

@@ -56,6 +56,13 @@ class TestParse:
         with pytest.raises(LexiconError, match=f"line 2: {EPSILON} is reserved"):
             parse_lexicon(f"am\tae m\n{line}\n", phoneset)
 
+    @pytest.mark.parametrize("symbol", [EOW, "<sos>", "<eos>"])
+    @pytest.mark.parametrize("phoneset", [None, SymbolTable(["ay", "ae", "m", EOW, "<sos>", "<eos>"])])
+    def test_control_symbol_in_a_pronunciation_is_refused(self, symbol, phoneset):
+        # the compiled lexicon adds <eow> itself; the scorer alone emits <sos> and <eos>
+        with pytest.raises(LexiconError, match=f"^line 2: {symbol} is reserved and cannot appear in a pronunciation$"):
+            parse_lexicon(f"I\tay\nam\tae {symbol}\n", phoneset)
+
     def test_empty_pronunciation_rejected(self):
         with pytest.raises(LexiconError, match="empty pronunciation"):
             parse_lexicon("the\t   \n")

@@ -923,6 +923,17 @@ class TestCheckpoint:
             assert dist.tobytes() == back_dist.tobytes()
             assert back_state == state
 
+    @pytest.mark.parametrize("name, value", [("out_b", math.nan), ("att_v", math.inf), ("emb", -math.inf)])
+    def test_non_finite_parameter_is_not_saved(self, abc_alphabet, tmp_path, name, value):
+        # the loader refuses such a file, so none is written
+        m = tiny_model(abc_alphabet)
+        m.params[name].flat[-1] = value
+        path = tmp_path / "model.ckpt"
+        want = f"{path}: not written: array {name} holds a value that is not a finite number"
+        with pytest.raises(ScorerError, match=f"^{re.escape(want)}$"):
+            save_checkpoint(m, path)
+        assert not path.exists()
+
     def test_repeated_array_is_refused(self, abc_alphabet, tmp_path):
         # an object that lists a key twice must not load its later copy
         path = tmp_path / "model.ckpt"
