@@ -386,16 +386,27 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     depth makes one scorer step over every live entry at once, and one
     coverage count when ``coverage_weight`` is positive.
 
-    Children are ranked before any is built.  A candidate is the tuple
-    ``(total, parent's tokens, tid, score, ahead, parent's index)``: the
-    live entries at one depth all hold as many tokens and no two hold the
-    same ones, so the parent's tokens, then the token id, order children
-    exactly as their own token tuples do, and the candidates sort as the
-    children would.  The tuples are compared only on a cost tie.  A fused
+    A child's ``total`` is worked out before anything is built for it.  A
+    candidate is the tuple ``(total, parent's tokens, tid, score, ahead,
+    parent's index)``: the live entries at one depth all hold as many
+    tokens and no two hold the same ones, so the parent's tokens, then the
+    token id, order children exactly as their own token tuples do, and the
+    candidates sort as the children would.  The tuples are compared only on
+    a cost tie.  A depth's candidates are kept in a buffer of at most
+    ``2 * beam_width``; when it fills, it is sorted and cut back to
+    ``beam_width``, and ``cut`` becomes the last kept total.  A child whose
+    total is above ``cut`` has ``beam_width`` candidates strictly ahead of
+    it, so sorting every child would never keep it: its tuple is never
+    built.  A child tied with ``cut`` is kept for the final sort to order.
+    This is histogram pruning with the beam width as the survivor count,
+    and it keeps exactly the children a sort of all of them keeps.  A fused
     parent's children come from its label table, :meth:`FusionGraph.ahead`,
     which gives each child's lattice cost without building its state set.
     Only the ``beam_width`` cheapest candidates get
     :meth:`FusionGraph.advance`, a token tuple and a live entry.
+
+    A scorer step returns one row per live entry or one row standing for
+    them all; any other count raises :class:`DecodeError`.
     Log-probabilities are taken once per entry of each row the scorer
     returns, so a row that stands for every live entry costs one
     ``math.log`` per symbol, not one per child; None marks an entry that is
@@ -430,6 +441,8 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     steps = min(config.max_steps, scorer.token_limit(utt))
     slack = eta * max(steps + 1, utt.features.shape[0])
     nbest = config.nbest_size
+    width = config.beam_width
+    room = 2 * width
     start_state = graph.start if graph is not None else None
     start_cost = start_state.best if graph is not None else 0.0
     live = [(lam * start_cost, (), 0.0, start_cost, 0, start_state, scorer.start(utt))]
@@ -440,10 +453,16 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
         prev = [e[1][-1] if e[1] else None for e in live]
         dists, states = step_distributions(scorer, [e[6] for e in live], prev)
         covs = coverage_count(scorer, states, config.coverage_threshold) if eta > 0.0 else [0] * len(live)
+        if len(dists) not in (1, len(live)):
+            raise DecodeError(
+                f"the scorer returned {len(dists)} rows for {len(live)} live hypotheses; "
+                f"a step returns one row for all or one per hypothesis"
+            )
         logs = [[math.log(p) if p > 0.0 else None for p in row] for row in dists.tolist()]
         if len(logs) < len(live):  # one row standing for every state
             logs *= len(live)
         candidates: list[tuple[float, tuple[int, ...], int, float, float, int]] = []
+        cut = math.inf
         for i, (_, tokens, model_score, _, _, lm_state, _) in enumerate(live):
             row, cov = logs[i], covs[i]
             lp = row[eos]
@@ -462,12 +481,18 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
                 lp = row[tid]
                 if lp is not None and tid != eos:
                     score = model_score + lp
-                    candidates.append((-score + lam * ahead - eta * cov, tokens, tid, score, ahead, i))
+                    total = -score + lam * ahead - eta * cov
+                    if total <= cut:
+                        candidates.append((total, tokens, tid, score, ahead, i))
+                        if len(candidates) == room:
+                            candidates.sort()
+                            del candidates[width:]
+                            cut = candidates[-1][0]
         if not extend or not candidates:
             break
         candidates.sort()
         parents, live = live, []
-        for total, tokens, tid, score, ahead, i in candidates[: config.beam_width]:
+        for total, tokens, tid, score, ahead, i in candidates[:width]:
             nxt = graph.advance(parents[i][5], tid) if graph is not None else None
             live.append((total, (*tokens, tid), score, ahead, covs[i], nxt, states[i]))
         if len(best) == nbest:

@@ -1329,6 +1329,110 @@ class TestSharedRows:
         assert json.dumps(decode(per_state, resources, make_utt(), cfg).to_dict()) == shared
         assert per_state.widest > 1
 
+    def test_a_step_with_neither_one_row_nor_one_per_state_is_refused(self):
+        class TwoRowsForMany(TableScorer):
+            """Returns two rows once three or more states step together."""
+
+            def step(self, states, tokens):
+                dists, nxt = super().step(states, tokens)
+                return (np.repeat(dists, 2, axis=0) if len(states) >= 3 else dists), nxt
+
+        alphabet = make_alphabet("a", "b", "c")
+        rows = rows_for(alphabet, [{"a": 0.3, "b": 0.3, "c": 0.3, EOS: 0.1}] * 3 + [{EOS: 1.0}])
+        scorer = TwoRowsForMany(alphabet, {"u0": rows})
+        with pytest.raises(DecodeError, match="2 rows for 3 live hypotheses"):
+            beam_search(scorer, make_utt(), DecodeConfig(beam_width=4))
+
+
+def split_start_graph(alphabet: SymbolTable, symbols) -> FusionGraph:
+    """A free graph whose start set is two states: state 0 reads the back
+    half of ``symbols`` and, over a free epsilon, state 1 reads the front
+    half; every arc returns to state 0.  So a label table lists the back
+    half first, and a set's children do not arrive in token order."""
+    syms = SymbolTable(list(symbols))
+    half = len(symbols) // 2
+    arcs = [Arc(0, 1, 0, 0, 0.0)]
+    arcs += [Arc(0, 0, i, i, 0.0) for i in range(half + 1, len(symbols) + 1)]
+    arcs += [Arc(1, 0, i, i, 0.0) for i in range(1, half + 1)]
+    return FusionGraph(build_fst(arcs, 0, {0: 0.0}, syms, syms), alphabet)
+
+
+class TestSurvivorCut:
+    """A depth's candidates are kept in a buffer of at most twice the beam
+    width, cut back to the beam width whenever it fills; a child costing
+    more than the last kept one is never built.  The beam keeps exactly
+    what the unbounded sort of every child keeps."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_tokens=st.integers(8, 12),
+        steps=st.integers(1, 4),
+        beam_width=st.integers(1, 4),
+        nbest_size=st.integers(1, 4),
+        fusion_eta=st.sampled_from([("none", 0.0), ("beam", 0.0), ("beam", 0.5), ("both", 0.0), ("both", 0.5)]),
+    )
+    def test_tied_children_match_reference(self, seed, n_tokens, steps, beam_width, nbest_size, fusion_eta):
+        # Probabilities and arc weights come from a few repeated values, so
+        # many children tie exactly at the cut, and a depth has up to 48
+        # children for a buffer of 2 to 8.
+        fusion, eta = fusion_eta
+        rng = np.random.default_rng(seed)
+        symbols = [f"t{k:02d}" for k in range(n_tokens)]
+        alphabet = make_alphabet(*symbols)
+        mass = rng.choice([0.0, 1.0, 1.0, 2.0, 4.0], size=(steps + 1, len(alphabet)))
+        mass[:, 0] = mass[:, alphabet.id(SOS)] = 0.0
+        mass[:, alphabet.id(symbols[0])] = 1.0  # no empty row
+        scorer = TableScorer(alphabet, {"u0": mass / mass.sum(axis=1, keepdims=True)})
+        graph = None
+        if fusion != "none":
+            n_states = int(rng.integers(1, 4))
+            syms = SymbolTable(symbols)
+            arcs = [Arc(0, 0, 1, 1, 0.0)]  # a graph must read some token
+            arcs += [
+                Arc(q, int(rng.integers(n_states)), label, label, float(rng.choice([0.0, 0.5, 1.0])))
+                for q in range(n_states)
+                for label in range(1, n_tokens + 1)
+                if rng.random() < 0.7
+            ]
+            # epsilons give sets of several states, whose label tables are
+            # not in token order
+            arcs += [Arc(q, q + 1, 0, 0, float(rng.choice([0.0, 0.5]))) for q in range(n_states - 1)]
+            finals = {q: float(rng.choice([0.0, 0.5])) for q in range(n_states) if rng.random() < 0.6}
+            graph = FusionGraph(build_fst(arcs, 0, finals, syms, syms, num_states=n_states), alphabet)
+        cfg = DecodeConfig(
+            fusion=fusion,
+            lm_weight=0.0 if fusion == "none" else 1.0,
+            lm_weight_nbest=0.5 if fusion == "both" else None,
+            coverage_weight=eta,
+            beam_width=beam_width,
+            nbest_size=nbest_size,
+        )
+        assert decoder_mod._expand(scorer, make_utt(), cfg, graph) == reference_expand(
+            scorer, make_utt(), cfg, graph
+        )
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_equal_children_keep_the_smallest_token_strings(self, fused):
+        # Twelve equal children of one parent and a two-wide beam: the
+        # buffer of four fills and is cut back to two five times at the
+        # first depth, and every child after the first cut ties at it.  The
+        # second depth has 24 equal children.  The fused graph hands the
+        # children of each set over back half first.
+        symbols = "abcdefghijkl"
+        alphabet = make_alphabet(*symbols)
+        even = {s: 1 / 12 for s in symbols}
+        scorer = TableScorer(alphabet, {"u0": rows_for(alphabet, [even, even, {EOS: 1.0}])})
+        if fused:
+            graph = split_start_graph(alphabet, symbols)
+            cfg = DecodeConfig(fusion="beam", lm_weight=1.0, beam_width=2)
+        else:
+            graph, cfg = None, DecodeConfig(beam_width=2)
+        got = decoder_mod._expand(scorer, make_utt(), cfg, graph)
+        assert got == reference_expand(scorer, make_utt(), cfg, graph)
+        assert got.complete
+        assert [h.tokens for h in got.entries] == [alphabet.encode(["a", "a"]), alphabet.encode(["a", "b"])]
+
 
 class TestThresholdPruning:
     """The beam stops stepping hypotheses that can no longer reach the
