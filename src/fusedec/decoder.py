@@ -372,7 +372,9 @@ class DecodeResources:
         return graph
 
 
-def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | None) -> NBestList:
+def _expand(
+    scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | None
+) -> tuple[list[tuple], bool]:
     """Shared beam core; ``graph`` None gives the plain model-score search.
 
     A live entry is the plain tuple ``(total, tokens, model_score, lm_cost,
@@ -381,10 +383,17 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
     tokens, model_score, lm_cost, coverage)``.  No two finished entries, and
     no two live entries of one depth, hold the same tokens, so the leading
     ``(total, tokens)`` pair decides every comparison: the entries sort
-    natively, and no comparison reaches a state.  A :class:`Hypothesis` is
-    built only for the entries the returned :class:`NBestList` holds.  Each
-    depth makes one scorer step over every live entry at once, and one
-    coverage count when ``coverage_weight`` is positive.
+    natively, and no comparison reaches a state.  Each depth makes one
+    scorer step over every live entry at once, and one coverage count when
+    ``coverage_weight`` is positive.
+
+    It returns ``(entries, complete)``: at most ``nbest_size`` finished
+    entries in ``(total, tokens)`` order and True, or, when nothing
+    finished, the best live entries and False.  No result object is built
+    here.  :func:`beam_search` and :func:`fused_beam_search` turn the
+    entries into an :class:`NBestList` (:func:`_nbest_list`), and
+    :func:`decode` reads words straight from the entries' first five
+    fields.
 
     A child's ``total`` is worked out before anything is built for it.  A
     candidate is the tuple ``(total, parent's tokens, tid, score, ahead,
@@ -505,9 +514,17 @@ def _expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | N
             if not live:
                 break
     if best:
-        return NBestList(tuple(Hypothesis(t, s, lm, c, total, True) for total, t, s, lm, c in best), True)
+        return best, True
+    return live[:nbest], False
+
+
+def _nbest_list(entries: list[tuple], complete: bool) -> NBestList:
+    """The entries :func:`_expand` returns, as ranked hypotheses; a live
+    one keeps its state set."""
+    if complete:
+        return NBestList(tuple(Hypothesis(t, s, lm, c, total, True) for total, t, s, lm, c in entries), True)
     return NBestList(
-        tuple(Hypothesis(t, s, lm, c, total, False, q) for total, t, s, lm, c, q, _ in live[:nbest]), False
+        tuple(Hypothesis(t, s, lm, c, total, False, q) for total, t, s, lm, c, q, _ in entries), False
     )
 
 
@@ -515,7 +532,7 @@ def beam_search(scorer, utt: Utterance, config: DecodeConfig) -> NBestList:
     """Plain beam search over scorer distributions, no lattice involved."""
     if config.fusion in ("beam", "both"):
         raise DecodeError(f"beam_search does not fuse; got fusion {config.fusion!r}")
-    return _expand(scorer, utt, config, None)
+    return _nbest_list(*_expand(scorer, utt, config, None))
 
 
 def fused_beam_search(scorer, graph: FusionGraph, utt: Utterance, config: DecodeConfig) -> NBestList:
@@ -528,7 +545,7 @@ def fused_beam_search(scorer, graph: FusionGraph, utt: Utterance, config: Decode
     """
     if config.fusion not in ("beam", "both"):
         raise DecodeError(f"fused_beam_search requires fusion beam or both, got {config.fusion!r}")
-    return _expand(scorer, utt, config, graph)
+    return _nbest_list(*_expand(scorer, utt, config, graph))
 
 
 def nbest_rescore(
@@ -547,35 +564,40 @@ def nbest_rescore(
     path are dropped and counted.  The word strings come from
     :meth:`FusionGraph.words`, so a token string met again, at another
     weight of a sweep, costs no lattice pass.
+
+    The pool is ranked as plain tuples ``(total, words, tokens,
+    model_score, lm_cost, coverage)``, in ``(total, words, tokens)`` order,
+    and a :class:`WordHypothesis` is built only for the ``nbest_size`` kept.
+    The entries of an n-best list hold distinct tokens, and distinct output
+    labels spell distinct words, so the first three fields decide every
+    comparison.
     """
-    pool: list[WordHypothesis] = []
+    pool: list[tuple[float, tuple[str, ...], tuple[int, ...], float, float, int]] = []
     unparsed = 0
     for entry in nbest.entries:
-        found = graph.words(entry.tokens)
+        tokens, score, cov = entry.tokens, entry.model_score, entry.coverage
+        found = graph.words(tokens)
         if not found:
             unparsed += 1
         for lm_cost, _, words in found:
-            total = -entry.model_score + lm_weight * lm_cost - coverage_weight * entry.coverage
-            pool.append(
-                WordHypothesis(
-                    words=words,
-                    total_cost=total,
-                    model_score=entry.model_score,
-                    lm_cost=lm_cost,
-                    coverage=entry.coverage,
-                    source_tokens=entry.tokens,
-                )
-            )
-    pool.sort(key=lambda h: (h.total_cost, h.words, h.source_tokens))
-    return RescoreResult(tuple(pool[:nbest_size]), unparsed)
+            total = -score + lm_weight * lm_cost - coverage_weight * cov
+            pool.append((total, words, tokens, score, lm_cost, cov))
+    pool.sort()
+    kept = tuple(
+        WordHypothesis(words, total, score, lm_cost, cov, tokens)
+        for total, words, tokens, score, lm_cost, cov in pool[:nbest_size]
+    )
+    return RescoreResult(kept, unparsed)
 
 
-def _split_graphemes(entry: Hypothesis, alphabet: SymbolTable) -> WordHypothesis:
-    """Words from a grapheme token string, split at <space>."""
+def _split_graphemes(entry: tuple, alphabet: SymbolTable) -> WordHypothesis:
+    """Words from the grapheme tokens of one :func:`_expand` entry, split
+    at <space>."""
+    total, tokens, score, _, cov = entry[:5]
     space = alphabet.id(SPACE)
     words: list[str] = []
     piece: list[str] = []
-    for tid in entry.tokens:
+    for tid in tokens:
         if tid == space:
             if piece:
                 words.append("".join(piece))
@@ -584,31 +606,19 @@ def _split_graphemes(entry: Hypothesis, alphabet: SymbolTable) -> WordHypothesis
             piece.append(alphabet.sym(tid))
     if piece:
         words.append("".join(piece))
-    return WordHypothesis(
-        words=tuple(words),
-        total_cost=entry.total_cost,
-        model_score=entry.model_score,
-        lm_cost=0.0,
-        coverage=entry.coverage,
-        source_tokens=entry.tokens,
-    )
+    return WordHypothesis(tuple(words), total, score, 0.0, cov, tokens)
 
 
-def _best_words(entry: Hypothesis, graph: FusionGraph) -> WordHypothesis | None:
-    """The cheapest word string for one fused hypothesis, ties broken by
-    output labels; None if none accepts.  It is the first entry of
-    :meth:`FusionGraph.words`, computed once per token string per graph."""
-    found = graph.words(entry.tokens)
+def _best_words(entry: tuple, graph: FusionGraph) -> WordHypothesis | None:
+    """The cheapest word string for one fused :func:`_expand` entry, ties
+    broken by output labels; None if none accepts.  It is the first entry
+    of :meth:`FusionGraph.words`, computed once per token string per
+    graph."""
+    total, tokens, score, lm_cost, cov = entry[:5]
+    found = graph.words(tokens)
     if not found:
         return None
-    return WordHypothesis(
-        words=found[0][2],
-        total_cost=entry.total_cost,
-        model_score=entry.model_score,
-        lm_cost=entry.lm_cost,
-        coverage=entry.coverage,
-        source_tokens=entry.tokens,
-    )
+    return WordHypothesis(found[0][2], total, score, lm_cost, cov, tokens)
 
 
 @dataclass(frozen=True)
@@ -659,31 +669,37 @@ def decode(
     utt: Utterance,
     config: DecodeConfig,
 ) -> DecodeResult:
-    """Run one utterance through the configured strategy."""
+    """Run one utterance through the configured strategy.
+
+    The words are read straight from the entries :func:`_expand` returns:
+    fusion ``none`` splits each at <space> and ``beam`` takes each one's
+    cheapest word string, with no :class:`Hypothesis` built.  ``nbest`` and
+    ``both`` hand the entries to :func:`nbest_rescore` as an
+    :class:`NBestList`."""
     if config.fusion == "none":
         if SPACE not in scorer.alphabet:
             raise DecodeError(f"fusion 'none' splits words at {SPACE}, absent from the alphabet")
-        nb = _expand(scorer, utt, config, None)
-        hyps = tuple(_split_graphemes(e, scorer.alphabet) for e in nb.entries)
-        return DecodeResult(utt.uid, config.fusion, config, hyps, nb.complete, 0)
+        entries, complete = _expand(scorer, utt, config, None)
+        hyps = tuple(_split_graphemes(e, scorer.alphabet) for e in entries)
+        return DecodeResult(utt.uid, config.fusion, config, hyps, complete, 0)
     if resources is None:
         raise DecodeError(f"fusion {config.fusion!r} requires decode resources")
     graph = resources.graph_for(scorer.alphabet)
-    nb = _expand(scorer, utt, config, None if config.fusion == "nbest" else graph)
+    entries, complete = _expand(scorer, utt, config, None if config.fusion == "nbest" else graph)
     if config.fusion == "beam":
-        found = [_best_words(entry, graph) for entry in nb.entries]
+        found = [_best_words(e, graph) for e in entries]
         hyps = tuple(wh for wh in found if wh is not None)
         unparsed = len(found) - len(hyps)
     else:  # nbest, where lm_weight and coverage_weight are 0, or both
         res = nbest_rescore(
-            nb,
+            _nbest_list(entries, complete),
             graph,
             config.lm_weight + config.lm_weight_nbest,
             nbest_size=config.nbest_size,
             coverage_weight=config.coverage_weight,
         )
         hyps, unparsed = res.hypotheses, res.unparsed
-    return DecodeResult(utt.uid, config.fusion, config, hyps, nb.complete, unparsed)
+    return DecodeResult(utt.uid, config.fusion, config, hyps, complete, unparsed)
 
 
 def decode_batch(

@@ -14,7 +14,9 @@ which scorer it holds:
   ``<sos>``); row ``i`` of ``dists`` is the next-symbol distribution that
   follows, and ``states[i]`` the state after it.  A scorer whose states
   all share one distribution may return a single row that stands for
-  every state, as numpy broadcasting does;
+  every state, as numpy broadcasting does.  Both scorers raise
+  ``ScorerError`` for a step with no state or with a token count other
+  than the state count;
 - ``scorer.covered(states, threshold) -> counts``: for each state, how
   many encoder frames the hypothesis at it will have covered once it is
   closed with ``<eos>``; never more than the larger of the steps taken and
@@ -117,6 +119,15 @@ def _masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_batch(states: Sequence, tokens: Sequence) -> None:
+    """Refuse a step that is not one token for each of at least one state."""
+    if not states or len(states) != len(tokens):
+        raise ScorerError(
+            f"a step takes one token per state and at least one state, "
+            f"got {len(states)} state(s) and {len(tokens)} token(s)"
+        )
+
+
 class TableScorer:
     """Explicit per-step rows, keyed by utterance id.
 
@@ -171,9 +182,13 @@ class TableScorer:
         prefixes of length k, as a beam's live entries at one depth do:
         one (1, V) row that stands for every state, and the one state that
         follows them all."""
-        uid, rows, k = states[0]
-        if any(st[2] != k or st[0] != uid for st in states):
-            raise ScorerError("a table step takes the states of one utterance at one depth")
+        _check_batch(states, tokens)
+        first = states[0]
+        uid, rows, k = first
+        # the live entries of one depth all hold the one state the last step returned
+        for st in states:
+            if st is not first and (st[2] != k or st[0] != uid):
+                raise ScorerError("a table step takes the states of one utterance at one depth")
         if k >= len(rows):
             raise ScorerError(f"prefix of length {k} exceeds the {len(rows)} stored steps for {uid!r}")
         return rows[k : k + 1], [(uid, rows, k + 1)] * len(states)
@@ -446,6 +461,7 @@ class ToyLasModel:
         row a (1, d) matrix: every product is then one vector-matrix
         product per row, so a row comes out bit for bit the same whatever
         else is stepped beside it."""
+        _check_batch(states, ys)
         ys = np.asarray(ys, dtype=np.intp)
         bad = ys[(ys < 0) | (ys >= len(self.alphabet))]
         if bad.size:

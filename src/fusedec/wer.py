@@ -64,12 +64,22 @@ def align_wer(ref: Sequence[str], hyp: Sequence[str]) -> WerBreakdown:
 
 
 def corpus_wer(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> WerBreakdown:
-    """Corpus-level rate: counts summed over utterances before dividing."""
+    """Corpus-level rate: counts summed over utterances before dividing.
+
+    Each distinct ``(ref, hyp)`` pair, compared as tuples, is aligned once
+    per call, and its breakdown is added once per occurrence: a sweep point
+    whose utterances mostly decode alike pays for few alignments.  Nothing
+    is kept between calls.
+    """
     if not pairs:
         raise ValueError("corpus_wer needs at least one (ref, hyp) pair")
+    aligned: dict[tuple[tuple[str, ...], tuple[str, ...]], WerBreakdown] = {}
     d = i = s = r = 0
     for ref, hyp in pairs:
-        b = align_wer(ref, hyp)
+        key = (tuple(ref), tuple(hyp))
+        b = aligned.get(key)
+        if b is None:
+            b = aligned[key] = align_wer(ref, hyp)
         d += b.deletions
         i += b.insertions
         s += b.substitutions

@@ -14,7 +14,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from fusedec.decoder import DecodeConfig, DecodeError, FusionGraph, Hypothesis, NBestList
+from fusedec.decoder import (
+    DecodeConfig,
+    DecodeError,
+    FusionGraph,
+    Hypothesis,
+    NBestList,
+    RescoreResult,
+    WordHypothesis,
+)
 from fusedec.fst import FstError, WeightedFst, output_weights
 from fusedec.scorer import EOS, TableScorer, Utterance, coverage_count, step_distributions
 
@@ -461,6 +469,40 @@ def reference_expand(scorer, utt: Utterance, config: DecodeConfig, graph: Fusion
     if finished:
         return NBestList(tuple(finished[: config.nbest_size]), True)
     return NBestList(tuple(hyp for _, _, hyp, _ in live[: config.nbest_size]), False)
+
+
+def reference_nbest_rescore(
+    nbest: NBestList,
+    graph: FusionGraph,
+    lm_weight: float,
+    *,
+    nbest_size: int = 8,
+    coverage_weight: float = 0.0,
+) -> RescoreResult:
+    """``nbest_rescore`` as it was before it ranked plain tuples: a
+    :class:`WordHypothesis` for every word string of every hypothesis, one
+    stable sort of them all by ``(total_cost, words, source_tokens)``, and
+    the first ``nbest_size`` kept."""
+    pool: list[WordHypothesis] = []
+    unparsed = 0
+    for entry in nbest.entries:
+        found = graph.words(entry.tokens)
+        if not found:
+            unparsed += 1
+        for lm_cost, _, words in found:
+            total = -entry.model_score + lm_weight * lm_cost - coverage_weight * entry.coverage
+            pool.append(
+                WordHypothesis(
+                    words=words,
+                    total_cost=total,
+                    model_score=entry.model_score,
+                    lm_cost=lm_cost,
+                    coverage=entry.coverage,
+                    source_tokens=entry.tokens,
+                )
+            )
+    pool.sort(key=lambda h: (h.total_cost, h.words, h.source_tokens))
+    return RescoreResult(tuple(pool[:nbest_size]), unparsed)
 
 
 def reference_closure(f: WeightedFst, seeds: dict[int, float]) -> tuple[tuple[int, float], ...]:

@@ -42,6 +42,7 @@ import oracles
 from oracles import (
     fused_argmin_bruteforce,
     reference_expand,
+    reference_nbest_rescore,
     relation_table,
     scorer_argmin_bruteforce,
 )
@@ -78,6 +79,12 @@ def random_rows(alphabet: SymbolTable, rng, steps: int, banned=()) -> np.ndarray
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def expand(scorer, utt: Utterance, cfg: DecodeConfig, graph: FusionGraph | None) -> NBestList:
+    """The beam core's entries, converted as the public searches convert
+    them."""
+    return decoder_mod._nbest_list(*decoder_mod._expand(scorer, utt, cfg, graph))
+
+
 def homophone_setup():
     """Lexicon {I,eye -> ay; am -> ae m}, grammar from 'I am' x3 + 'eye' x1."""
     lex = parse_lexicon("I\tay\neye\tay\nam\tae m\n")
@@ -106,6 +113,18 @@ def full_cover():
     resources = DecodeResources(lexicon_fst, lm_to_fst(lm))
     alphabet = make_alphabet("a", "b", EOW)
     return resources, alphabet
+
+
+@pytest.fixture(scope="module")
+def homophone_pairs():
+    """Single-phone words in optional mode, two per phone (wa, va -> a;
+    wb, vb -> b), under a bigram: a string of n phones spells 2**n word
+    strings."""
+    lex = parse_lexicon("wa\ta\nva\ta\nwb\tb\nvb\tb\n")
+    corpus = [["wa"], ["va", "wb"], ["wb", "wa"], ["vb"], ["wa", "vb", "va"], ["wb", "wb"]]
+    lm = train_ngram(corpus, order=2, smoothing="absdisc")
+    resources = DecodeResources(compile_lexicon(lex, eow_mode="optional"), lm_to_fst(lm))
+    return resources, make_alphabet("a", "b", EOW)
 
 
 class TestDecodeConfig:
@@ -216,7 +235,7 @@ class TestPlainBeam:
             cfg = DecodeConfig(beam_width=2, fusion="beam", lm_weight=1.0)
         else:
             graph, cfg = None, DecodeConfig(beam_width=2)
-        got = decoder_mod._expand(scorer, make_utt(), cfg, graph)
+        got = expand(scorer, make_utt(), cfg, graph)
         assert got == reference_expand(scorer, make_utt(), cfg, graph)
         tokens = {h.tokens for h in got.entries}
         assert alphabet.encode(["a", "y"]) in tokens and alphabet.encode(["b", "x"]) not in tokens
@@ -656,6 +675,35 @@ class TestBeamEntries:
         assert calls[0] > 2  # the beam went deep enough to hold many more entries
         assert 0 < len(built) <= cfg.nbest_size
 
+    @pytest.mark.parametrize("fusion", ["none", "beam"])
+    @pytest.mark.parametrize("eos_mass", [True, False])
+    def test_words_come_straight_from_the_entries(self, homophone, monkeypatch, fusion, eos_mass):
+        # fusion none and beam read words from the beam's entries: no
+        # Hypothesis and no NBestList, finished or not
+        built = []
+
+        def counted(cls):
+            class Counted(cls):
+                def __init__(self, *args, **kwargs):
+                    built.append(cls.__name__)
+                    super().__init__(*args, **kwargs)
+
+            return Counted
+
+        monkeypatch.setattr(decoder_mod, "Hypothesis", counted(Hypothesis))
+        monkeypatch.setattr(decoder_mod, "NBestList", counted(NBestList))
+        banned = [] if eos_mass else [(i, EOS) for i in range(6)]
+        if fusion == "none":
+            alphabet, resources, cfg = make_alphabet("a", "b", "<space>"), None, DecodeConfig(nbest_size=4)
+        else:
+            _, resources, alphabet = homophone
+            cfg = DecodeConfig(fusion="beam", lm_weight=0.2, nbest_size=4)
+        rows = random_rows(alphabet, np.random.default_rng(33), 6, banned=banned)
+        result = decode(TableScorer(alphabet, {"u0": rows}), resources, make_utt(), cfg)
+        assert result.complete == eos_mass
+        assert result.hypotheses
+        assert built == []
+
     def test_unfinished_entries_keep_their_state_set(self, homophone):
         # no <eos> mass: the search returns its best live prefixes
         _, resources, alphabet = homophone
@@ -867,6 +915,40 @@ class TestNBestRescore:
         for words in per_source.values():
             assert len(words) == len(set(words))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        steps=st.integers(2, 6),
+        beam_width=st.integers(2, 8),
+        lam=st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+        eta=st.sampled_from([0.0, 0.5]),
+        keep=st.integers(1, 40),
+    )
+    def test_ranking_matches_the_object_pool_oracle(
+        self, homophone_pairs, seed, steps, beam_width, lam, eta, keep
+    ):
+        # Two homophone pairs in optional mode: nearly every token string
+        # spells words, most of them several.  Probabilities come from a
+        # few repeated values, so token strings tie on model score, and at
+        # weight 0 every reading of one string ties: the ranking then rests
+        # on words and tokens.  The kept count is below the pool's size, so
+        # the cut falls inside the ranking.
+        resources, alphabet = homophone_pairs
+        graph = resources.graph_for(alphabet)
+        rng = np.random.default_rng(seed)
+        mass = rng.choice([0.0, 1.0, 1.0, 2.0], size=(steps, len(alphabet)))
+        mass[:, 0] = mass[:, alphabet.id(SOS)] = mass[0, alphabet.id(EOW)] = 0.0
+        mass[:, alphabet.id("a")] += 1.0  # no empty row
+        mass[-1] = 0.0
+        mass[-1, alphabet.id(EOS)] = 1.0
+        scorer = TableScorer(alphabet, {"u0": mass / mass.sum(axis=1, keepdims=True)})
+        nb = beam_search(scorer, make_utt(), DecodeConfig(beam_width=beam_width, nbest_size=beam_width))
+        pool = reference_nbest_rescore(nb, graph, lam, nbest_size=10**6, coverage_weight=eta).hypotheses
+        keep = min(keep, len(pool) - 1)
+        assert keep >= 1
+        got = nbest_rescore(nb, graph, lam, nbest_size=keep, coverage_weight=eta)
+        assert got == reference_nbest_rescore(nb, graph, lam, nbest_size=keep, coverage_weight=eta)
+
 
 class TestWordRecovery:
     """Words come from one pass over the lattice per token string."""
@@ -998,13 +1080,14 @@ class TestWordMemo:
         scorer = TableScorer(alphabet, rows)
         utts = [make_utt(uid) for uid in rows]
         returned: list[tuple[int, ...]] = []
-        expand = decoder_mod._expand
+        core = decoder_mod._expand
 
         def recorded(*args):
-            nb = expand(*args)
+            found = core(*args)
+            nb = decoder_mod._nbest_list(*found)
             assert nb.complete
             returned.extend(h.tokens for h in nb.entries)
-            return nb
+            return found
 
         with mock.patch.object(decoder_mod, "_expand", recorded), counted_word_passes() as calls:
             for lam in (0.0, 0.5, 1.0, 2.0):
@@ -1217,9 +1300,20 @@ def pruned_and_reference(scorer, resources, utt, cfg):
     its scorer-step count."""
     with counted_steps() as pruned_calls:
         pruned = decode(scorer, resources, utt, cfg).to_dict()
-    with counted_steps() as ref_calls, mock.patch.object(decoder_mod, "_expand", reference_expand):
+    with counted_steps() as ref_calls, mock.patch.object(decoder_mod, "_expand", reference_entries):
         ref = decode(scorer, resources, utt, cfg).to_dict()
     return pruned, ref, pruned_calls[0], ref_calls[0]
+
+
+def reference_entries(scorer, utt, cfg, graph) -> tuple[list[tuple], bool]:
+    """``reference_expand`` in the beam core's return layout: finished
+    entries ``(total, tokens, model_score, lm_cost, coverage)``, live ones
+    with their state set and no scorer state after those."""
+    nb = reference_expand(scorer, utt, cfg, graph)
+    entries = [(h.total_cost, h.tokens, h.model_score, h.lm_cost, h.coverage) for h in nb.entries]
+    if not nb.complete:
+        entries = [(*e, h.lm_state, None) for e, h in zip(entries, nb.entries)]
+    return entries, nb.complete
 
 
 def peaked_rows(alphabet: SymbolTable, rng, steps: int, sharpness: float) -> np.ndarray:
@@ -1408,7 +1502,7 @@ class TestSurvivorCut:
             beam_width=beam_width,
             nbest_size=nbest_size,
         )
-        assert decoder_mod._expand(scorer, make_utt(), cfg, graph) == reference_expand(
+        assert expand(scorer, make_utt(), cfg, graph) == reference_expand(
             scorer, make_utt(), cfg, graph
         )
 
@@ -1428,7 +1522,7 @@ class TestSurvivorCut:
             cfg = DecodeConfig(fusion="beam", lm_weight=1.0, beam_width=2)
         else:
             graph, cfg = None, DecodeConfig(beam_width=2)
-        got = decoder_mod._expand(scorer, make_utt(), cfg, graph)
+        got = expand(scorer, make_utt(), cfg, graph)
         assert got == reference_expand(scorer, make_utt(), cfg, graph)
         assert got.complete
         assert [h.tokens for h in got.entries] == [alphabet.encode(["a", "a"]), alphabet.encode(["a", "b"])]

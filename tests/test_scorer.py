@@ -449,6 +449,46 @@ class TestDecodeStep:
             assert loss == pytest.approx(total / tokens, abs=1e-12)
 
 
+class TestStepBatch:
+    """Both scorers refuse a step that is not one token for each of at
+    least one state, naming both counts."""
+
+    @staticmethod
+    def start_state(kind, alphabet):
+        rows = np.zeros((3, len(alphabet)))
+        rows[:, alphabet.id("a")] = 1.0
+        scorer = TableScorer(alphabet, {"u0": rows}) if kind == "table" else tiny_model(alphabet, seed=56)
+        return scorer, scorer.start(Utterance("u0", np.zeros((3, 3)), (1,)))
+
+    @pytest.mark.parametrize("kind", ["table", "model"])
+    @pytest.mark.parametrize("n_states, n_tokens", [(2, 1), (1, 2), (3, 0), (0, 0), (0, 1)])
+    def test_counts_that_do_not_match_are_refused(self, abc_alphabet, kind, n_states, n_tokens):
+        scorer, state = self.start_state(kind, abc_alphabet)
+        want = re.escape(f"got {n_states} state(s) and {n_tokens} token(s)")
+        with pytest.raises(ScorerError, match=want):
+            scorer.step([state] * n_states, [None] * n_tokens)
+        with pytest.raises(ScorerError, match=want):
+            step_distributions(scorer, [state] * n_states, [None] * n_tokens)
+        if kind == "model":
+            with pytest.raises(ScorerError, match=want):
+                scorer.decode_steps([state] * n_states, [1] * n_tokens)
+
+    @pytest.mark.parametrize("order", [(0, 0, 1), (1, 0, 0), (0, 1, 0)])
+    def test_a_table_step_refuses_another_depth_beside_a_shared_state(self, abc_alphabet, order):
+        # the live entries of a depth share the state the last step
+        # returned; one of another depth is refused wherever it stands
+        scorer, start = self.start_state("table", abc_alphabet)
+        _, (deeper,) = scorer.step([start], [None])
+        states = [(start, deeper)[i] for i in order]
+        with pytest.raises(ScorerError, match="one utterance at one depth"):
+            scorer.step(states, [1] * len(states))
+
+    def test_equal_table_states_need_not_be_one_object(self, abc_alphabet):
+        scorer, start = self.start_state("table", abc_alphabet)
+        dists, states = scorer.step([start, ("u0", start[1], 0), ("u0", start[1], 0)], [None] * 3)
+        assert dists.shape == (1, len(abc_alphabet)) and states == [("u0", start[1], 1)] * 3
+
+
 class TestDecodeSteps:
     """A beam's live hypotheses stepped at once: row i is state i's step."""
 

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fusedec import wer as wer_mod
 from fusedec.wer import WerBreakdown, align_wer, corpus_wer
 
 from oracles import align_counts_bruteforce
@@ -124,3 +128,44 @@ class TestCorpusWer:
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError, match="at least one"):
             corpus_wer([])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        distinct=st.lists(
+            st.tuples(*[st.lists(st.sampled_from(["a", "b", "c"]), max_size=5)] * 2), min_size=1, max_size=4
+        ),
+        picks=st.lists(st.integers(0, 99), min_size=1, max_size=30),
+        as_tuples=st.lists(st.booleans(), min_size=30, max_size=30),
+    )
+    def test_equals_the_per_pair_sum(self, distinct, picks, as_tuples):
+        # a corpus drawn from a few pairs repeats most of them, each
+        # occurrence given as lists or as tuples
+        corpus = [distinct[i % len(distinct)] for i in picks]
+        mixed = [
+            (tuple(ref), tuple(hyp)) if flag else (list(ref), list(hyp))
+            for (ref, hyp), flag in zip(corpus, as_tuples)
+        ]
+        per_pair = [align_wer(ref, hyp) for ref, hyp in corpus]
+        want = WerBreakdown(*(sum(getattr(b, f) for b in per_pair)
+                              for f in ("deletions", "insertions", "substitutions", "ref_count")))
+        assert corpus_wer(corpus) == want
+        assert corpus_wer(mixed) == want
+        assert corpus_wer([(tuple(ref), tuple(hyp)) for ref, hyp in corpus]) == want
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_each_distinct_pair_is_aligned_once(self, k):
+        rng = np.random.default_rng(k)
+        distinct = [(["a"] * i, ["a", "b"][: i % 3]) for i in range(k)]
+        corpus = [distinct[j] for j in rng.permutation(np.arange(5 * k) % k)]
+        corpus += [(tuple(ref), tuple(hyp)) for ref, hyp in distinct]  # tuples match lists
+        calls = []
+
+        def counted(ref, hyp):
+            calls.append((tuple(ref), tuple(hyp)))
+            return align_wer(ref, hyp)
+
+        with mock.patch.object(wer_mod, "align_wer", counted):
+            b = corpus_wer(corpus)
+        assert len(calls) == k
+        assert sorted(calls) == sorted((tuple(r), tuple(h)) for r, h in distinct)
+        assert b.ref_count == sum(len(ref) for ref, _ in corpus)
