@@ -20,7 +20,7 @@ from .fst import (
     _eps_closure,
     compose,
     linear_fst,
-    output_weights,
+    output_weights_batch,
     relabel,
     shortest_paths,
 )
@@ -218,10 +218,12 @@ class FusionGraph:
     one.
 
     Each :class:`StateSet` remembers its label table and where it leads, so
-    the sets form a trie of the token prefixes decoded so far, and
-    :meth:`words` remembers the word strings of each finished token string:
-    a sweep that decodes the same utterances at many weights computes each
-    closure and set table, and recovers each token string's words, once.
+    the sets form a trie of the token prefixes decoded so far.  :meth:`words`
+    recovers the word strings of all of one decode's finished token strings
+    in one label-synchronous walk that shares their common prefixes, and
+    remembers each string's result: a sweep that decodes the same
+    utterances at many weights computes each closure and set table, and
+    recovers each token string's words, once.
     At most ``_MAX_STORED`` (4,096) of these per-prefix results,
     transitions, set tables and word maps together, are stored per graph.
     When the bound is reached, ``start`` is rebuilt from the same pairs, the
@@ -320,17 +322,25 @@ class FusionGraph:
             stop = states.final_best = None if math.isinf(best) else best
         return stop
 
-    def words(self, tokens: tuple[int, ...]) -> tuple[WordParse, ...]:
-        """Every word string a finished token string spells, as ``(lm_cost,
-        olabels, words)`` sorted by cost and then output labels; empty when
-        no path accepts it.  One :func:`output_weights` pass the first time
-        a string is asked for, a dict lookup after that."""
-        found = self._words.get(tokens)
-        if found is None:
-            weights = output_weights(self.fst, tokens)
-            found = tuple(sorted((w, ols, self.fst.osyms.decode(ols)) for ols, w in weights.items()))
-            self._store()
-            self._words[tokens] = found
+    def words(self, strings: list[tuple[int, ...]]) -> list[tuple[WordParse, ...]]:
+        """Every word string each finished token string spells, as
+        ``(lm_cost, olabels, words)`` sorted by cost and then output labels;
+        empty when no path accepts it.  The strings not seen before are
+        recovered together, in one :func:`output_weights_batch` walk that
+        shares their common prefixes, and each result is remembered; a
+        string seen before is a dict lookup.  The results are returned from
+        this call's own reads, so a bound reached while storing them loses
+        none."""
+        memo = self._words
+        found = [memo.get(tokens) for tokens in strings]
+        if None in found:
+            unseen = list(dict.fromkeys(tokens for tokens, parses in zip(strings, found) if parses is None))
+            decode, fresh = self.fst.osyms.decode, {}
+            for tokens, weights in zip(unseen, output_weights_batch(self.fst, unseen)):
+                parses = fresh[tokens] = tuple(sorted((w, ols, decode(ols)) for ols, w in weights.items()))
+                self._store()
+                self._words[tokens] = parses
+            found = [fresh[tokens] if parses is None else parses for tokens, parses in zip(strings, found)]
         return found
 
 
@@ -574,9 +584,8 @@ def nbest_rescore(
     """
     pool: list[tuple[float, tuple[str, ...], tuple[int, ...], float, float, int]] = []
     unparsed = 0
-    for entry in nbest.entries:
+    for entry, found in zip(nbest.entries, graph.words([e.tokens for e in nbest.entries])):
         tokens, score, cov = entry.tokens, entry.model_score, entry.coverage
-        found = graph.words(tokens)
         if not found:
             unparsed += 1
         for lm_cost, _, words in found:
@@ -609,16 +618,15 @@ def _split_graphemes(entry: tuple, alphabet: SymbolTable) -> WordHypothesis:
     return WordHypothesis(tuple(words), total, score, 0.0, cov, tokens)
 
 
-def _best_words(entry: tuple, graph: FusionGraph) -> WordHypothesis | None:
-    """The cheapest word string for one fused :func:`_expand` entry, ties
-    broken by output labels; None if none accepts.  It is the first entry
-    of :meth:`FusionGraph.words`, computed once per token string per
-    graph."""
-    total, tokens, score, lm_cost, cov = entry[:5]
-    found = graph.words(tokens)
-    if not found:
-        return None
-    return WordHypothesis(found[0][2], total, score, lm_cost, cov, tokens)
+def _best_words(entries: list[tuple], graph: FusionGraph) -> list[WordHypothesis | None]:
+    """The cheapest word string for each fused :func:`_expand` entry, ties
+    broken by output labels; None for one that no path accepts.  It is the
+    first parse :meth:`FusionGraph.words` gives, which recovers the entries'
+    token strings in one call."""
+    return [
+        WordHypothesis(found[0][2], e[0], e[2], e[3], e[4], e[1]) if found else None
+        for e, found in zip(entries, graph.words([e[1] for e in entries]))
+    ]
 
 
 @dataclass(frozen=True)
@@ -687,7 +695,7 @@ def decode(
     graph = resources.graph_for(scorer.alphabet)
     entries, complete = _expand(scorer, utt, config, None if config.fusion == "nbest" else graph)
     if config.fusion == "beam":
-        found = [_best_words(e, graph) for e in entries]
+        found = _best_words(entries, graph)
         hyps = tuple(wh for wh in found if wh is not None)
         unparsed = len(found) - len(hyps)
     else:  # nbest, where lm_weight and coverage_weight are 0, or both

@@ -490,35 +490,110 @@ def shortest_paths(f: WeightedFst, n: int) -> list[FstPath]:
 
 def output_weights(f: WeightedFst, ilabels: Sequence[str | int]) -> dict[tuple[int, ...], float]:
     """The cheapest weight of each distinct epsilon-free output string among
-    the accepting paths whose epsilon-free input reads ``ilabels``.
+    the accepting paths whose epsilon-free input reads ``ilabels``: the
+    one-string case of :func:`output_weights_batch`."""
+    return output_weights_batch(f, [ilabels])[0]
 
-    One Dijkstra over (labels read, state, output so far), each key settled
-    once: exact weights when none is negative, all strings either way.  Only
-    an input-epsilon cycle that writes output lets a path reading n labels
-    write (n + 1) * num_states labels; that raises ``FstError``.
+
+def output_weights_batch(
+    f: WeightedFst, strings: Sequence[Sequence[str | int]]
+) -> list[dict[tuple[int, ...], float]]:
+    """:func:`output_weights` of each input string, in order.
+
+    The walk is label-synchronous, as composition with a linear input is.
+    Level k maps each ``(state, output so far)`` reached by reading the
+    first k labels to its cheapest cost.  Reading the next label is a
+    min-merge over the arcs with that label; a Dijkstra over input-epsilon
+    arcs then closes the level, when one of its states has such an arc.
+    The answer is the cheapest ``w + final`` per output string of the last
+    level.  Every cost is the minimum over paths of a left-to-right float
+    sum, exact when no weight is negative, and every string is found either
+    way.
+
+    The strings are walked in sorted order, each reusing the levels of the
+    one before up to their common prefix, so strings that share prefixes
+    share that work.  Nothing is kept after the call.
+
+    Without an input-epsilon cycle that writes output, a key at level k
+    writes fewer than (k + 1) * num_states labels.  With one, some closure
+    never ends; writing more than (n + 1) * num_states labels for a string
+    of n labels raises ``FstError``.
     """
-    ids = f.isyms.encode(ilabels)
-    cap = (len(ids) + 1) * f.num_states
-    out: dict[tuple[int, ...], float] = {}
-    done: set[tuple[int, int, tuple[int, ...]]] = set()
-    heap = [(0.0, 0, f.start, ())]
+    encoded = [f.isyms.encode(s) for s in strings]
+    finals = f._finals
+    results: list[dict[tuple[int, ...], float]] = [{} for _ in encoded]
+    levels: list[dict[tuple[int, tuple[int, ...]], float]] = []
+    prev: tuple[int, ...] = ()
+    for i in sorted(range(len(encoded)), key=encoded.__getitem__):
+        ids = encoded[i]
+        cap = (len(ids) + 1) * f.num_states
+        shared = 0
+        while shared < min(len(levels) - 1, len(ids)) and ids[shared] == prev[shared]:
+            shared += 1
+        del levels[shared + 1 :]
+        if not levels:
+            levels.append(_close_level(f, {(f.start, ()): 0.0}, cap))
+        while len(levels) <= len(ids) and levels[-1]:
+            levels.append(_close_level(f, _read_label(f, levels[-1], ids[len(levels) - 1]), cap))
+        prev = ids
+        if len(levels) == len(ids) + 1:
+            out = results[i]
+            for (q, ols), w in levels[-1].items():
+                cost = w + finals.get(q, TROPICAL_ZERO)
+                if cost < out.get(ols, math.inf):
+                    out[ols] = cost
+    return results
+
+
+def _read_label(
+    f: WeightedFst, level: dict[tuple[int, tuple[int, ...]], float], label: int
+) -> dict[tuple[int, tuple[int, ...]], float]:
+    """The unclosed level after reading ``label``: every arc with that label
+    from every key, keeping the cheapest cost per key.  Label 0 reads
+    nothing, as no arc consumes an epsilon."""
+    nxt: dict[tuple[int, tuple[int, ...]], float] = {}
+    if not label:
+        return nxt
+    arcs_with, get = f.arcs_with, nxt.get
+    for (q, ols), w in level.items():
+        for arc in arcs_with(q, label):
+            key = (arc.dst, ols + (arc.olabel,)) if arc.olabel else (arc.dst, ols)
+            cand = w + arc.weight
+            old = get(key)
+            if old is None or cand < old:
+                nxt[key] = cand
+    return nxt
+
+
+def _close_level(
+    f: WeightedFst, seeds: dict[tuple[int, tuple[int, ...]], float], cap: int
+) -> dict[tuple[int, tuple[int, ...]], float]:
+    """Dijkstra over input-epsilon arcs from a level's seed keys, each key
+    settled once; the seeds themselves when no seed state has such an arc."""
+    if not any(f.arcs_with(q, 0) for q, _ in seeds):
+        return seeds
+    closed: dict[tuple[int, tuple[int, ...]], float] = {}
+    heap = [(w, q, ols) for (q, ols), w in seeds.items()]
+    heapq.heapify(heap)
     while heap:
-        w, k, q, ols = heapq.heappop(heap)
-        if (k, q, ols) in done:
+        w, q, ols = heapq.heappop(heap)
+        if (q, ols) in closed:
             continue
-        done.add((k, q, ols))
-        if k == len(ids) and w + f.final(q) < out.get(ols, math.inf):
-            out[ols] = w + f.final(q)
-        arcs = f.arcs_with(q, 0)
-        if k < len(ids) and ids[k]:
-            arcs += f.arcs_with(q, ids[k])
-        for arc in arcs:
-            key = (k + 1 if arc.ilabel else k, arc.dst, ols + (arc.olabel,) if arc.olabel else ols)
-            if len(key[2]) > cap:
-                raise FstError("an input-epsilon cycle writes output, so the outputs are unbounded")
-            if key not in done:
-                heapq.heappush(heap, (w + arc.weight, *key))
-    return out
+        closed[q, ols] = w
+        for arc in f.arcs_with(q, 0):
+            if arc.olabel:
+                key = (arc.dst, ols + (arc.olabel,))
+                if len(key[1]) > cap:
+                    raise FstError("an input-epsilon cycle writes output, so the outputs are unbounded")
+            else:
+                key = (arc.dst, ols)
+            if key not in closed:
+                cand = w + arc.weight
+                old = seeds.get(key)
+                if old is None or cand < old:
+                    seeds[key] = cand
+                    heapq.heappush(heap, (cand, *key))
+    return closed
 
 
 def _eps_closure(f: WeightedFst, seeds: Mapping[int, float]) -> dict[int, float]:

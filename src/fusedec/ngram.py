@@ -258,7 +258,9 @@ def lm_to_fst(lm: NGramModel) -> WeightedFst:
     A backoff weight above 1 (log10 backoff > 0, which ``train_ngram`` never
     writes) raises :class:`NGramError`: its arc would be negative, which no
     fusion graph accepts, and clamping it to 0 would misprice every
-    sentence that backs off through it.
+    sentence that backs off through it.  The backoff weight of a context
+    with no stored continuation gets no arc and no check: the query rule
+    never charges it.
     """
     contexts = sorted(lm.contexts, key=lambda c: (len(c), c))
     state_of = {ctx: i for i, ctx in enumerate(contexts)}
@@ -283,6 +285,8 @@ def lm_to_fst(lm: NGramModel) -> WeightedFst:
             nxt = gram if len(gram) < lm.order else gram[1:]
             arcs.append(Arc(src, resolve_state(nxt), wid, wid, cost))
     for ctx in sorted(lm.backoffs, key=lambda c: (len(c), c)):
+        if ctx not in state_of:  # no stored continuation: the query rule shortens it freely
+            continue
         bow = lm.backoffs[ctx]
         if bow > 0.0:
             raise NGramError(
@@ -343,7 +347,7 @@ def write_arpa(lm: NGramModel, path: str | Path) -> None:
 def read_arpa(path: str | Path) -> NGramModel:
     """Parse the ARPA subset written by :func:`write_arpa`.  ``<eps>`` names
     the empty string, so a gram that uses it is refused, and so is a gram
-    listed twice."""
+    listed twice or a log10 value that is NaN or +inf."""
     declared: dict[int, int] = {}
     # k -> gram -> (line, log10 p, log10 backoff or None), in file order
     entries: dict[int, dict[tuple[str, ...], tuple[int, float, float | None]]] = {}
@@ -389,6 +393,8 @@ def read_arpa(path: str | Path) -> NGramModel:
             bow10 = float(fields[2]) if len(fields) == 3 else None
         except ValueError:
             raise NGramError(f"{path}: line {lineno}: bad number") from None
+        if any(math.isnan(x) or x == math.inf for x in (p10, bow10) if x is not None):
+            raise NGramError(f"{path}: line {lineno}: a log10 value must be finite or -inf")
         gram = tuple(fields[1].split())
         if len(gram) != current:
             raise NGramError(f"{path}: line {lineno}: {len(gram)}-gram in \\{current}-grams:")

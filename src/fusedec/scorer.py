@@ -257,11 +257,12 @@ def _cell_forward(x, h_prev, Wz, Uz, bz, Wh, Uh, bh):
 
 def _cell_backward(dh, cache, Wz, Uz, Wh, Uh):
     """Backward through one batched cell step: (dx, dh_prev, da_h, da_z),
-    the last two being the pre-activation gradients the weights need."""
+    the last two being the pre-activation gradients the weights need.  With
+    ``Wz`` and ``Wh`` None the input gradient is not wanted, and dx is None."""
     x, h_prev, z, g = cache
     da_h = dh * z * (1.0 - g * g)
     da_z = dh * (g - h_prev) * z * (1.0 - z)
-    dx = da_h @ Wh.T + da_z @ Wz.T
+    dx = None if Wh is None else da_h @ Wh.T + da_z @ Wz.T
     dh_prev = dh * (1.0 - z) + da_h @ Uh.T + da_z @ Uz.T
     return dx, dh_prev, da_h, da_z
 
@@ -636,14 +637,16 @@ def loss_and_gradients(model: ToyLasModel, corpus: Sequence[Utterance]):
     for layer in reversed(range(model.n_enc_layers)):
         layer_cache = enc_caches[layer]
         Wz, Uz, Wh, Uh = (p[f"enc{layer}_{k}"] for k in ("Wz", "Uz", "Wh", "Uh"))
-        d_below = np.empty((N, T, Wz.shape[0]))
+        if layer == 0:  # nothing reads the gradient of the features
+            Wz = Wh = None
+        d_below = np.empty((N, T, E)) if layer else None
         dh_carry = np.zeros((N, E))
         enc_das = []
         for t in reversed(range(T)):
-            d_below[:, t], dh_carry, da_h, da_z = _cell_backward(
-                d_seq[:, t] + dh_carry, layer_cache[t], Wz, Uz, Wh, Uh
-            )
+            dx, dh_carry, da_h, da_z = _cell_backward(d_seq[:, t] + dh_carry, layer_cache[t], Wz, Uz, Wh, Uh)
             enc_das.append((da_h, da_z))
+            if layer:
+                d_below[:, t] = dx
         _cell_weight_grads(grads, f"enc{layer}_", layer_cache[::-1], enc_das)
         d_seq = d_below
 

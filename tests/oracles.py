@@ -23,7 +23,7 @@ from fusedec.decoder import (
     RescoreResult,
     WordHypothesis,
 )
-from fusedec.fst import FstError, WeightedFst, output_weights
+from fusedec.fst import FstError, WeightedFst
 from fusedec.scorer import EOS, TableScorer, Utterance, coverage_count, step_distributions
 
 
@@ -217,7 +217,7 @@ def fused_argmin_bruteforce(rows, eos_id, max_len, lam=0.0, eta=0.0, graph=None)
             return
         lattice = 0.0
         if graph is not None:
-            lattice = min(output_weights(graph, tokens).values(), default=None)
+            lattice = min(reference_output_weights(graph, tokens).values(), default=None)
             if lattice is None:
                 return
         cov = len(tokens) + 1 if eta else 0
@@ -381,7 +381,7 @@ def scorer_argmin_bruteforce(scorer, utt, max_len, lam, eta, threshold, graph):
 
     def walk(tokens):
         nonlocal best
-        lattice = min(output_weights(graph, tokens).values(), default=None)
+        lattice = min(reference_output_weights(graph, tokens).values(), default=None)
         if lattice is not None:
             score = 0.0
             for i, y in enumerate((*tokens, eos)):
@@ -486,7 +486,7 @@ def reference_nbest_rescore(
     pool: list[WordHypothesis] = []
     unparsed = 0
     for entry in nbest.entries:
-        found = graph.words(entry.tokens)
+        found = graph.words([entry.tokens])[0]
         if not found:
             unparsed += 1
         for lm_cost, _, words in found:
@@ -573,3 +573,37 @@ def reference_final_best(graph: FusionGraph, states: tuple[tuple[int, float], ..
     for q, w in states:
         best = min(best, w + graph.fst.final(q))
     return None if math.isinf(best) else best
+
+
+def reference_output_weights(f: WeightedFst, ilabels) -> dict[tuple[int, ...], float]:
+    """``output_weights`` as it was before it walked one label at a time:
+    the cheapest weight of each distinct epsilon-free output string among
+    the accepting paths whose epsilon-free input reads ``ilabels``.
+
+    One Dijkstra over (labels read, state, output so far), each key settled
+    once: exact weights when none is negative, all strings either way.  Only
+    an input-epsilon cycle that writes output lets a path reading n labels
+    write (n + 1) * num_states labels; that raises ``FstError``.
+    """
+    ids = f.isyms.encode(ilabels)
+    cap = (len(ids) + 1) * f.num_states
+    out: dict[tuple[int, ...], float] = {}
+    done: set[tuple[int, int, tuple[int, ...]]] = set()
+    heap = [(0.0, 0, f.start, ())]
+    while heap:
+        w, k, q, ols = heapq.heappop(heap)
+        if (k, q, ols) in done:
+            continue
+        done.add((k, q, ols))
+        if k == len(ids) and w + f.final(q) < out.get(ols, math.inf):
+            out[ols] = w + f.final(q)
+        arcs = f.arcs_with(q, 0)
+        if k < len(ids) and ids[k]:
+            arcs += f.arcs_with(q, ids[k])
+        for arc in arcs:
+            key = (k + 1 if arc.ilabel else k, arc.dst, ols + (arc.olabel,) if arc.olabel else ols)
+            if len(key[2]) > cap:
+                raise FstError("an input-epsilon cycle writes output, so the outputs are unbounded")
+            if key not in done:
+                heapq.heappush(heap, (w + arc.weight, *key))
+    return out

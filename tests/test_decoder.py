@@ -32,6 +32,7 @@ from fusedec.fst import (
     compose,
     linear_fst,
     output_weights,
+    output_weights_batch,
     shortest_paths,
 )
 from fusedec.lexicon import EOW, compile_lexicon, parse_lexicon
@@ -43,6 +44,7 @@ from oracles import (
     fused_argmin_bruteforce,
     reference_expand,
     reference_nbest_rescore,
+    reference_output_weights,
     relation_table,
     scorer_argmin_bruteforce,
 )
@@ -968,6 +970,22 @@ class TestWordRecovery:
             for ols, w in want.items():
                 assert got[ols] == pytest.approx(w, abs=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        eow_mode=st.sampled_from(["required", "optional"]),
+        order=st.integers(1, 4),
+    )
+    def test_batch_matches_the_reference_on_lexicon_ngram_graphs(self, seed, eow_mode, order):
+        rng = np.random.default_rng(seed)
+        graph = random_resources(rng, eow_mode, order).graph_for(make_alphabet("a", "b", "c", EOW))
+        spoken = sorted({ils for ils, _ in relation_table(graph.fst, 12, 5)})
+        strings = [*spoken, *(tuple(int(t) for t in rng.integers(0, 5, size=n)) for n in range(6))]
+        strings += [s[:-1] for s in spoken] + strings[::3]
+        want = [reference_output_weights(graph.fst, s) for s in strings]
+        assert output_weights_batch(graph.fst, strings) == want
+        assert any(want) and not all(want)
+
     def test_backoff_paths_do_not_crowd_out_a_word_string(self):
         # x and y are homophones.  x is followed by many words, so backing
         # off after it costs little, and each word string of seven x-or-y has
@@ -999,15 +1017,15 @@ class TestWordRecovery:
 
 @contextmanager
 def counted_word_passes():
-    """Record the token string of every ``output_weights`` pass the decoder
-    makes inside the block."""
+    """Record every token string the decoder hands word recovery
+    (``output_weights_batch``) inside the block."""
     calls: list[tuple[int, ...]] = []
 
-    def wrapper(f, tokens):
-        calls.append(tuple(tokens))
-        return output_weights(f, tokens)
+    def wrapper(f, strings):
+        calls.extend(tuple(tokens) for tokens in strings)
+        return output_weights_batch(f, strings)
 
-    with mock.patch.object(decoder_mod, "output_weights", wrapper):
+    with mock.patch.object(decoder_mod, "output_weights_batch", wrapper):
         yield calls
 
 
@@ -1018,9 +1036,9 @@ def sorted_word_parses(graph: FusionGraph, tokens) -> tuple:
 
 
 class TestWordMemo:
-    """``FusionGraph.words`` runs one ``output_weights`` pass per token string
-    per graph.  What it returns, cold, warm, or recomputed after the bound
-    dropped it, is that pass's result sorted by (cost, output labels)."""
+    """``FusionGraph.words`` recovers each token string once per graph.  What
+    it returns, cold, warm, or recomputed after the bound dropped it, is
+    that string's ``output_weights`` sorted by (cost, output labels)."""
 
     ALPHABET = make_alphabet("a", "b", "c", EOW)
 
@@ -1042,7 +1060,7 @@ class TestWordMemo:
                 # prefix, so transitions and word maps share the bound.
                 tokens, states = (), graph.start
                 while True:
-                    assert graph.words(tokens) == sorted_word_parses(graph, tokens)
+                    assert graph.words([tokens]) == [sorted_word_parses(graph, tokens)]
                     assert graph._stored <= bound and len(graph._words) <= bound
                     strings.append(tokens)
                     if states is None or len(tokens) == 8:
@@ -1052,10 +1070,34 @@ class TestWordMemo:
                     tokens += (label,)
                     states = graph.advance(states, label)
             for tokens in strings:  # warm, or recomputed where the bound dropped it
-                assert graph.words(tokens) == sorted_word_parses(graph, tokens)
+                assert graph.words([tokens]) == [sorted_word_parses(graph, tokens)]
                 assert graph._stored <= bound and len(graph._words) <= bound
         if bound == decoder_mod._MAX_STORED:
             assert sorted(calls) == sorted(set(strings))
+
+    @pytest.mark.parametrize("bound", [1, 3])
+    def test_one_call_past_the_bound_returns_every_string_its_own_parses(self, bound):
+        # eight strings, five of them parsed, recovered in one call: storing
+        # them drops the word maps several times over
+        graph = FusionGraph(homophone_setup()[1].lg, make_alphabet("ay", "ae", "m", EOW))
+        ay, ae, m, eow = (graph.fst.isyms.id(s) for s in ("ay", "ae", "m", EOW))
+        strings = [
+            (ay, eow), (ay, eow, ae, m, eow), (ae, m, eow), (ay, eow, ay, eow), (ae, m, eow, ay, eow),
+            (ay,), (m, eow), (ay, eow, ae),
+        ]
+        seen = []
+        store = graph._store
+
+        def counted():
+            store()
+            seen.append(graph._stored)
+
+        with mock.patch.object(decoder_mod, "_MAX_STORED", bound), mock.patch.object(graph, "_store", counted):
+            got = graph.words(strings)
+            assert graph.words(strings[::-1]) == got[::-1]
+        assert got == [sorted_word_parses(graph, tokens) for tokens in strings]
+        assert [bool(parses) for parses in got] == [True] * 5 + [False] * 3
+        assert len(seen) > bound and max(seen) <= bound and len(graph._words) <= bound
 
     def test_nbest_decodes_keep_word_maps_within_the_bound(self):
         # An nbest decode never advances, so only word maps reach the bound.

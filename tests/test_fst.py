@@ -13,10 +13,12 @@ from fusedec.fst import (
     Arc,
     FstError,
     SymbolTable,
+    WeightedFst,
     build_fst,
     compose,
     linear_fst,
     output_weights,
+    output_weights_batch,
     read_fst_text,
     relabel,
     shortest_paths,
@@ -28,6 +30,7 @@ from oracles import (
     best_string_weight_bruteforce,
     compose_relation_bruteforce,
     enumerate_paths,
+    reference_output_weights,
     relation_table,
 )
 
@@ -223,11 +226,74 @@ class TestOutputWeights:
         with pytest.raises(FstError, match="input-epsilon cycle"):
             output_weights(f, ["a"])
 
+    @pytest.mark.parametrize("length", [0, 3])
+    def test_epsilon_cycle_writing_output_raises_at_every_length(self, abc_syms, xyz_syms, length):
+        f = build_fst([(0, 0, 0, 1, 0.5), (0, 1, 1, 1, 0.0)], 0, {1: 0.0}, abc_syms, xyz_syms)
+        with pytest.raises(FstError) as want:
+            reference_output_weights(f, ["a"] * length)
+        for call in (lambda: output_weights(f, ["a"] * length), lambda: output_weights_batch(f, [["a"] * length])):
+            with pytest.raises(FstError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
     def test_epsilon_cycle_writing_nothing_is_fine(self, abc_syms, xyz_syms):
         f = build_fst(
             [(0, 1, 0, 0, 0.5), (1, 0, 0, 0, 0.5), (1, 2, 1, 2, 0.0)], 0, {2: 0.0}, abc_syms, xyz_syms
         )
         assert output_weights(f, ["a"]) == {(2,): 0.5}
+
+
+def random_cyclic_fst(rng, n_labels: int = 3) -> WeightedFst:
+    """A random machine with labelled cycles and input-epsilon arcs that
+    write output, but no input-epsilon cycle that writes output: each state
+    has a rank, an input-epsilon arc never goes to a lower rank, and one
+    that writes output goes to a higher one.  Weights repeat and include 0,
+    0.1 and 0.3, so both ties and rounding that depends on the order of a
+    sum occur."""
+    n = int(rng.integers(1, 7))
+    rank = rng.integers(0, 3, size=n)
+    weights = [0.0, 0.1, 0.25, 0.3, 0.5, 1.0]
+    syms = SymbolTable([f"s{i}" for i in range(1, n_labels + 1)])
+    arcs = []
+    for _ in range(int(rng.integers(0, 4 * n + 1))):
+        src, dst = (int(q) for q in rng.integers(0, n, size=2))
+        ilabel = int(rng.integers(0, n_labels + 1)) if rng.random() < 0.7 else 0
+        olabel = int(rng.integers(0, n_labels + 1))
+        if ilabel == 0 and (rank[dst] < rank[src] or (olabel and rank[dst] == rank[src])):
+            continue
+        arcs.append(Arc(src, dst, ilabel, olabel, float(rng.choice(weights))))
+    finals = {int(q): float(rng.choice(weights)) for q in range(n) if rng.random() < 0.5}
+    return build_fst(arcs, 0, finals, syms, syms, num_states=n)
+
+
+class TestOutputWeightsBatch:
+    """The label-synchronous walk gives what the single Dijkstra over
+    (labels read, state, output so far) gives, float for float."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        strings=st.lists(st.lists(st.integers(0, 3), max_size=5).map(tuple), max_size=10),
+    )
+    def test_matches_the_reference_on_random_cyclic_machines(self, seed, strings):
+        # strings over 1-3 share prefixes; a 0 label, or a string leaving
+        # the machine, has no parse
+        f = random_cyclic_fst(np.random.default_rng(seed))
+        strings = [*strings, (), *(s[:k] for s in strings[:3] for k in range(len(s)))]
+        want = [reference_output_weights(f, s) for s in strings]
+        assert output_weights_batch(f, strings) == want
+        assert [output_weights(f, s) for s in strings] == want
+
+    def test_a_batch_with_repeats_equals_one_call_per_string(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            f = random_cyclic_fst(rng)
+            strings = [tuple(int(t) for t in rng.integers(1, 4, size=int(rng.integers(0, 4)))) for _ in range(6)]
+            strings += strings[::2] + [()]
+            assert output_weights_batch(f, strings) == [output_weights(f, s) for s in strings]
+
+    def test_empty_batch(self, abc_syms):
+        assert output_weights_batch(build_fst([], 0, {0: 0.0}, abc_syms, abc_syms), []) == []
 
 
 class TestCompose:

@@ -282,6 +282,23 @@ class TestFstExport:
         with pytest.raises(NGramError, match=f"^context {named}: "):
             lm_to_fst(lm)
 
+    def test_backoff_of_a_context_without_continuations_is_never_charged(self, tmp_path):
+        # "a" lists a backoff weight but no bigram starts with it, as when
+        # every continuation is at the -99 floor; lm_to_fst used to fail
+        # with a KeyError on the missing context state
+        path = tmp_path / "lm.arpa"
+        path.write_text(
+            "\\data\\\nngram 1=4\nngram 2=3\n\n\\1-grams:\n"
+            "-99\t<s>\t-0.2\n-0.5\t</s>\n-0.6\ta\t-0.4\n-0.7\tb\t-0.1\n\n"
+            "\\2-grams:\n-0.1\t<s> a\n-99\ta b\n-0.2\tb </s>\n\n\\end\\\n",
+            encoding="utf-8",
+        )
+        lm = read_arpa(path)
+        g = lm_to_fst(lm)
+        for sent in (["a"], ["a", "b"], ["b", "a", "a"], []):
+            weights = output_weights(g, sent)
+            assert weights == {lm.vocab.encode(sent): pytest.approx(-score_sequence(lm, sent), abs=1e-9)}
+
     def test_direct_arc_never_beaten_by_backoff(self):
         # the tropical min only matches the query rule if stored grams are
         # at least as probable as their own backoff route
@@ -425,6 +442,19 @@ class TestArpaRoundTrip:
         with pytest.raises(
             NGramError, match=rf"^{re.escape(str(path))}: line 10: a b uses a word with no unigram$"
         ):
+            read_arpa(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("field", [0, 2], ids=["probability", "backoff"])
+    def test_non_finite_value_names_the_line(self, tmp_path, value, field):
+        # a +inf log10 probability made synth sample from NaN probabilities,
+        # and a NaN one was dropped as if it were absent
+        path = tmp_path / "m.arpa"
+        fields = ["-0.5", "a", "-0.3"]
+        fields[field] = value
+        body = "\n".join(["-99\t<s>", "-0.5\t</s>", "\t".join(fields)])
+        path.write_text(f"\\data\\\n\n\\1-grams:\n{body}\n\n\\end\\\n")
+        with pytest.raises(NGramError, match=rf"^{re.escape(str(path))}: line 6: a log10 value must be finite or -inf$"):
             read_arpa(path)
 
     def test_missing_sentence_end(self, tmp_path):
