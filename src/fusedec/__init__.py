@@ -16,7 +16,6 @@ from .decoder import (
     decode,
     decode_batch,
     fused_beam_search,
-    nbest_rescore,
 )
 from .fst import (
     Arc,

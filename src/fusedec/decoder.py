@@ -133,12 +133,6 @@ class WordHypothesis:
     source_tokens: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RescoreResult:
-    hypotheses: tuple[WordHypothesis, ...]
-    unparsed: int
-
-
 _MAX_STORED = 4096
 _UNKNOWN = object()
 # (lm_cost, output labels, words): one word string a token string spells
@@ -149,14 +143,11 @@ class StateSet:
     """A weighted state set closed under input epsilons, reached by one
     token prefix.
 
-    ``pairs`` are the sorted ``(state, cost)`` pairs; ``best`` is their
-    least cost.  A set that :meth:`FusionGraph.advance` makes holds only
-    its seed states, those the token's arcs reach, until ``pairs`` is first
-    read: by an advance from it, a table of its labels, its stopping cost,
-    ``len``, ``==`` or ``hash``.  The epsilon closure runs then, so a set
-    the beam drops is never closed.  ``best`` is known from the start: it
-    is the cheapest seed, since every arc weight is non-negative and a cost
-    reached over arcs is never below the one it started from.
+    ``pairs`` are the sorted ``(state, cost)`` pairs of the closure it is
+    built from, and ``best`` is their least cost.  A set is closed when it
+    is built: only the beam's survivors are built, and the beam reads the
+    pairs of nearly every survivor, to expand it or to ask its stopping
+    cost.
 
     ``final_best`` is filled in by :meth:`FusionGraph.final_best` the first
     time it is asked for, ``ahead`` by :meth:`FusionGraph.ahead`, and
@@ -165,24 +156,14 @@ class StateSet:
     whatever prefixes reached them.
     """
 
-    __slots__ = ("_fst", "_seeds", "_pairs", "best", "final_best", "ahead", "next")
+    __slots__ = ("pairs", "best", "final_best", "ahead", "next")
 
-    def __init__(self, fst: WeightedFst | None, seeds: dict[int, float]):
-        """``fst`` None marks ``seeds`` as closed already."""
-        self._fst, self._seeds = fst, seeds
-        self._pairs = _freeze(seeds) if fst is None else None
-        self.best = min(seeds.values())
+    def __init__(self, closed: dict[int, float]):
+        self.pairs = tuple(sorted(closed.items()))
+        self.best = min(closed.values())
         self.final_best = _UNKNOWN
         self.ahead: dict[int, float] | None = None
         self.next: dict[int, StateSet | None] = {}
-
-    @property
-    def pairs(self) -> tuple[tuple[int, float], ...]:
-        pairs = self._pairs
-        if pairs is None:
-            pairs = self._pairs = _freeze(_eps_closure(self._fst, self._seeds))
-            self._fst = self._seeds = None
-        return pairs
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -202,14 +183,14 @@ class FusionGraph:
     Decoding tracks weighted state sets closed under input epsilons, so
     backoff and word-boundary arcs never block a token transition.  Every
     arc and final weight must be non-negative, so that prefix costs never
-    fall: the epsilon closure, the beam's threshold pruning, the cost of a
-    set before its closure and word recovery all rely on it, and a negative
-    epsilon cycle would never close.
+    fall: the epsilon closure, the beam's threshold pruning, the label
+    tables and word recovery all rely on it, and a negative epsilon cycle
+    would never close.
 
     The beam ranks a set's children before building any of them:
     :meth:`ahead` gives the cost each label leads to, and only the children
-    that survive the beam are built with :meth:`advance`, their closures
-    left until they are expanded or asked to stop.  ``ahead`` reads no arc:
+    that survive the beam are built with :meth:`advance`, each closed as it
+    is built.  ``ahead`` reads no arc:
     each L∘G state's cheapest arc weight per label is worked out the first
     time a set holding that state is ranked, and kept for the graph's
     lifetime.  Those per-state tables are facts of the graph, at most one
@@ -244,13 +225,13 @@ class FusionGraph:
         except FstError as e:
             raise DecodeError(f"fusion graph incompatible with the scorer alphabet: {e}") from e
         self._cheapest: list[dict[int, float] | None] = [None] * self.fst.num_states
-        self.start = StateSet(None, _eps_closure(self.fst, {self.fst.start: 0.0}))
+        self.start = StateSet(_eps_closure(self.fst, {self.fst.start: 0.0}))
         self._rebuild()
 
     def _rebuild(self) -> None:
         """Forget every per-prefix result: a fresh ``start`` and no word
         maps.  The per-state label costs stay."""
-        self.start = StateSet(None, dict(self.start.pairs))
+        self.start = StateSet(dict(self.start.pairs))
         self._words: dict[tuple[int, ...], tuple[WordParse, ...]] = {}
         self._stored = 0
 
@@ -295,8 +276,10 @@ class FusionGraph:
         return costs
 
     def advance(self, states: StateSet, label: int) -> StateSet | None:
-        """Consume one token; None when no state survives.  The set returned
-        is closed only once its pairs are read."""
+        """Consume one token and close the states its arcs reach; None when
+        no state survives.  The closure never lowers the cheapest of those
+        states, as no weight is negative, so ``best`` is the one
+        :meth:`ahead` gave for the label."""
         nxt = states.next.get(label, _UNKNOWN)
         if nxt is not _UNKNOWN:
             return nxt
@@ -306,7 +289,7 @@ class FusionGraph:
                 cand = w + arc.weight
                 if cand < seeds.get(arc.dst, math.inf):
                     seeds[arc.dst] = cand
-        nxt = StateSet(self.fst, seeds) if seeds else None
+        nxt = StateSet(_eps_closure(self.fst, seeds)) if seeds else None
         self._store()
         states.next[label] = nxt
         return nxt
@@ -342,10 +325,6 @@ class FusionGraph:
                 self._words[tokens] = parses
             found = [fresh[tokens] if parses is None else parses for tokens, parses in zip(strings, found)]
         return found
-
-
-def _freeze(dist: dict[int, float]) -> tuple[tuple[int, float], ...]:
-    return tuple(sorted(dist.items()))
 
 
 class DecodeResources:
@@ -401,9 +380,9 @@ def _expand(
     entries in ``(total, tokens)`` order and True, or, when nothing
     finished, the best live entries and False.  No result object is built
     here.  :func:`beam_search` and :func:`fused_beam_search` turn the
-    entries into an :class:`NBestList` (:func:`_nbest_list`), and
+    entries into an :class:`NBestList` (:func:`_nbest_list`);
     :func:`decode` reads words straight from the entries' first five
-    fields.
+    fields, and :func:`nbest_rescore` ranks the entries themselves.
 
     A child's ``total`` is worked out before anything is built for it.  A
     candidate is the tuple ``(total, parent's tokens, tid, score, ahead,
@@ -559,33 +538,35 @@ def fused_beam_search(scorer, graph: FusionGraph, utt: Utterance, config: Decode
 
 
 def nbest_rescore(
-    nbest: NBestList,
+    entries: list[tuple],
     graph: FusionGraph,
     lm_weight: float,
     *,
     nbest_size: int = 8,
     coverage_weight: float = 0.0,
-) -> RescoreResult:
-    """Turn token hypotheses into ranked word hypotheses.
+) -> tuple[tuple[WordHypothesis, ...], int]:
+    """Turn the entries :func:`_expand` returns into ranked word
+    hypotheses; returns ``(hypotheses, unparsed)``.
 
-    Every distinct word string a hypothesis spells competes separately, at
-    its cheapest lattice cost, so homophones are resolved by the combined
-    cost rather than collapsed before ranking.  Hypotheses with no accepting
-    path are dropped and counted.  The word strings come from
+    Only an entry's tokens, model score and coverage are read, from fields
+    1, 2 and 4, so finished and live entries rescore alike.  Every distinct
+    word string an entry spells competes separately, at its cheapest
+    lattice cost, so homophones are resolved by the combined cost rather
+    than collapsed before ranking.  Entries with no accepting path are
+    dropped and counted in ``unparsed``.  The word strings come from
     :meth:`FusionGraph.words`, so a token string met again, at another
     weight of a sweep, costs no lattice pass.
 
     The pool is ranked as plain tuples ``(total, words, tokens,
     model_score, lm_cost, coverage)``, in ``(total, words, tokens)`` order,
     and a :class:`WordHypothesis` is built only for the ``nbest_size`` kept.
-    The entries of an n-best list hold distinct tokens, and distinct output
-    labels spell distinct words, so the first three fields decide every
-    comparison.
+    The entries hold distinct tokens, and distinct output labels spell
+    distinct words, so the first three fields decide every comparison.
     """
     pool: list[tuple[float, tuple[str, ...], tuple[int, ...], float, float, int]] = []
     unparsed = 0
-    for entry, found in zip(nbest.entries, graph.words([e.tokens for e in nbest.entries])):
-        tokens, score, cov = entry.tokens, entry.model_score, entry.coverage
+    for entry, found in zip(entries, graph.words([e[1] for e in entries])):
+        tokens, score, cov = entry[1], entry[2], entry[4]
         if not found:
             unparsed += 1
         for lm_cost, _, words in found:
@@ -596,7 +577,7 @@ def nbest_rescore(
         WordHypothesis(words, total, score, lm_cost, cov, tokens)
         for total, words, tokens, score, lm_cost, cov in pool[:nbest_size]
     )
-    return RescoreResult(kept, unparsed)
+    return kept, unparsed
 
 
 def _split_graphemes(entry: tuple, alphabet: SymbolTable) -> WordHypothesis:
@@ -634,11 +615,15 @@ class DecodeResult:
     """Decoded words for one utterance plus the ranked alternatives."""
 
     uid: str
-    strategy: str
     config: DecodeConfig
     hypotheses: tuple[WordHypothesis, ...]
     complete: bool
     unparsed: int
+
+    @property
+    def strategy(self) -> str:
+        """The fusion mode of ``config``."""
+        return self.config.fusion
 
     @property
     def words(self) -> tuple[str, ...]:
@@ -680,16 +665,16 @@ def decode(
     """Run one utterance through the configured strategy.
 
     The words are read straight from the entries :func:`_expand` returns:
-    fusion ``none`` splits each at <space> and ``beam`` takes each one's
-    cheapest word string, with no :class:`Hypothesis` built.  ``nbest`` and
-    ``both`` hand the entries to :func:`nbest_rescore` as an
+    fusion ``none`` splits each at <space>, ``beam`` takes each one's
+    cheapest word string, and ``nbest`` and ``both`` hand the entries to
+    :func:`nbest_rescore`.  No mode builds a :class:`Hypothesis` or an
     :class:`NBestList`."""
     if config.fusion == "none":
         if SPACE not in scorer.alphabet:
             raise DecodeError(f"fusion 'none' splits words at {SPACE}, absent from the alphabet")
         entries, complete = _expand(scorer, utt, config, None)
         hyps = tuple(_split_graphemes(e, scorer.alphabet) for e in entries)
-        return DecodeResult(utt.uid, config.fusion, config, hyps, complete, 0)
+        return DecodeResult(utt.uid, config, hyps, complete, 0)
     if resources is None:
         raise DecodeError(f"fusion {config.fusion!r} requires decode resources")
     graph = resources.graph_for(scorer.alphabet)
@@ -699,15 +684,14 @@ def decode(
         hyps = tuple(wh for wh in found if wh is not None)
         unparsed = len(found) - len(hyps)
     else:  # nbest, where lm_weight and coverage_weight are 0, or both
-        res = nbest_rescore(
-            _nbest_list(entries, complete),
+        hyps, unparsed = nbest_rescore(
+            entries,
             graph,
             config.lm_weight + config.lm_weight_nbest,
             nbest_size=config.nbest_size,
             coverage_weight=config.coverage_weight,
         )
-        hyps, unparsed = res.hypotheses, res.unparsed
-    return DecodeResult(utt.uid, config.fusion, config, hyps, complete, unparsed)
+    return DecodeResult(utt.uid, config, hyps, complete, unparsed)
 
 
 def decode_batch(

@@ -490,15 +490,18 @@ def shortest_paths(f: WeightedFst, n: int) -> list[FstPath]:
 
 def output_weights(f: WeightedFst, ilabels: Sequence[str | int]) -> dict[tuple[int, ...], float]:
     """The cheapest weight of each distinct epsilon-free output string among
-    the accepting paths whose epsilon-free input reads ``ilabels``: the
-    one-string case of :func:`output_weights_batch`."""
-    return output_weights_batch(f, [ilabels])[0]
+    the accepting paths whose epsilon-free input reads ``ilabels``, symbols
+    or ids of ``f.isyms``: the one-string case of
+    :func:`output_weights_batch`."""
+    return output_weights_batch(f, [f.isyms.encode(ilabels)])[0]
 
 
 def output_weights_batch(
-    f: WeightedFst, strings: Sequence[Sequence[str | int]]
+    f: WeightedFst, strings: Sequence[tuple[int, ...]]
 ) -> list[dict[tuple[int, ...], float]]:
-    """:func:`output_weights` of each input string, in order.
+    """:func:`output_weights` of each input string, in order.  The strings
+    are tuples of input label ids, taken as given: an id that no arc reads,
+    0 included, has no parse.
 
     The walk is label-synchronous, as composition with a linear input is.
     Level k maps each ``(state, output so far)`` reached by reading the
@@ -519,13 +522,12 @@ def output_weights_batch(
     never ends; writing more than (n + 1) * num_states labels for a string
     of n labels raises ``FstError``.
     """
-    encoded = [f.isyms.encode(s) for s in strings]
     finals = f._finals
-    results: list[dict[tuple[int, ...], float]] = [{} for _ in encoded]
+    results: list[dict[tuple[int, ...], float]] = [{} for _ in strings]
     levels: list[dict[tuple[int, tuple[int, ...]], float]] = []
     prev: tuple[int, ...] = ()
-    for i in sorted(range(len(encoded)), key=encoded.__getitem__):
-        ids = encoded[i]
+    for i in sorted(range(len(strings)), key=strings.__getitem__):
+        ids = strings[i]
         cap = (len(ids) + 1) * f.num_states
         shared = 0
         while shared < min(len(levels) - 1, len(ids)) and ids[shared] == prev[shared]:

@@ -347,7 +347,8 @@ def write_arpa(lm: NGramModel, path: str | Path) -> None:
 def read_arpa(path: str | Path) -> NGramModel:
     """Parse the ARPA subset written by :func:`write_arpa`.  ``<eps>`` names
     the empty string, so a gram that uses it is refused, and so is a gram
-    listed twice or a log10 value that is NaN or +inf."""
+    listed twice, a log10 value that is NaN or +inf, or a log10 probability
+    above 0."""
     declared: dict[int, int] = {}
     # k -> gram -> (line, log10 p, log10 backoff or None), in file order
     entries: dict[int, dict[tuple[str, ...], tuple[int, float, float | None]]] = {}
@@ -395,6 +396,8 @@ def read_arpa(path: str | Path) -> NGramModel:
             raise NGramError(f"{path}: line {lineno}: bad number") from None
         if any(math.isnan(x) or x == math.inf for x in (p10, bow10) if x is not None):
             raise NGramError(f"{path}: line {lineno}: a log10 value must be finite or -inf")
+        if p10 > 0.0:
+            raise NGramError(f"{path}: line {lineno}: a log10 probability must not be above 0")
         gram = tuple(fields[1].split())
         if len(gram) != current:
             raise NGramError(f"{path}: line {lineno}: {len(gram)}-gram in \\{current}-grams:")

@@ -20,7 +20,6 @@ from fusedec.decoder import (
     FusionGraph,
     Hypothesis,
     NBestList,
-    RescoreResult,
     WordHypothesis,
 )
 from fusedec.fst import FstError, WeightedFst
@@ -478,11 +477,11 @@ def reference_nbest_rescore(
     *,
     nbest_size: int = 8,
     coverage_weight: float = 0.0,
-) -> RescoreResult:
+) -> tuple[tuple[WordHypothesis, ...], int]:
     """``nbest_rescore`` as it was before it ranked plain tuples: a
     :class:`WordHypothesis` for every word string of every hypothesis, one
     stable sort of them all by ``(total_cost, words, source_tokens)``, and
-    the first ``nbest_size`` kept."""
+    the first ``nbest_size`` kept; returns ``(hypotheses, unparsed)``."""
     pool: list[WordHypothesis] = []
     unparsed = 0
     for entry in nbest.entries:
@@ -502,7 +501,7 @@ def reference_nbest_rescore(
                 )
             )
     pool.sort(key=lambda h: (h.total_cost, h.words, h.source_tokens))
-    return RescoreResult(tuple(pool[:nbest_size]), unparsed)
+    return tuple(pool[:nbest_size]), unparsed
 
 
 def reference_closure(f: WeightedFst, seeds: dict[int, float]) -> tuple[tuple[int, float], ...]:

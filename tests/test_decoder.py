@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from fusedec import decoder as decoder_mod
 from fusedec.decoder import (
+    FUSION_MODES,
+    SPACE,
     DecodeConfig,
     DecodeError,
     DecodeResources,
@@ -85,6 +87,12 @@ def expand(scorer, utt: Utterance, cfg: DecodeConfig, graph: FusionGraph | None)
     """The beam core's entries, converted as the public searches convert
     them."""
     return decoder_mod._nbest_list(*decoder_mod._expand(scorer, utt, cfg, graph))
+
+
+def entries_of(nb: NBestList) -> list[tuple]:
+    """An n-best list's hypotheses as the finished entries of the beam core,
+    the layout :func:`nbest_rescore` takes."""
+    return [(h.total_cost, h.tokens, h.model_score, h.lm_cost, h.coverage) for h in nb.entries]
 
 
 def homophone_setup():
@@ -379,15 +387,11 @@ class TestStateSetCache:
         rng = np.random.default_rng(seed)
         resources = random_resources(rng, eow_mode, order)
         labels = range(1, len(self.ALPHABET))
-        unclosed = 0
         with mock.patch.object(decoder_mod, "_MAX_STORED", bound):
             graph = FusionGraph(resources.lg, self.ALPHABET)
             for _ in range(8):
                 states, ref = graph.start, oracles.reference_start(graph)
                 for _ in range(10):
-                    # read before anything closes a set the walk just
-                    # reached: its cheapest seed
-                    unclosed += states._pairs is None
                     assert states.best == oracles.reference_best(ref)
                     table = graph.ahead(states)
                     assert graph._stored <= bound
@@ -404,7 +408,6 @@ class TestStateSetCache:
                     states = graph.advance(states, label)
                     ref = oracles.reference_advance(graph, ref, label)
                     assert graph._stored <= bound
-        assert unclosed > 0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -473,11 +476,11 @@ class TestStateSetCache:
                     assert table[label] == nxt.best
         assert graph.ahead(after_a) == {} and graph._cheapest[2] == {}
 
-    def test_only_survivors_are_built_and_only_used_sets_closed(self):
+    def test_only_survivors_are_built_and_each_is_closed_once_when_built(self):
         _, resources, alphabet = homophone_setup()
         graph = resources.graph_for(alphabet)
         rng = np.random.default_rng(5)
-        # no <eos> at the first steps, so closing a set there means expanding it
+        # no <eos> at the first steps, so the beam goes deep
         banned = [(step, EOS) for step in range(3)]
         rows = {f"u{i}": random_rows(alphabet, rng, 7, banned) for i in range(4)}
         scorer = TableScorer(alphabet, rows)
@@ -489,9 +492,12 @@ class TestStateSetCache:
         closures = []
 
         def counted_advance(self, states, label):
+            before = len(closures)
             nxt = advance(self, states, label)
             d = depth[id(states)]
             per_depth[d] = per_depth.get(d, 0) + 1
+            built = nxt is not None and id(nxt) not in made
+            assert len(closures) == before + built
             if nxt is not None:
                 depth[id(nxt)] = d + 1
                 made[id(nxt)] = nxt
@@ -509,9 +515,7 @@ class TestStateSetCache:
                 per_depth.clear()
                 decode(scorer, resources, make_utt(uid), cfg)
                 assert per_depth and max(per_depth.values()) <= cfg.beam_width
-        used = {k for k, s in made.items() if s.ahead is not None or s.final_best is not decoder_mod._UNKNOWN}
-        assert len(closures) == len(used) < len(made)
-        assert all((s._pairs is not None) == (k in used) for k, s in made.items())
+        assert len(closures) == len(made)
 
     def test_a_repeated_advance_returns_the_stored_set(self, homophone):
         _, resources, alphabet = homophone
@@ -654,46 +658,47 @@ class TestFusedSearch:
             assert f.model_score == pytest.approx(p.model_score, abs=1e-12)
 
 
+def count_results_built(monkeypatch) -> list[str]:
+    """Patch counting subclasses over the decoder's :class:`Hypothesis` and
+    :class:`NBestList`; the list returned gets the class name of each one
+    built."""
+    built: list[str] = []
+
+    def counted(cls):
+        class Counted(cls):
+            def __init__(self, *args, **kwargs):
+                built.append(cls.__name__)
+                super().__init__(*args, **kwargs)
+
+        return Counted
+
+    monkeypatch.setattr(decoder_mod, "Hypothesis", counted(Hypothesis))
+    monkeypatch.setattr(decoder_mod, "NBestList", counted(NBestList))
+    return built
+
+
 class TestBeamEntries:
     """The beam keeps its entries as plain tuples; a :class:`Hypothesis` is
     built only for what the search returns."""
 
-    def test_decode_builds_only_the_returned_hypotheses(self, homophone, monkeypatch):
+    def test_the_search_builds_only_the_returned_hypotheses(self, homophone, monkeypatch):
         _, resources, alphabet = homophone
-        built = []
-
-        class Counted(Hypothesis):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(decoder_mod, "Hypothesis", Counted)
+        built = count_results_built(monkeypatch)
         rows = random_rows(alphabet, np.random.default_rng(31), 7)
         scorer = TableScorer(alphabet, {"u0": rows})
         cfg = DecodeConfig(fusion="both", lm_weight=0.2, lm_weight_nbest=0.1, beam_width=8, nbest_size=3)
         with counted_steps() as calls:
-            result = decode(scorer, resources, make_utt(), cfg)
-        assert result.complete and result.hypotheses
+            result = fused_beam_search(scorer, resources.graph_for(alphabet), make_utt(), cfg)
+        assert result.complete and result.entries
         assert calls[0] > 2  # the beam went deep enough to hold many more entries
-        assert 0 < len(built) <= cfg.nbest_size
+        assert 0 < built.count("Hypothesis") <= cfg.nbest_size
 
     @pytest.mark.parametrize("fusion", ["none", "beam"])
     @pytest.mark.parametrize("eos_mass", [True, False])
     def test_words_come_straight_from_the_entries(self, homophone, monkeypatch, fusion, eos_mass):
         # fusion none and beam read words from the beam's entries: no
         # Hypothesis and no NBestList, finished or not
-        built = []
-
-        def counted(cls):
-            class Counted(cls):
-                def __init__(self, *args, **kwargs):
-                    built.append(cls.__name__)
-                    super().__init__(*args, **kwargs)
-
-            return Counted
-
-        monkeypatch.setattr(decoder_mod, "Hypothesis", counted(Hypothesis))
-        monkeypatch.setattr(decoder_mod, "NBestList", counted(NBestList))
+        built = count_results_built(monkeypatch)
         banned = [] if eos_mass else [(i, EOS) for i in range(6)]
         if fusion == "none":
             alphabet, resources, cfg = make_alphabet("a", "b", "<space>"), None, DecodeConfig(nbest_size=4)
@@ -703,6 +708,28 @@ class TestBeamEntries:
         rows = random_rows(alphabet, np.random.default_rng(33), 6, banned=banned)
         result = decode(TableScorer(alphabet, {"u0": rows}), resources, make_utt(), cfg)
         assert result.complete == eos_mass
+        assert result.hypotheses
+        assert built == []
+
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    @pytest.mark.parametrize("finished", [True, False])
+    def test_no_mode_builds_a_hypothesis_or_an_nbest_list(self, homophone, monkeypatch, fusion, finished):
+        # nbest and both rescore the beam's entries themselves, finished
+        # ones or, when nothing finishes, the best live prefixes: the row
+        # after the spoken ones has no <eos> mass, and the scorer allows no
+        # longer string
+        built = count_results_built(monkeypatch)
+        if fusion == "none":
+            alphabet, resources, spoken = make_alphabet("a", "b", SPACE), None, ["a", SPACE, "b"]
+        else:
+            _, resources, alphabet = homophone
+            spoken = ["ay", EOW, "ae", "m", EOW]
+        fused = {"lm_weight": 0.2} if fusion in ("beam", "both") else {}
+        rescored = {"lm_weight_nbest": 0.1} if fusion in ("nbest", "both") else {}
+        cfg = DecodeConfig(fusion=fusion, **fused, **rescored)
+        rows = point_rows(alphabet, [*spoken, EOS if finished else spoken[0]])
+        result = decode(TableScorer(alphabet, {"u0": rows}), resources, make_utt(), cfg)
+        assert result.complete == finished
         assert result.hypotheses
         assert built == []
 
@@ -831,17 +858,17 @@ class TestNBestRescore:
         _, resources, alphabet = homophone
         scorer = self.point_scorer(alphabet)
         nb = beam_search(scorer, make_utt(), DecodeConfig())
-        res = nbest_rescore(nb, resources.graph_for(alphabet), 0.0)
-        assert [h.words for h in res.hypotheses] == [("I", "am"), ("eye", "am")]
-        assert res.hypotheses[0].total_cost == pytest.approx(res.hypotheses[1].total_cost)
-        assert res.unparsed == 0
+        hyps, unparsed = nbest_rescore(entries_of(nb), resources.graph_for(alphabet), 0.0)
+        assert [h.words for h in hyps] == [("I", "am"), ("eye", "am")]
+        assert hyps[0].total_cost == pytest.approx(hyps[1].total_cost)
+        assert unparsed == 0
 
     def test_homophone_lm_prefers_frequent_word(self, homophone):
         lm, resources, alphabet = homophone
         scorer = self.point_scorer(alphabet)
         nb = beam_search(scorer, make_utt(), DecodeConfig())
-        res = nbest_rescore(nb, resources.graph_for(alphabet), 0.1)
-        first, second = res.hypotheses[:2]
+        hyps, _ = nbest_rescore(entries_of(nb), resources.graph_for(alphabet), 0.1)
+        first, second = hyps[:2]
         assert first.words == ("I", "am")
         assert second.words == ("eye", "am")
         assert first.total_cost < second.total_cost
@@ -854,8 +881,8 @@ class TestNBestRescore:
         _, resources, alphabet = homophone
         scorer = self.point_scorer(alphabet)
         nb = beam_search(scorer, make_utt(), DecodeConfig())
-        res = nbest_rescore(nb, resources.graph_for(alphabet), 1.0)
-        by_words = {h.words: h.lm_cost for h in res.hypotheses}
+        hyps, _ = nbest_rescore(entries_of(nb), resources.graph_for(alphabet), 1.0)
+        by_words = {h.words: h.lm_cost for h in hyps}
         # d=0.4 absolute discounting over 'I am' x3 + 'eye':
         #   P(I|<s>) = 31/44, P(am|I) = 149/165, P(</s>|am) = 151/165
         #   P(eye|<s>) = 37/220, P(am|eye) = 0.4 * 3/11 backoff route
@@ -884,8 +911,8 @@ class TestNBestRescore:
         graph = resources.graph_for(alphabet)
         winners = []
         for lam in [0.0, 0.2, 0.5, 1.0, 2.0, 4.0]:
-            res = nbest_rescore(nb, graph, lam)
-            winners.append(res.hypotheses[0].words)
+            hyps, _ = nbest_rescore(entries_of(nb), graph, lam)
+            winners.append(hyps[0].words)
         # lambda 0 ties I/eye and breaks to I; a moderate weight prefers eye
         # (cheaper to end a sentence with); a heavy weight buys 'I am'.
         assert winners[0] == ("I",)
@@ -899,20 +926,20 @@ class TestNBestRescore:
         graph = resources.graph_for(alphabet)
         good = Hypothesis(alphabet.encode(["ay", EOW]), -0.5, 0.0, 0, 0.5, True)
         bad = Hypothesis(alphabet.encode(["m", EOW]), -0.1, 0.0, 0, 0.1, True)
-        res = nbest_rescore(NBestList((bad, good), True), graph, 0.1)
-        assert res.unparsed == 1
-        assert {h.words for h in res.hypotheses} == {("I",), ("eye",)}
-        all_bad = nbest_rescore(NBestList((bad,), True), graph, 0.1)
-        assert all_bad.hypotheses == ()
-        assert all_bad.unparsed == 1
+        hyps, unparsed = nbest_rescore(entries_of(NBestList((bad, good), True)), graph, 0.1)
+        assert unparsed == 1
+        assert {h.words for h in hyps} == {("I",), ("eye",)}
+        all_bad, all_unparsed = nbest_rescore(entries_of(NBestList((bad,), True)), graph, 0.1)
+        assert all_bad == ()
+        assert all_unparsed == 1
 
     def test_word_sequences_are_distinct(self, homophone):
         _, resources, alphabet = homophone
         scorer = self.point_scorer(alphabet)
         nb = beam_search(scorer, make_utt(), DecodeConfig())
-        res = nbest_rescore(nb, resources.graph_for(alphabet), 0.3, nbest_size=16)
+        hyps, _ = nbest_rescore(entries_of(nb), resources.graph_for(alphabet), 0.3, nbest_size=16)
         per_source = {}
-        for h in res.hypotheses:
+        for h in hyps:
             per_source.setdefault(h.source_tokens, []).append(h.words)
         for words in per_source.values():
             assert len(words) == len(set(words))
@@ -945,10 +972,10 @@ class TestNBestRescore:
         mass[-1, alphabet.id(EOS)] = 1.0
         scorer = TableScorer(alphabet, {"u0": mass / mass.sum(axis=1, keepdims=True)})
         nb = beam_search(scorer, make_utt(), DecodeConfig(beam_width=beam_width, nbest_size=beam_width))
-        pool = reference_nbest_rescore(nb, graph, lam, nbest_size=10**6, coverage_weight=eta).hypotheses
+        pool, _ = reference_nbest_rescore(nb, graph, lam, nbest_size=10**6, coverage_weight=eta)
         keep = min(keep, len(pool) - 1)
         assert keep >= 1
-        got = nbest_rescore(nb, graph, lam, nbest_size=keep, coverage_weight=eta)
+        got = nbest_rescore(entries_of(nb), graph, lam, nbest_size=keep, coverage_weight=eta)
         assert got == reference_nbest_rescore(nb, graph, lam, nbest_size=keep, coverage_weight=eta)
 
 

@@ -231,7 +231,8 @@ class TestOutputWeights:
         f = build_fst([(0, 0, 0, 1, 0.5), (0, 1, 1, 1, 0.0)], 0, {1: 0.0}, abc_syms, xyz_syms)
         with pytest.raises(FstError) as want:
             reference_output_weights(f, ["a"] * length)
-        for call in (lambda: output_weights(f, ["a"] * length), lambda: output_weights_batch(f, [["a"] * length])):
+        batch = [f.isyms.encode(["a"] * length)]
+        for call in (lambda: output_weights(f, ["a"] * length), lambda: output_weights_batch(f, batch)):
             with pytest.raises(FstError) as got:
                 call()
             assert str(got.value) == str(want.value)

@@ -457,6 +457,22 @@ class TestArpaRoundTrip:
         with pytest.raises(NGramError, match=rf"^{re.escape(str(path))}: line 6: a log10 value must be finite or -inf$"):
             read_arpa(path)
 
+    def test_positive_log10_probability_names_the_line(self, tmp_path):
+        # p > 1 was read, and lm_to_fst clamped its arc cost to 0: the fused
+        # cost of 'a' then disagreed with score_sequence
+        path = tmp_path / "m.arpa"
+        body = "\n".join(["-99\t<s>", "-0.5\t</s>", "0.5\ta"])
+        path.write_text(f"\\data\\\n\n\\1-grams:\n{body}\n\n\\end\\\n")
+        with pytest.raises(
+            NGramError, match=rf"^{re.escape(str(path))}: line 6: a log10 probability must not be above 0$"
+        ):
+            read_arpa(path)
+        # probability 1 (as MLE writes it) and a positive backoff weight stay valid
+        body = "\n".join(["-99\t<s>\t0.25", "-0.5\t</s>", "0\ta"])
+        path.write_text(f"\\data\\\n\n\\1-grams:\n{body}\n\n\\end\\\n")
+        lm = read_arpa(path)
+        assert lm.probs[(lm.vocab.id("a"),)] == 0.0 and lm.backoffs[(lm.vocab.id("<s>"),)] > 0.0
+
     def test_missing_sentence_end(self, tmp_path):
         path = tmp_path / "m.arpa"
         path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-99\t<s>\n\n\\end\\\n")
