@@ -228,11 +228,17 @@ def _cmd_sweep(args: argparse.Namespace) -> RunManifest:
     config = _decode_config(args)
     resources = _load_resources(args)
     task = load_task(args.task)
+    if not task.utterances:
+        raise ValueError(f"task {args.task} has no utterances to score")
+    resources.graph_for(task_alphabet(task))  # a graph that does not fit would fail every point alike
     try:
         result = sweep_lmw(task, resources, config, grid, args.which)
     except (SweepError, DecodeError) as err:
         # sweep_lmw checks the grid and builds every point's config first
         raise UsageError(f"bad --grid: {err}") from err
+    for k, point in enumerate(result.points):
+        if point.error is not None:
+            raise ValueError(f"sweep point {k} ({args.which} weight {grid[k]!r}) failed: {point.error}")
     write_sweep_csv(result, args.out)
     inputs = [args.task, args.lexicon, args.lm]
     return RunManifest(Path(f"{args.out}.manifest.json"), "sweep", _config_echo(args), inputs, None)
@@ -260,6 +266,8 @@ def _cmd_score(args: argparse.Namespace) -> RunManifest:
             raise ValueError(f"{where}: results repeat {uid!r}")
         pairs[uid] = (refs[uid], words)
     breakdown = corpus_wer(list(pairs.values()))
+    if breakdown.ref_count == 0 and breakdown.errors:
+        raise ValueError(f"{args.task}: no reference words to rate {breakdown.errors} hypothesis words against")
     payload = {
         "deletions": breakdown.deletions,
         "insertions": breakdown.insertions,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 # linear_fst and shortest_paths are unused here, but bench/tracing.py wraps them by name.
 from .fst import (
@@ -91,29 +92,24 @@ class DecodeConfig:
             raise DecodeError("coverage_weight applies only when the search is fused")
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    """One token-level hypothesis.
+class Hypothesis(NamedTuple):
+    """One token-level hypothesis: an entry :func:`_expand` returns, with
+    names, so hypotheses sort the way the beam ranks them.
 
     ``tokens`` excludes the terminating <eos>, but ``model_score`` (sum of
     natural-log probabilities) includes the <eos> step once finished.
     ``lm_cost`` is the lattice cost: for a finished hypothesis the best
     accepting-path weight, for a live one the best prefix weight.
-    ``lm_state`` is the :class:`StateSet` a live fused hypothesis has
-    reached; it is None once finished and in a search without a graph.
     """
 
+    total_cost: float
     tokens: tuple[int, ...]
     model_score: float
     lm_cost: float
     coverage: int
-    total_cost: float
-    finished: bool
-    lm_state: StateSet | None = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
-class NBestList:
+class NBestList(NamedTuple):
     """Ranked token hypotheses; ``complete`` is False when nothing finished
     and the entries are the best live prefixes instead."""
 
@@ -378,11 +374,12 @@ def _expand(
 
     It returns ``(entries, complete)``: at most ``nbest_size`` finished
     entries in ``(total, tokens)`` order and True, or, when nothing
-    finished, the best live entries and False.  No result object is built
-    here.  :func:`beam_search` and :func:`fused_beam_search` turn the
-    entries into an :class:`NBestList` (:func:`_nbest_list`);
-    :func:`decode` reads words straight from the entries' first five
-    fields, and :func:`nbest_rescore` ranks the entries themselves.
+    finished, the first five fields of the best live entries and False.
+    Either way an entry holds the fields of a :class:`Hypothesis`, in its
+    order.  No result object is built here: :func:`beam_search` and
+    :func:`fused_beam_search` name the entries with ``Hypothesis._make``,
+    :func:`decode` reads words straight from them, and
+    :func:`nbest_rescore` ranks the entries themselves.
 
     A child's ``total`` is worked out before anything is built for it.  A
     candidate is the tuple ``(total, parent's tokens, tid, score, ahead,
@@ -504,24 +501,16 @@ def _expand(
                 break
     if best:
         return best, True
-    return live[:nbest], False
-
-
-def _nbest_list(entries: list[tuple], complete: bool) -> NBestList:
-    """The entries :func:`_expand` returns, as ranked hypotheses; a live
-    one keeps its state set."""
-    if complete:
-        return NBestList(tuple(Hypothesis(t, s, lm, c, total, True) for total, t, s, lm, c in entries), True)
-    return NBestList(
-        tuple(Hypothesis(t, s, lm, c, total, False, q) for total, t, s, lm, c, q, _ in entries), False
-    )
+    return [e[:5] for e in live[:nbest]], False
 
 
 def beam_search(scorer, utt: Utterance, config: DecodeConfig) -> NBestList:
-    """Plain beam search over scorer distributions, no lattice involved."""
+    """Plain beam search over scorer distributions, no lattice involved;
+    the hypotheses are :func:`_expand`'s entries, named."""
     if config.fusion in ("beam", "both"):
         raise DecodeError(f"beam_search does not fuse; got fusion {config.fusion!r}")
-    return _nbest_list(*_expand(scorer, utt, config, None))
+    entries, complete = _expand(scorer, utt, config, None)
+    return NBestList(tuple(map(Hypothesis._make, entries)), complete)
 
 
 def fused_beam_search(scorer, graph: FusionGraph, utt: Utterance, config: DecodeConfig) -> NBestList:
@@ -530,11 +519,13 @@ def fused_beam_search(scorer, graph: FusionGraph, utt: Utterance, config: Decode
     ``graph`` is the lattice relabeled to the scorer's alphabet, as
     :meth:`DecodeResources.graph_for` returns it.  Hypotheses whose token
     prefix leaves the lattice are pruned, and <eos> is only allowed where
-    the state set can stop.
+    the state set can stop.  The hypotheses are :func:`_expand`'s
+    entries, named.
     """
     if config.fusion not in ("beam", "both"):
         raise DecodeError(f"fused_beam_search requires fusion beam or both, got {config.fusion!r}")
-    return _nbest_list(*_expand(scorer, utt, config, graph))
+    entries, complete = _expand(scorer, utt, config, graph)
+    return NBestList(tuple(map(Hypothesis._make, entries)), complete)
 
 
 def nbest_rescore(
@@ -583,7 +574,7 @@ def nbest_rescore(
 def _split_graphemes(entry: tuple, alphabet: SymbolTable) -> WordHypothesis:
     """Words from the grapheme tokens of one :func:`_expand` entry, split
     at <space>."""
-    total, tokens, score, _, cov = entry[:5]
+    total, tokens, score, _, cov = entry
     space = alphabet.id(SPACE)
     words: list[str] = []
     piece: list[str] = []

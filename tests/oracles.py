@@ -399,22 +399,17 @@ def scorer_argmin_bruteforce(scorer, utt, max_len, lam, eta, threshold, graph):
     return best
 
 
-def _hyp_key(h: Hypothesis) -> tuple[float, tuple[int, ...]]:
-    """The order an n-best list is ranked in: cost, then tokens."""
-    return (h.total_cost, h.tokens)
-
-
 def reference_expand(scorer, utt: Utterance, config: DecodeConfig, graph: FusionGraph | None) -> NBestList:
     """The decoder's beam core as it was before threshold pruning: every
     depth up to ``min(max_steps, token_limit)`` is searched, whatever the
     finished hypotheses already cost.  ``graph`` None gives the plain
     model-score search.
 
-    A live entry is (total_cost, tokens, hypothesis, scorer state): the
-    leading pair is ``_hyp_key``, unique per entry, so entries sort natively;
-    the state is the parent's after the parent's step.  Each live entry is
-    stepped, and its coverage counted, alone: one scorer call at B = 1 per
-    entry, where the decoder steps a whole depth at once.
+    A live entry is (hypothesis, state set, scorer state): a hypothesis
+    leads with its cost and tokens, unique per entry, so entries sort
+    natively; the scorer state is the parent's after the parent's step.
+    Each live entry is stepped, and its coverage counted, alone: one scorer
+    call at B = 1 per entry, where the decoder steps a whole depth at once.
     """
     alphabet = scorer.alphabet
     try:
@@ -426,13 +421,12 @@ def reference_expand(scorer, utt: Utterance, config: DecodeConfig, graph: Fusion
     steps = min(config.max_steps, scorer.token_limit(utt))
     start_state = graph.start if graph is not None else None
     start_cost = start_state.best if graph is not None else 0.0
-    root = Hypothesis((), 0.0, start_cost, 0, lam * start_cost, False, start_state)
-    live = [(root.total_cost, (), root, scorer.start(utt))]
+    live = [(Hypothesis(lam * start_cost, (), 0.0, start_cost, 0), start_state, scorer.start(utt))]
     finished: list[Hypothesis] = []
     for depth in range(steps + 1):
         extend = depth < steps
-        candidates: list[tuple[float, tuple[int, ...], Hypothesis, object]] = []
-        for _, _, hyp, state in live:
+        candidates: list[tuple[Hypothesis, object, object]] = []
+        for hyp, lm_state, state in live:
             dists, (state,) = step_distributions(scorer, [state], [hyp.tokens[-1] if hyp.tokens else None])
             dist = dists[0]
             cov = coverage_count(scorer, [state], config.coverage_threshold)[0] if eta > 0.0 else 0
@@ -441,33 +435,30 @@ def reference_expand(scorer, utt: Utterance, config: DecodeConfig, graph: Fusion
                 score = hyp.model_score + math.log(dist[tid])
                 if tid == eos:
                     if graph is not None:
-                        stop = graph.final_best(hyp.lm_state)
+                        stop = graph.final_best(lm_state)
                         if stop is None:
                             continue
                     else:
                         stop = 0.0
-                    total = -score + lam * stop - eta * cov
-                    finished.append(Hypothesis(hyp.tokens, score, stop, cov, total, True))
+                    finished.append(Hypothesis(-score + lam * stop - eta * cov, hyp.tokens, score, stop, cov))
                 elif extend:
                     if graph is not None:
-                        nxt = graph.advance(hyp.lm_state, tid)
+                        nxt = graph.advance(lm_state, tid)
                         if nxt is None:
                             continue
                         ahead = nxt.best
                     else:
                         nxt, ahead = None, 0.0
-                    total = -score + lam * ahead - eta * cov
-                    tokens = (*hyp.tokens, tid)
-                    child = Hypothesis(tokens, score, ahead, cov, total, False, nxt)
-                    candidates.append((total, tokens, child, state))
+                    child = Hypothesis(-score + lam * ahead - eta * cov, (*hyp.tokens, tid), score, ahead, cov)
+                    candidates.append((child, nxt, state))
         if not extend or not candidates:
             break
         candidates.sort()
         live = candidates[: config.beam_width]
-    finished.sort(key=_hyp_key)
+    finished.sort()
     if finished:
         return NBestList(tuple(finished[: config.nbest_size]), True)
-    return NBestList(tuple(hyp for _, _, hyp, _ in live[: config.nbest_size]), False)
+    return NBestList(tuple(hyp for hyp, _, _ in live[: config.nbest_size]), False)
 
 
 def reference_nbest_rescore(

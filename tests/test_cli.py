@@ -259,6 +259,51 @@ class TestSweepCommand:
         assert (tmp_path / "c.csv").read_bytes() == first
 
 
+    @pytest.mark.parametrize("broken", ["lexicon", "task"])
+    def test_a_sweep_no_point_can_score_fails_before_decoding(self, pipeline, tmp_path, capsys, monkeypatch, broken):
+        # a lexicon with a phone the task's scorer cannot emit, or a task
+        # with no utterances, would fail every point alike
+        decoded = []
+        real = sweep_mod.decode_batch
+        monkeypatch.setattr(sweep_mod, "decode_batch", lambda *args: decoded.append(args) or real(*args))
+        task, lexicon = pipeline / "task", pipeline / "lexicon.txt"
+        if broken == "lexicon":
+            lexicon = tmp_path / "lexicon.txt"
+            lexicon.write_text("am\tae n\n", encoding="utf-8")
+        else:
+            task = tmp_path / "empty"
+            assert main([
+                "synth", "--lexicon", str(lexicon), "--lm", str(pipeline / "lm.arpa"),
+                "--count", "0", "--out", str(task),
+            ]) == 0
+        code = main([
+            "sweep", "--task", str(task), "--lexicon", str(lexicon), "--lm", str(pipeline / "lm.arpa"),
+            "--which", "beam", "--grid", "0,0.1", "--out", str(tmp_path / "x.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--grid" not in err
+        assert decoded == [] and not (tmp_path / "x.csv").exists()
+
+    def test_a_failed_point_fails_the_sweep_and_is_named(self, pipeline, tmp_path, capsys, monkeypatch):
+        real = sweep_mod.decode_batch
+
+        def flaky(scorer, resources, utts, cfg):
+            if cfg.lm_weight == 0.1:
+                raise ValueError("synthetic failure")
+            return real(scorer, resources, utts, cfg)
+
+        monkeypatch.setattr(sweep_mod, "decode_batch", flaky)
+        code = main([
+            "sweep", "--task", str(pipeline / "task"),
+            "--lexicon", str(pipeline / "lexicon.txt"), "--lm", str(pipeline / "lm.arpa"),
+            "--which", "beam", "--grid", "0,0.1,0.2", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: sweep point 1 (beam weight 0.1) failed: synthetic failure\n"
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestScoreCommand:
     def test_score_matches_library_wer(self, pipeline, tmp_path, capsys):
         results = tmp_path / "results.jsonl"
@@ -281,6 +326,26 @@ class TestScoreCommand:
         assert payload["wer"] == expected.wer
         assert payload["substitutions"] == expected.substitutions
         assert payload["ref_count"] == expected.ref_count
+
+    def test_references_without_words_score_only_empty_hypotheses(self, pipeline, tmp_path, capsys):
+        # words against no reference words have an infinite rate, which
+        # JSON cannot hold; no words against none score 0
+        task = tmp_path / "task"
+        shutil.copytree(pipeline / "task", task)
+        utts = task / "utterances.jsonl"
+        records = [json.loads(line) for line in utts.read_text().splitlines()]
+        utts.write_text("".join(json.dumps({**r, "words": []}) + "\n" for r in records), encoding="utf-8")
+        results, out = tmp_path / "results.jsonl", tmp_path / "s.json"
+        assert main(decode_args(pipeline, results, "--fusion", "nbest", "--lm-weight-nbest", "0.1")) == 0
+        capsys.readouterr()
+        code = main(["score", "--task", str(task), "--results", str(results), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {task}: ") and err.count("\n") == 1
+        assert not out.exists()
+        results.write_text("".join(json.dumps({"uid": r["uid"], "words": []}) + "\n" for r in records))
+        assert main(["score", "--task", str(task), "--results", str(results), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["wer"] == 0.0
 
     def test_unknown_uid_fails(self, pipeline, tmp_path, capsys):
         bogus = tmp_path / "bogus.jsonl"

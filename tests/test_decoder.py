@@ -83,16 +83,12 @@ def random_rows(alphabet: SymbolTable, rng, steps: int, banned=()) -> np.ndarray
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def expand(scorer, utt: Utterance, cfg: DecodeConfig, graph: FusionGraph | None) -> NBestList:
-    """The beam core's entries, converted as the public searches convert
-    them."""
-    return decoder_mod._nbest_list(*decoder_mod._expand(scorer, utt, cfg, graph))
-
-
-def entries_of(nb: NBestList) -> list[tuple]:
-    """An n-best list's hypotheses as the finished entries of the beam core,
-    the layout :func:`nbest_rescore` takes."""
-    return [(h.total_cost, h.tokens, h.model_score, h.lm_cost, h.coverage) for h in nb.entries]
+def search(scorer, utt: Utterance, cfg: DecodeConfig, graph: FusionGraph | None) -> NBestList:
+    """The public search that fits ``graph``: :func:`fused_beam_search`
+    over it, or :func:`beam_search` when it is None."""
+    if graph is None:
+        return beam_search(scorer, utt, cfg)
+    return fused_beam_search(scorer, graph, utt, cfg)
 
 
 def homophone_setup():
@@ -198,7 +194,7 @@ class TestPlainBeam:
         assert len(nb.entries) == 5
         keys = [(h.total_cost, h.tokens) for h in nb.entries]
         assert keys == sorted(keys)
-        assert all(h.finished for h in nb.entries)
+        assert nb.complete
         assert len({h.tokens for h in nb.entries}) == 5
 
     def test_max_steps_caps_token_length(self):
@@ -215,7 +211,6 @@ class TestPlainBeam:
         nb = beam_search(scorer, make_utt(), DecodeConfig(beam_width=2))
         assert not nb.complete
         assert nb.entries
-        assert not nb.entries[0].finished
         # Three rows support finished strings of length two; survivors stop
         # there so every kept prefix could still have been graded.
         assert len(nb.entries[0].tokens) == 2
@@ -245,7 +240,7 @@ class TestPlainBeam:
             cfg = DecodeConfig(beam_width=2, fusion="beam", lm_weight=1.0)
         else:
             graph, cfg = None, DecodeConfig(beam_width=2)
-        got = expand(scorer, make_utt(), cfg, graph)
+        got = search(scorer, make_utt(), cfg, graph)
         assert got == reference_expand(scorer, make_utt(), cfg, graph)
         tokens = {h.tokens for h in got.entries}
         assert alphabet.encode(["a", "y"]) in tokens and alphabet.encode(["b", "x"]) not in tokens
@@ -661,14 +656,19 @@ class TestFusedSearch:
 def count_results_built(monkeypatch) -> list[str]:
     """Patch counting subclasses over the decoder's :class:`Hypothesis` and
     :class:`NBestList`; the list returned gets the class name of each one
-    built."""
+    built, whether by a call or by ``_make``."""
     built: list[str] = []
 
     def counted(cls):
         class Counted(cls):
-            def __init__(self, *args, **kwargs):
+            def __new__(subcls, *args, **kwargs):
                 built.append(cls.__name__)
-                super().__init__(*args, **kwargs)
+                return super().__new__(subcls, *args, **kwargs)
+
+            @classmethod
+            def _make(subcls, iterable):
+                built.append(cls.__name__)
+                return super()._make(iterable)
 
         return Counted
 
@@ -733,23 +733,44 @@ class TestBeamEntries:
         assert result.hypotheses
         assert built == []
 
-    def test_unfinished_entries_keep_their_state_set(self, homophone):
-        # no <eos> mass: the search returns its best live prefixes
-        _, resources, alphabet = homophone
-        graph = resources.graph_for(alphabet)
-        rows = random_rows(alphabet, np.random.default_rng(32), 4, banned=[(i, EOS) for i in range(4)])
-        scorer = TableScorer(alphabet, {"u0": rows})
-        cfg = DecodeConfig(fusion="beam", lm_weight=0.3, beam_width=6, nbest_size=4)
-        nb = fused_beam_search(scorer, graph, make_utt(), cfg)
-        assert not nb.complete and len(nb.entries) > 1
-        for h in nb.entries:
-            assert not h.finished and h.tokens
-            states = graph.start
-            for tid in h.tokens:
-                states = graph.advance(states, tid)
-            assert isinstance(h.lm_state, decoder_mod.StateSet)
-            assert h.lm_state == states
-            assert h.lm_cost == states.best
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        eow_mode=st.sampled_from(["required", "optional"]),
+        fused=st.booleans(),
+        eos_mass=st.booleans(),
+        beam_width=st.integers(1, 6),
+        nbest_size=st.integers(1, 6),
+    )
+    def test_the_searches_return_the_beam_entries_named(
+        self, seed, eow_mode, fused, eos_mass, beam_width, nbest_size
+    ):
+        # With no <eos> mass nothing finishes, and the best live prefixes
+        # come back with the same five fields; a fused prefix's lattice cost
+        # is the best cost of the set its tokens reach.
+        assert Hypothesis._fields == ("total_cost", "tokens", "model_score", "lm_cost", "coverage")
+        rng = np.random.default_rng(seed)
+        alphabet = make_alphabet("a", "b", "c", EOW)
+        steps = int(rng.integers(2, 6))
+        banned = [] if eos_mass else [(i, EOS) for i in range(steps)]
+        scorer = TableScorer(alphabet, {"u0": random_rows(alphabet, rng, steps, banned=banned)})
+        if fused:
+            graph = random_resources(rng, eow_mode).graph_for(alphabet)
+            cfg = DecodeConfig(fusion="beam", lm_weight=0.5, beam_width=beam_width, nbest_size=nbest_size)
+        else:
+            graph, cfg = None, DecodeConfig(beam_width=beam_width, nbest_size=nbest_size)
+        entries, complete = decoder_mod._expand(scorer, make_utt(), cfg, graph)
+        nb = search(scorer, make_utt(), cfg, graph)
+        assert nb.complete == complete
+        assert eos_mass or not complete
+        assert all(type(h) is Hypothesis for h in nb.entries)
+        assert [tuple(h) for h in nb.entries] == entries
+        if graph is not None and not complete:
+            for h in nb.entries:
+                states = graph.start
+                for tid in h.tokens:
+                    states = graph.advance(states, tid)
+                assert h.lm_cost == states.best
 
 
 class TestAttentionScorerSearch:
@@ -858,7 +879,7 @@ class TestNBestRescore:
         _, resources, alphabet = homophone
         scorer = self.point_scorer(alphabet)
         nb = beam_search(scorer, make_utt(), DecodeConfig())
-        hyps, unparsed = nbest_rescore(entries_of(nb), resources.graph_for(alphabet), 0.0)
+        hyps, unparsed = nbest_rescore(nb.entries, resources.graph_for(alphabet), 0.0)
         assert [h.words for h in hyps] == [("I", "am"), ("eye", "am")]
         assert hyps[0].total_cost == pytest.approx(hyps[1].total_cost)
         assert unparsed == 0
@@ -867,7 +888,7 @@ class TestNBestRescore:
         lm, resources, alphabet = homophone
         scorer = self.point_scorer(alphabet)
         nb = beam_search(scorer, make_utt(), DecodeConfig())
-        hyps, _ = nbest_rescore(entries_of(nb), resources.graph_for(alphabet), 0.1)
+        hyps, _ = nbest_rescore(nb.entries, resources.graph_for(alphabet), 0.1)
         first, second = hyps[:2]
         assert first.words == ("I", "am")
         assert second.words == ("eye", "am")
@@ -881,7 +902,7 @@ class TestNBestRescore:
         _, resources, alphabet = homophone
         scorer = self.point_scorer(alphabet)
         nb = beam_search(scorer, make_utt(), DecodeConfig())
-        hyps, _ = nbest_rescore(entries_of(nb), resources.graph_for(alphabet), 1.0)
+        hyps, _ = nbest_rescore(nb.entries, resources.graph_for(alphabet), 1.0)
         by_words = {h.words: h.lm_cost for h in hyps}
         # d=0.4 absolute discounting over 'I am' x3 + 'eye':
         #   P(I|<s>) = 31/44, P(am|I) = 149/165, P(</s>|am) = 151/165
@@ -911,7 +932,7 @@ class TestNBestRescore:
         graph = resources.graph_for(alphabet)
         winners = []
         for lam in [0.0, 0.2, 0.5, 1.0, 2.0, 4.0]:
-            hyps, _ = nbest_rescore(entries_of(nb), graph, lam)
+            hyps, _ = nbest_rescore(nb.entries, graph, lam)
             winners.append(hyps[0].words)
         # lambda 0 ties I/eye and breaks to I; a moderate weight prefers eye
         # (cheaper to end a sentence with); a heavy weight buys 'I am'.
@@ -924,12 +945,12 @@ class TestNBestRescore:
     def test_unparsed_hypotheses_are_dropped_and_counted(self, homophone):
         _, resources, alphabet = homophone
         graph = resources.graph_for(alphabet)
-        good = Hypothesis(alphabet.encode(["ay", EOW]), -0.5, 0.0, 0, 0.5, True)
-        bad = Hypothesis(alphabet.encode(["m", EOW]), -0.1, 0.0, 0, 0.1, True)
-        hyps, unparsed = nbest_rescore(entries_of(NBestList((bad, good), True)), graph, 0.1)
+        good = Hypothesis(0.5, alphabet.encode(["ay", EOW]), -0.5, 0.0, 0)
+        bad = Hypothesis(0.1, alphabet.encode(["m", EOW]), -0.1, 0.0, 0)
+        hyps, unparsed = nbest_rescore([bad, good], graph, 0.1)
         assert unparsed == 1
         assert {h.words for h in hyps} == {("I",), ("eye",)}
-        all_bad, all_unparsed = nbest_rescore(entries_of(NBestList((bad,), True)), graph, 0.1)
+        all_bad, all_unparsed = nbest_rescore([bad], graph, 0.1)
         assert all_bad == ()
         assert all_unparsed == 1
 
@@ -937,7 +958,7 @@ class TestNBestRescore:
         _, resources, alphabet = homophone
         scorer = self.point_scorer(alphabet)
         nb = beam_search(scorer, make_utt(), DecodeConfig())
-        hyps, _ = nbest_rescore(entries_of(nb), resources.graph_for(alphabet), 0.3, nbest_size=16)
+        hyps, _ = nbest_rescore(nb.entries, resources.graph_for(alphabet), 0.3, nbest_size=16)
         per_source = {}
         for h in hyps:
             per_source.setdefault(h.source_tokens, []).append(h.words)
@@ -975,7 +996,7 @@ class TestNBestRescore:
         pool, _ = reference_nbest_rescore(nb, graph, lam, nbest_size=10**6, coverage_weight=eta)
         keep = min(keep, len(pool) - 1)
         assert keep >= 1
-        got = nbest_rescore(entries_of(nb), graph, lam, nbest_size=keep, coverage_weight=eta)
+        got = nbest_rescore(nb.entries, graph, lam, nbest_size=keep, coverage_weight=eta)
         assert got == reference_nbest_rescore(nb, graph, lam, nbest_size=keep, coverage_weight=eta)
 
 
@@ -1152,11 +1173,10 @@ class TestWordMemo:
         core = decoder_mod._expand
 
         def recorded(*args):
-            found = core(*args)
-            nb = decoder_mod._nbest_list(*found)
-            assert nb.complete
-            returned.extend(h.tokens for h in nb.entries)
-            return found
+            entries, complete = core(*args)
+            assert complete
+            returned.extend(e[1] for e in entries)
+            return entries, complete
 
         with mock.patch.object(decoder_mod, "_expand", recorded), counted_word_passes() as calls:
             for lam in (0.0, 0.5, 1.0, 2.0):
@@ -1369,20 +1389,9 @@ def pruned_and_reference(scorer, resources, utt, cfg):
     its scorer-step count."""
     with counted_steps() as pruned_calls:
         pruned = decode(scorer, resources, utt, cfg).to_dict()
-    with counted_steps() as ref_calls, mock.patch.object(decoder_mod, "_expand", reference_entries):
+    with counted_steps() as ref_calls, mock.patch.object(decoder_mod, "_expand", reference_expand):
         ref = decode(scorer, resources, utt, cfg).to_dict()
     return pruned, ref, pruned_calls[0], ref_calls[0]
-
-
-def reference_entries(scorer, utt, cfg, graph) -> tuple[list[tuple], bool]:
-    """``reference_expand`` in the beam core's return layout: finished
-    entries ``(total, tokens, model_score, lm_cost, coverage)``, live ones
-    with their state set and no scorer state after those."""
-    nb = reference_expand(scorer, utt, cfg, graph)
-    entries = [(h.total_cost, h.tokens, h.model_score, h.lm_cost, h.coverage) for h in nb.entries]
-    if not nb.complete:
-        entries = [(*e, h.lm_state, None) for e, h in zip(entries, nb.entries)]
-    return entries, nb.complete
 
 
 def peaked_rows(alphabet: SymbolTable, rng, steps: int, sharpness: float) -> np.ndarray:
@@ -1571,7 +1580,7 @@ class TestSurvivorCut:
             beam_width=beam_width,
             nbest_size=nbest_size,
         )
-        assert expand(scorer, make_utt(), cfg, graph) == reference_expand(
+        assert search(scorer, make_utt(), cfg, graph) == reference_expand(
             scorer, make_utt(), cfg, graph
         )
 
@@ -1591,7 +1600,7 @@ class TestSurvivorCut:
             cfg = DecodeConfig(fusion="beam", lm_weight=1.0, beam_width=2)
         else:
             graph, cfg = None, DecodeConfig(beam_width=2)
-        got = expand(scorer, make_utt(), cfg, graph)
+        got = search(scorer, make_utt(), cfg, graph)
         assert got == reference_expand(scorer, make_utt(), cfg, graph)
         assert got.complete
         assert [h.tokens for h in got.entries] == [alphabet.encode(["a", "a"]), alphabet.encode(["a", "b"])]
