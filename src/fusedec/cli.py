@@ -265,6 +265,8 @@ def _cmd_score(args: argparse.Namespace) -> RunManifest:
         if uid in pairs:
             raise ValueError(f"{where}: results repeat {uid!r}")
         pairs[uid] = (refs[uid], words)
+    if not pairs:
+        raise ValueError(f"{args.results}: holds no decode results")
     breakdown = corpus_wer(list(pairs.values()))
     if breakdown.ref_count == 0 and breakdown.errors:
         raise ValueError(f"{args.task}: no reference words to rate {breakdown.errors} hypothesis words against")

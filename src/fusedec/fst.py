@@ -16,7 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -32,6 +32,9 @@ _FILTER_NEUTRAL, _FILTER_RIGHT, _FILTER_LEFT = 0, 1, 2
 _MAX_QUEUE_POPS = 2_000_000
 
 _ilabel = attrgetter("ilabel")
+_olabel = attrgetter("olabel")
+_arc_order = attrgetter("src", "ilabel", "olabel", "dst", "weight")
+_first = itemgetter(0)
 
 
 class FstError(ValueError):
@@ -199,9 +202,7 @@ class WeightedFst:
         self.num_states = num_states
         self.start = start
         self._finals = dict(finals)
-        self.arcs: tuple[Arc, ...] = tuple(
-            sorted(arcs, key=lambda a: (a.src, a.ilabel, a.olabel, a.dst, a.weight))
-        )
+        self.arcs: tuple[Arc, ...] = tuple(sorted(arcs, key=_arc_order))
         self.isyms = isyms
         self.osyms = osyms
         offsets = [0] * (num_states + 1)
@@ -226,13 +227,33 @@ class WeightedFst:
         """The arcs leaving ``state`` that read ``ilabel`` (0 for epsilon),
         in arc order."""
         index = self._by_label
+        by_label = index[state] if index is not None else None
+        if by_label is None:
+            by_label = self._labels(state)
+        return by_label.get(ilabel, ())
+
+    def _labels(self, state: int) -> dict[int, tuple[Arc, ...]]:
+        """The arcs leaving ``state`` grouped by input label, in label
+        order: the index behind :meth:`arcs_with`, built for a state the
+        first time it is asked for."""
+        index = self._by_label
         if index is None:
             index = self._by_label = [None] * self.num_states
         by_label = index[state]
         if by_label is None:
             groups = groupby(self.arcs_from(state), key=_ilabel)
             by_label = index[state] = {label: tuple(arcs) for label, arcs in groups}
-        return by_label.get(ilabel, ())
+        return by_label
+
+    def _with_tables(self, isyms: SymbolTable, osyms: SymbolTable) -> "WeightedFst":
+        """This machine under other symbol tables that give every label it
+        uses the same id: the states, arcs and offsets are shared, not
+        copied or checked again, and the label index starts empty."""
+        out = object.__new__(WeightedFst)
+        out.num_states, out.start, out._finals = self.num_states, self.start, self._finals
+        out.arcs, out._offsets, out._by_label = self.arcs, self._offsets, None
+        out.isyms, out.osyms = isyms, osyms
+        return out
 
     def __repr__(self) -> str:
         return (
@@ -300,42 +321,51 @@ def relabel(
     """Re-express a machine's labels in different symbol tables.
 
     Labels are mapped by symbol string; every symbol actually used on an arc
-    must exist in the target table or an error names it.
+    must exist in the target table or an error names it (the first missing
+    one in arc order, input labels before output labels).
+
+    When every used label keeps its id, because the target table is the
+    same or extends it with each used symbol in its old place, the result
+    shares the source's arcs and offsets and only the tables differ: nothing
+    is rebuilt, re-sorted or re-validated.  Otherwise the arcs are rebuilt
+    with their new labels and sorted again.  Either way the result builds
+    its own :meth:`WeightedFst.arcs_with` index.
     """
-
-    def mapper(old: SymbolTable, new: SymbolTable):
-        cache: dict[int, int] = {0: 0}
-
-        def convert(label: int) -> int:
-            if label not in cache:
-                s = old.sym(label)
-                if s not in new:
-                    raise FstError(f"symbol {s!r} missing from the target table")
-                cache[label] = new.id(s)
-            return cache[label]
-
-        return convert
-
-    imap = mapper(fst.isyms, isyms) if isyms is not None else None
-    omap = mapper(fst.osyms, osyms) if osyms is not None else None
+    imap = _label_map(fst.isyms, isyms, map(_ilabel, fst.arcs)) if isyms is not None else None
+    omap = _label_map(fst.osyms, osyms, map(_olabel, fst.arcs)) if osyms is not None else None
+    isyms, osyms = isyms or fst.isyms, osyms or fst.osyms
+    if _keeps_ids(imap) and _keeps_ids(omap):
+        return fst._with_tables(isyms, osyms)
     arcs = [
         Arc(
             a.src,
             a.dst,
-            imap(a.ilabel) if imap else a.ilabel,
-            omap(a.olabel) if omap else a.olabel,
+            imap[a.ilabel] if imap else a.ilabel,
+            omap[a.olabel] if omap else a.olabel,
             a.weight,
         )
         for a in fst.arcs
     ]
-    return WeightedFst(
-        fst.num_states,
-        fst.start,
-        fst.finals,
-        arcs,
-        isyms or fst.isyms,
-        osyms or fst.osyms,
-    )
+    return WeightedFst(fst.num_states, fst.start, fst.finals, arcs, isyms, osyms)
+
+
+def _label_map(old: SymbolTable, new: SymbolTable, labels: Iterable[int]) -> dict[int, int]:
+    """Each distinct label mapped to the id its symbol has in ``new``,
+    epsilon to itself; the first label in ``labels`` whose symbol ``new``
+    lacks raises ``FstError`` naming the symbol."""
+    ids = {0: 0}
+    for label in dict.fromkeys(labels):
+        if label not in ids:
+            symbol = old.sym(label)
+            target = new.find(symbol)
+            if target is None:
+                raise FstError(f"symbol {symbol!r} missing from the target table")
+            ids[label] = target
+    return ids
+
+
+def _keeps_ids(ids: dict[int, int] | None) -> bool:
+    return ids is None or all(old == new for old, new in ids.items())
 
 
 def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
@@ -345,6 +375,20 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     interleaving of the epsilon moves between any two real matches (paired
     moves first, then one side alone), so logically identical paths are not
     duplicated.  The result is trimmed to accessible and coaccessible states.
+
+    Matching labels are looked up from whichever side has fewer of them, as
+    matcher-based composition does (Allauzen et al., "OpenFst", CIAA 2007):
+    at each composed state, the left state's real-output arcs grouped by
+    output label (grouped once per left state, during this call) are
+    intersected with :meth:`WeightedFst.arcs_with`'s index of the right
+    state, by walking the smaller of the two.  A lexicon root emits one
+    word per pronunciation while a grammar state reads a handful, so most
+    of the root's arcs are never looked at.  The matches and the left
+    epsilon-output moves are then taken in left-arc order, each left arc's
+    matches in right-arc order, and the right machine's own epsilon moves
+    last: the order a walk over every left arc finds them in.  States are
+    numbered in breadth-first order of discovery, so the machine does not
+    depend on which side was walked.
     """
     if a.osyms != b.isyms:
         raise FstError("compose: left output table and right input table differ")
@@ -352,14 +396,18 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     start_key = (a.start, b.start, _FILTER_NEUTRAL)
     ids: dict[tuple[int, int, int], int] = {start_key: 0}
     queue: deque[tuple[int, int, int]] = deque([start_key])
-    arcs: list[Arc] = []
+    arcs: list[tuple[int, int, int, int, float]] = []
     finals: dict[int, float] = {}
+    # Per left state: its epsilon-output moves as (position, arc, None), and
+    # its real-output arcs as output label -> [(position, arc)].
+    left: dict[int, tuple[list, dict[int, list[tuple[int, Arc]]]]] = {}
 
     def state_id(key: tuple[int, int, int]) -> int:
-        if key not in ids:
-            ids[key] = len(ids)
+        q = ids.get(key)
+        if q is None:
+            q = ids[key] = len(ids)
             queue.append(key)
-        return ids[key]
+        return q
 
     while queue:
         key = queue.popleft()
@@ -368,33 +416,65 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
         fa, fb = a.final(qa), b.final(qb)
         if fa < math.inf and fb < math.inf:
             finals[src] = fa + fb
-        b_eps = b.arcs_with(qb, 0)
-        for arc1 in a.arcs_from(qa):
-            if arc1.olabel != 0:
-                for arc2 in b.arcs_with(qb, arc1.olabel):
+        moves = left.get(qa)
+        if moves is None:
+            eps_moves: list = []
+            by_output: dict[int, list[tuple[int, Arc]]] = {}
+            for k, arc1 in enumerate(a.arcs_from(qa)):
+                if arc1.olabel:
+                    by_output.setdefault(arc1.olabel, []).append((k, arc1))
+                else:
+                    eps_moves.append((k, arc1, None))
+            moves = left[qa] = (eps_moves, by_output)
+        eps_moves, by_output = moves
+        by_input = b._labels(qb)
+        b_eps = by_input.get(0, ())
+        if by_output:
+            if len(by_output) <= len(by_input):
+                steps = [
+                    (k, arc1, arcs2)
+                    for label, arcs1 in by_output.items()
+                    if (arcs2 := by_input.get(label))
+                    for k, arc1 in arcs1
+                ]
+            else:
+                steps = [
+                    (k, arc1, arcs2)
+                    for label, arcs2 in by_input.items()
+                    if (arcs1 := by_output.get(label))
+                    for k, arc1 in arcs1
+                ]
+            steps += eps_moves
+            steps.sort(key=_first)
+        else:
+            steps = eps_moves
+        for _, arc1, arcs2 in steps:
+            if arcs2 is not None:
+                for arc2 in arcs2:
                     dst = state_id((arc1.dst, arc2.dst, _FILTER_NEUTRAL))
-                    arcs.append(Arc(src, dst, arc1.ilabel, arc2.olabel, arc1.weight + arc2.weight))
+                    arcs.append((src, dst, arc1.ilabel, arc2.olabel, arc1.weight + arc2.weight))
             else:
                 if f != _FILTER_RIGHT:
                     dst = state_id((arc1.dst, qb, _FILTER_LEFT))
-                    arcs.append(Arc(src, dst, arc1.ilabel, 0, arc1.weight))
+                    arcs.append((src, dst, arc1.ilabel, 0, arc1.weight))
                 if f == _FILTER_NEUTRAL:
                     for arc2 in b_eps:
                         dst = state_id((arc1.dst, arc2.dst, _FILTER_NEUTRAL))
-                        arcs.append(Arc(src, dst, arc1.ilabel, arc2.olabel, arc1.weight + arc2.weight))
+                        arcs.append((src, dst, arc1.ilabel, arc2.olabel, arc1.weight + arc2.weight))
         if f != _FILTER_LEFT:
             for arc2 in b_eps:
                 dst = state_id((qa, arc2.dst, _FILTER_RIGHT))
-                arcs.append(Arc(src, dst, 0, arc2.olabel, arc2.weight))
+                arcs.append((src, dst, 0, arc2.olabel, arc2.weight))
 
     return _trim(len(ids), 0, finals, arcs, a.isyms, b.osyms)
 
 
-def _coaccessible(arcs: Iterable[Arc], finals: Iterable[int]) -> set[int]:
-    """States from which some final state is reachable."""
+def _coaccessible(edges: Iterable[tuple], finals: Iterable[int]) -> set[int]:
+    """States from which some final state is reachable, over edges whose
+    first two items are their source and destination."""
     reverse: dict[int, list[int]] = {}
-    for arc in arcs:
-        reverse.setdefault(arc.dst, []).append(arc.src)
+    for edge in edges:
+        reverse.setdefault(edge[1], []).append(edge[0])
     alive = set(finals)
     stack = list(alive)
     while stack:
@@ -410,19 +490,21 @@ def _trim(
     num_states: int,
     start: int,
     finals: dict[int, float],
-    arcs: list[Arc],
+    arcs: list[tuple[int, int, int, int, float]],
     isyms: SymbolTable,
     osyms: SymbolTable,
 ) -> WeightedFst:
-    """Drop states that cannot reach a final state; renumber densely."""
+    """Drop states that cannot reach a final state; renumber densely, in
+    the old order.  ``arcs`` are plain ``(src, dst, ilabel, olabel,
+    weight)`` tuples, and an :class:`Arc` is built only for an arc kept."""
     alive = _coaccessible(arcs, finals)
     if start not in alive:
         return WeightedFst(1, 0, {}, [], isyms, osyms)
     renum = {old: new for new, old in enumerate(sorted(alive))}
     kept = [
-        Arc(renum[a.src], renum[a.dst], a.ilabel, a.olabel, a.weight)
-        for a in arcs
-        if a.src in alive and a.dst in alive
+        Arc(renum[src], renum[dst], ilabel, olabel, weight)
+        for src, dst, ilabel, olabel, weight in arcs
+        if src in alive and dst in alive
     ]
     new_finals = {renum[q]: w for q, w in finals.items()}
     return WeightedFst(len(alive), renum[start], new_finals, kept, isyms, osyms)
@@ -448,7 +530,7 @@ def shortest_paths(f: WeightedFst, n: int) -> list[FstPath]:
     if n < 1:
         raise FstError(f"n must be positive, got {n}")
     _require_nonnegative(f, "shortest_paths")
-    alive = _coaccessible(f.arcs, f._finals)
+    alive = _coaccessible(((a.src, a.dst) for a in f.arcs), f._finals)
     if f.start not in alive:
         return []
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from fusedec.decoder import (
     NBestList,
     WordHypothesis,
 )
-from fusedec.fst import FstError, WeightedFst
+from fusedec.fst import Arc, FstError, SymbolTable, WeightedFst
 from fusedec.scorer import EOS, TableScorer, Utterance, coverage_count, step_distributions
 
 
@@ -597,3 +598,95 @@ def reference_output_weights(f: WeightedFst, ilabels) -> dict[tuple[int, ...], f
             if key not in done:
                 heapq.heappush(heap, (w + arc.weight, *key))
     return out
+
+
+# Composition filter states, as in ``fusedec.fst``: 0 = neutral, 1 = only
+# the right machine may keep moving on epsilon, 2 = only the left may.
+_FILTER_NEUTRAL, _FILTER_RIGHT, _FILTER_LEFT = 0, 1, 2
+
+
+def reference_compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
+    """Tropical composition with the standard 3-state epsilon filter, by
+    asking the right machine about every arc of the left state: the
+    composition :func:`fusedec.fst.compose` must equal arc for arc, with
+    the same state numbering."""
+    if a.osyms != b.isyms:
+        raise FstError("compose: left output table and right input table differ")
+
+    start_key = (a.start, b.start, _FILTER_NEUTRAL)
+    ids: dict[tuple[int, int, int], int] = {start_key: 0}
+    queue: deque[tuple[int, int, int]] = deque([start_key])
+    arcs: list[Arc] = []
+    finals: dict[int, float] = {}
+
+    def state_id(key: tuple[int, int, int]) -> int:
+        if key not in ids:
+            ids[key] = len(ids)
+            queue.append(key)
+        return ids[key]
+
+    while queue:
+        key = queue.popleft()
+        qa, qb, f = key
+        src = ids[key]
+        fa, fb = a.final(qa), b.final(qb)
+        if fa < math.inf and fb < math.inf:
+            finals[src] = fa + fb
+        b_eps = b.arcs_with(qb, 0)
+        for arc1 in a.arcs_from(qa):
+            if arc1.olabel != 0:
+                for arc2 in b.arcs_with(qb, arc1.olabel):
+                    dst = state_id((arc1.dst, arc2.dst, _FILTER_NEUTRAL))
+                    arcs.append(Arc(src, dst, arc1.ilabel, arc2.olabel, arc1.weight + arc2.weight))
+            else:
+                if f != _FILTER_RIGHT:
+                    dst = state_id((arc1.dst, qb, _FILTER_LEFT))
+                    arcs.append(Arc(src, dst, arc1.ilabel, 0, arc1.weight))
+                if f == _FILTER_NEUTRAL:
+                    for arc2 in b_eps:
+                        dst = state_id((arc1.dst, arc2.dst, _FILTER_NEUTRAL))
+                        arcs.append(Arc(src, dst, arc1.ilabel, arc2.olabel, arc1.weight + arc2.weight))
+        if f != _FILTER_LEFT:
+            for arc2 in b_eps:
+                dst = state_id((qa, arc2.dst, _FILTER_RIGHT))
+                arcs.append(Arc(src, dst, 0, arc2.olabel, arc2.weight))
+
+    return _reference_trim(len(ids), 0, finals, arcs, a.isyms, b.osyms)
+
+
+def _reference_coaccessible(arcs: list[Arc], finals: dict[int, float]) -> set[int]:
+    """States from which some final state is reachable."""
+    reverse: dict[int, list[int]] = {}
+    for arc in arcs:
+        reverse.setdefault(arc.dst, []).append(arc.src)
+    alive = set(finals)
+    stack = list(alive)
+    while stack:
+        q = stack.pop()
+        for p in reverse.get(q, ()):
+            if p not in alive:
+                alive.add(p)
+                stack.append(p)
+    return alive
+
+
+def _reference_trim(
+    num_states: int,
+    start: int,
+    finals: dict[int, float],
+    arcs: list[Arc],
+    isyms: SymbolTable,
+    osyms: SymbolTable,
+) -> WeightedFst:
+    """Drop states that cannot reach a final state; renumber densely."""
+    alive = _reference_coaccessible(arcs, finals)
+    if start not in alive:
+        return WeightedFst(1, 0, {}, [], isyms, osyms)
+    renum = {old: new for new, old in enumerate(sorted(alive))}
+    kept = [
+        Arc(renum[a.src], renum[a.dst], a.ilabel, a.olabel, a.weight)
+        for a in arcs
+        if a.src in alive and a.dst in alive
+    ]
+    new_finals = {renum[q]: w for q, w in finals.items()}
+    return WeightedFst(len(alive), renum[start], new_finals, kept, isyms, osyms)

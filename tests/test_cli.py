@@ -347,6 +347,23 @@ class TestScoreCommand:
         assert main(["score", "--task", str(task), "--results", str(results), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["wer"] == 0.0
 
+    def test_results_without_records_are_refused(self, pipeline, tmp_path, capsys):
+        task, results, out = tmp_path / "empty", tmp_path / "results.jsonl", tmp_path / "s.json"
+        assert main([
+            "synth", "--lexicon", str(pipeline / "lexicon.txt"), "--lm", str(pipeline / "lm.arpa"),
+            "--count", "0", "--out", str(task),
+        ]) == 0
+        assert main([
+            "decode", "--task", str(task), "--lexicon", str(pipeline / "lexicon.txt"),
+            "--lm", str(pipeline / "lm.arpa"), "--out", str(results),
+        ]) == 0
+        assert results.read_text() == ""
+        capsys.readouterr()
+        code = main(["score", "--task", str(task), "--results", str(results), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {results}: holds no decode results\n"
+        assert not out.exists()
+
     def test_unknown_uid_fails(self, pipeline, tmp_path, capsys):
         bogus = tmp_path / "bogus.jsonl"
         bogus.write_text(json.dumps({"uid": "utt9999", "words": ["I"]}) + "\n", encoding="utf-8")

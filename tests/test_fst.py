@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusedec import lexicon, ngram
 from fusedec.fst import (
     EPSILON,
     Arc,
@@ -30,6 +31,7 @@ from oracles import (
     best_string_weight_bruteforce,
     compose_relation_bruteforce,
     enumerate_paths,
+    reference_compose,
     reference_output_weights,
     relation_table,
 )
@@ -404,6 +406,77 @@ class TestCompose:
         assert output_weights(c, ["a"]) == {}
 
 
+def skewed_fst(rng, isyms, osyms, eps_prob) -> WeightedFst:
+    """A random machine, cycles allowed, whose states fan out to anything
+    from no arc to twenty, some arcs doubled with the same labels."""
+    n = int(rng.integers(1, 7))
+    arcs = []
+    for q in range(n):
+        for _ in range(int(rng.integers(0, 11 if rng.random() < 0.5 else 3))):
+            il = 0 if rng.random() < eps_prob else int(rng.integers(1, len(isyms)))
+            ol = 0 if rng.random() < eps_prob else int(rng.integers(1, len(osyms)))
+            for _ in range(2 if rng.random() < 0.25 else 1):
+                arcs.append((q, int(rng.integers(n)), il, ol, round(float(rng.uniform(0.0, 2.0)), 3)))
+    final_states = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    finals = {int(q): round(float(rng.uniform(0.0, 1.0)), 3) for q in final_states}
+    return build_fst(arcs, int(rng.integers(n)), finals, isyms, osyms, num_states=n)
+
+
+def assert_same_machine(got: WeightedFst, want: WeightedFst) -> None:
+    assert got.num_states == want.num_states
+    assert got.start == want.start
+    assert got.finals == want.finals
+    assert got.arcs == want.arcs
+    assert got.isyms == want.isyms and got.osyms == want.osyms
+
+
+class TestComposeMatchesReference:
+    """``compose`` looks labels up from the sparser side; the machine it
+    returns must be the reference's, state numbering included, with no
+    tolerance on any weight."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), eps_prob=st.sampled_from([0.0, 0.2, 0.5]))
+    def test_random_machines(self, seed, eps_prob):
+        rng = np.random.default_rng(seed)
+        outer, mid = SymbolTable(["a", "b", "c"]), SymbolTable(["m", "n", "o", "p", "q", "r"])
+        a = skewed_fst(rng, outer, mid, eps_prob)
+        b = skewed_fst(rng, mid, outer, eps_prob)
+        assert_same_machine(compose(a, b), reference_compose(a, b))
+
+    def test_lexicon_with_homophones_composed_with_a_bigram(self):
+        # The benchmark's shape: the lexicon root writes one word per
+        # pronunciation, far more labels than most grammar states read.
+        # Sentences start with one of 20 words, so the start state is
+        # matched from the grammar's side and its matches must still come
+        # out in the lexicon's arc order.
+        rng = np.random.default_rng(5)
+        words = [f"w{i:03d}" for i in range(200)]
+        phones = [f"p{i:02d}" for i in range(24)]
+        prons: dict[str, tuple[str, ...]] = {}
+        for i, word in enumerate(words):
+            if i >= 10 and i % 10 == 0:
+                prons[word] = prons[words[int(rng.integers(i))]]
+            else:
+                prons[word] = tuple(phones[int(k)] for k in rng.integers(24, size=2 + i % 3))
+        successors = [rng.choice(200, size=8, replace=False) for _ in words]
+        sentences = [[words[0], word] for word in words]
+        for _ in range(1000):
+            w = int(rng.integers(20))
+            sentence = [words[w]]
+            for _ in range(int(rng.integers(0, 6))):
+                w = int(successors[w][int(rng.integers(8))])
+                sentence.append(words[w])
+            sentences.append(sentence)
+        lm_fst = ngram.lm_to_fst(ngram.train_ngram(sentences, 2, "absdisc"))
+        lex = lexicon.parse_lexicon("".join(f"{w}\t{' '.join(p)}\n" for w, p in prons.items()))
+        left = relabel(lexicon.compile_lexicon(lex, "optional"), osyms=lm_fst.isyms)
+        assert len(left.arcs_from(left.start)) == 200
+        got = compose(left, lm_fst)
+        assert got.num_states > 1000
+        assert_same_machine(got, reference_compose(left, lm_fst))
+
+
 class TestShortestPaths:
     def test_ties_break_on_output_labels(self, abc_syms, xyz_syms):
         f = build_fst(
@@ -464,6 +537,45 @@ class TestRelabelAndIO:
         f = build_fst([(0, 1, 2, 2, 0.0)], 0, {1: 0.0}, abc_syms, abc_syms)
         with pytest.raises(FstError, match="'b'"):
             relabel(f, isyms=target, osyms=target)
+
+    def test_relabel_keeping_every_id_equals_a_full_rebuild(self, abc_syms):
+        f = build_fst([(0, 1, 1, 2, 0.5), (1, 0, 0, 1, 0.25), (1, 2, 2, 0, 1.0)], 0, {2: 0.0}, abc_syms, abc_syms)
+        larger = SymbolTable(["a", "b", "c", "d"])
+        unused_moved = SymbolTable(["a", "b", "d"])  # "c" is on no input label
+        for isyms, osyms in [(abc_syms, None), (larger, None), (None, larger), (larger, larger), (unused_moved, None)]:
+            g = relabel(f, isyms=isyms, osyms=osyms)
+            rebuilt = WeightedFst(f.num_states, f.start, f.finals, list(f.arcs), isyms or abc_syms, osyms or abc_syms)
+            assert_same_machine(g, rebuilt)
+            assert g.arcs is f.arcs
+
+    def test_relabel_to_a_permuted_table_sorts_the_arcs_again(self, abc_syms):
+        f = build_fst(
+            [(0, 1, 1, 1, 0.5), (0, 1, 3, 2, 0.25), (0, 2, 3, 1, 0.75), (1, 2, 2, 3, 1.0)],
+            0, {2: 0.0}, abc_syms, abc_syms,
+        )
+        target = SymbolTable(["c", "b", "a"])
+        g = relabel(f, isyms=target, osyms=target)
+        assert g.arcs is not f.arcs
+        assert [(a.src, a.ilabel, a.olabel, a.dst, a.weight) for a in g.arcs] == [
+            (0, 1, 2, 1, 0.25),
+            (0, 1, 3, 2, 0.75),
+            (0, 3, 3, 1, 0.5),
+            (1, 2, 1, 2, 1.0),
+        ]
+
+    @pytest.mark.parametrize("target", [["a", "b"], ["b", "a"]], ids=["ids-kept", "ids-moved"])
+    def test_relabel_names_a_missing_symbol_whether_or_not_ids_are_kept(self, abc_syms, target):
+        f = build_fst([(0, 1, 1, 1, 0.0), (1, 2, 2, 2, 0.0), (2, 3, 3, 1, 0.0)], 0, {3: 0.0}, abc_syms, abc_syms)
+        with pytest.raises(FstError, match="symbol 'c' missing"):
+            relabel(f, isyms=SymbolTable(target))
+        assert relabel(f, osyms=SymbolTable(target)).osyms == SymbolTable(target)
+
+    def test_relabeled_machine_builds_its_own_label_index(self, abc_syms):
+        f = build_fst([(0, 1, 1, 1, 0.5), (0, 1, 2, 2, 0.25)], 0, {1: 0.0}, abc_syms, abc_syms)
+        assert f.arcs_with(0, 1) == (f.arcs[0],)
+        g = relabel(f, isyms=SymbolTable(["a", "b", "c", "d"]))
+        assert g.arcs_with(0, 2) == (f.arcs[1],)
+        assert g._by_label is not f._by_label
 
     def test_text_roundtrip(self, tmp_path, abc_syms, xyz_syms):
         rng = np.random.default_rng(21)
