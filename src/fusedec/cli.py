@@ -389,8 +389,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
     manifest.write(time.monotonic() - start)
     return 0

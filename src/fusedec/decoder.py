@@ -263,13 +263,13 @@ class FusionGraph:
 
     def _label_costs(self, q: int) -> dict[int, float]:
         """Each non-epsilon label state ``q`` reads, mapped to its cheapest
-        arc weight; a label whose arcs all weigh +inf is absent."""
-        costs: dict[int, float] = {}
-        for arc in self.fst.arcs_from(q):
-            label = arc.ilabel
-            if label and arc.weight < costs.get(label, math.inf):
-                costs[label] = arc.weight
-        return costs
+        arc weight, read from the graph's label index; a label whose arcs
+        all weigh +inf is absent."""
+        return {
+            label: cost
+            for label, arcs in self.fst._labels(q).items()
+            if label and (cost := min(arc.weight for arc in arcs)) < math.inf
+        }
 
     def advance(self, states: StateSet, label: int) -> StateSet | None:
         """Consume one token and close the states its arcs reach; None when
@@ -417,9 +417,11 @@ def _expand(
     ``graph.final_best`` cannot fall, as :class:`FusionGraph` refuses a
     negative weight.  The coverage reward takes at most ``coverage_weight *
     cap`` off a cost, where ``cap = max(steps + 1, frames)`` bounds what
-    ``covered()`` can reach.  So a live entry whose ``-score + lm_weight *
-    lm_cost - coverage_weight * cap`` is strictly above the bar can only
-    finish behind the n-best.  Without a coverage reward that bound is the
+    ``covered()`` can reach; when that ``slack`` is not finite the search
+    raises :class:`DecodeError` before it starts, so no cost is ever
+    ``inf - inf``.  So a live entry whose ``-score + lm_weight * lm_cost -
+    coverage_weight * cap`` is strictly above the bar can only finish behind
+    the n-best.  Without a coverage reward that bound is the
     entry's own cost: the beam drops its entries above the bar, and those it
     keeps are the ones the unpruned beam keeps at or under it.  With a
     coverage reward a cost can fall along a path, so a dropped entry's
@@ -435,6 +437,8 @@ def _expand(
     eta = config.coverage_weight
     steps = min(config.max_steps, scorer.token_limit(utt))
     slack = eta * max(steps + 1, utt.features.shape[0])
+    if not math.isfinite(slack):
+        raise _overflow(config)
     nbest = config.nbest_size
     width = config.beam_width
     room = 2 * width
@@ -502,6 +506,14 @@ def _expand(
     if best:
         return best, True
     return [e[:5] for e in live[:nbest]], False
+
+
+def _overflow(config: DecodeConfig) -> DecodeError:
+    """The error for weights whose costs overflow a float."""
+    return DecodeError(
+        f"the weights overflow to a cost that is not finite: lm_weight {config.lm_weight!r}, "
+        f"lm_weight_nbest {config.lm_weight_nbest!r}, coverage_weight {config.coverage_weight!r}"
+    )
 
 
 def beam_search(scorer, utt: Utterance, config: DecodeConfig) -> NBestList:
@@ -659,7 +671,8 @@ def decode(
     fusion ``none`` splits each at <space>, ``beam`` takes each one's
     cheapest word string, and ``nbest`` and ``both`` hand the entries to
     :func:`nbest_rescore`.  No mode builds a :class:`Hypothesis` or an
-    :class:`NBestList`."""
+    :class:`NBestList`.  Fused weights so large that a total is not finite
+    raise :class:`DecodeError`."""
     if config.fusion == "none":
         if SPACE not in scorer.alphabet:
             raise DecodeError(f"fusion 'none' splits words at {SPACE}, absent from the alphabet")
@@ -682,6 +695,8 @@ def decode(
             nbest_size=config.nbest_size,
             coverage_weight=config.coverage_weight,
         )
+    if not all(math.isfinite(h.total_cost) for h in hyps):
+        raise _overflow(config)
     return DecodeResult(utt.uid, config, hyps, complete, unparsed)
 
 

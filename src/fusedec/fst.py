@@ -3,10 +3,11 @@
 Weights are costs, i.e. negated log probabilities: paths accumulate by
 addition and alternatives combine by taking the minimum.  Machines are
 frozen at construction time, so they are safe to share between threads.
-The one thing built later is the index behind :meth:`WeightedFst.arcs_with`,
-one state at a time as states are first asked for, so a machine that only
-exists during set-up pays for no more of it than it reads; two threads that
-build the same entry at once build equal entries.
+The one thing built later is the index behind :meth:`WeightedFst.arcs_with`:
+its per-state slots exist from construction, and each is filled the first
+time its state is asked for, so a machine that only exists during set-up
+pays for no more of it than it reads.  Two threads that fill the same slot
+at once fill it with equal entries.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ class WeightedFst:
         for i in range(num_states):
             offsets[i + 1] += offsets[i]
         self._offsets = offsets
-        self._by_label: list[dict[int, tuple[Arc, ...]] | None] | None = None
+        self._by_label: list[dict[int, tuple[Arc, ...]] | None] = [None] * num_states
 
     @property
     def finals(self) -> dict[int, float]:
@@ -226,8 +227,7 @@ class WeightedFst:
     def arcs_with(self, state: int, ilabel: int) -> tuple[Arc, ...]:
         """The arcs leaving ``state`` that read ``ilabel`` (0 for epsilon),
         in arc order."""
-        index = self._by_label
-        by_label = index[state] if index is not None else None
+        by_label = self._by_label[state]
         if by_label is None:
             by_label = self._labels(state)
         return by_label.get(ilabel, ())
@@ -236,13 +236,10 @@ class WeightedFst:
         """The arcs leaving ``state`` grouped by input label, in label
         order: the index behind :meth:`arcs_with`, built for a state the
         first time it is asked for."""
-        index = self._by_label
-        if index is None:
-            index = self._by_label = [None] * self.num_states
-        by_label = index[state]
+        by_label = self._by_label[state]
         if by_label is None:
             groups = groupby(self.arcs_from(state), key=_ilabel)
-            by_label = index[state] = {label: tuple(arcs) for label, arcs in groups}
+            by_label = self._by_label[state] = {label: tuple(arcs) for label, arcs in groups}
         return by_label
 
     def _with_tables(self, isyms: SymbolTable, osyms: SymbolTable) -> "WeightedFst":
@@ -251,7 +248,7 @@ class WeightedFst:
         copied or checked again, and the label index starts empty."""
         out = object.__new__(WeightedFst)
         out.num_states, out.start, out._finals = self.num_states, self.start, self._finals
-        out.arcs, out._offsets, out._by_label = self.arcs, self._offsets, None
+        out.arcs, out._offsets, out._by_label = self.arcs, self._offsets, [None] * self.num_states
         out.isyms, out.osyms = isyms, osyms
         return out
 
@@ -301,16 +298,11 @@ def build_fst(
     return WeightedFst(num_states, start, final_map, arc_list, isyms, osyms)
 
 
-def linear_fst(
-    labels: Sequence[str | int],
-    syms: SymbolTable,
-    osyms: SymbolTable | None = None,
-) -> WeightedFst:
+def linear_fst(labels: Sequence[str | int], syms: SymbolTable) -> WeightedFst:
     """Chain acceptor for one label sequence, all weights zero."""
     ids = syms.encode(labels)
-    osyms = osyms or syms
     arcs = [Arc(i, i + 1, label, label, 0.0) for i, label in enumerate(ids)]
-    return build_fst(arcs, 0, {len(ids): 0.0}, syms, osyms, num_states=len(ids) + 1)
+    return build_fst(arcs, 0, {len(ids): 0.0}, syms, syms, num_states=len(ids) + 1)
 
 
 def relabel(
@@ -376,19 +368,20 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
     moves first, then one side alone), so logically identical paths are not
     duplicated.  The result is trimmed to accessible and coaccessible states.
 
-    Matching labels are looked up from whichever side has fewer of them, as
-    matcher-based composition does (Allauzen et al., "OpenFst", CIAA 2007):
-    at each composed state, the left state's real-output arcs grouped by
-    output label (grouped once per left state, during this call) are
-    intersected with :meth:`WeightedFst.arcs_with`'s index of the right
-    state, by walking the smaller of the two.  A lexicon root emits one
-    word per pronunciation while a grammar state reads a handful, so most
-    of the root's arcs are never looked at.  The matches and the left
-    epsilon-output moves are then taken in left-arc order, each left arc's
-    matches in right-arc order, and the right machine's own epsilon moves
-    last: the order a walk over every left arc finds them in.  States are
-    numbered in breadth-first order of discovery, so the machine does not
-    depend on which side was walked.
+    Matching labels are looked up from the right side, as matcher-based
+    composition does (Allauzen et al., "OpenFst", CIAA 2007): at each
+    composed state, the labels of :meth:`WeightedFst.arcs_with`'s index of
+    the right state are looked up among the left state's real-output arcs,
+    grouped by output label once per left state during this call.  This
+    suits L∘G, where only the lexicon root writes words and a grammar state
+    reads fewer labels than the root writes, so most of the root's arcs are
+    never looked at.  A left side sparser than the right, such as a chain
+    composed with L∘G, is still matched correctly, but walks every label of
+    the right state.  The matches and the left epsilon-output moves are
+    then taken in left-arc order, each left arc's matches in right-arc
+    order, and the right machine's own epsilon moves last: the order a walk
+    over every left arc finds them in.  States are numbered in
+    breadth-first order of discovery.
     """
     if a.osyms != b.isyms:
         raise FstError("compose: left output table and right input table differ")
@@ -430,20 +423,12 @@ def compose(a: WeightedFst, b: WeightedFst) -> WeightedFst:
         by_input = b._labels(qb)
         b_eps = by_input.get(0, ())
         if by_output:
-            if len(by_output) <= len(by_input):
-                steps = [
-                    (k, arc1, arcs2)
-                    for label, arcs1 in by_output.items()
-                    if (arcs2 := by_input.get(label))
-                    for k, arc1 in arcs1
-                ]
-            else:
-                steps = [
-                    (k, arc1, arcs2)
-                    for label, arcs2 in by_input.items()
-                    if (arcs1 := by_output.get(label))
-                    for k, arc1 in arcs1
-                ]
+            steps = [
+                (k, arc1, arcs2)
+                for label, arcs2 in by_input.items()
+                if (arcs1 := by_output.get(label))
+                for k, arc1 in arcs1
+            ]
             steps += eps_moves
             steps.sort(key=_first)
         else:

@@ -116,7 +116,6 @@ def train_ngram(
     order: int,
     smoothing: str = "absdisc",
     discount: float = 0.4,
-    unk: bool = False,
 ) -> NGramModel:
     """Estimate a model of the given order (1..4) from whitespace-split or
     pre-tokenized sentences.
@@ -124,8 +123,7 @@ def train_ngram(
     ``smoothing="mle"`` stores plain relative frequencies with no backoff;
     ``"absdisc"`` subtracts ``discount`` from every observed count and
     interpolates with the next-lower order, bottoming out at a uniform
-    distribution over the vocabulary.  ``unk=True`` rewrites singleton words
-    to ``<unk>`` before counting.
+    distribution over the vocabulary.
     """
     if not isinstance(order, int) or not 1 <= order <= 4:
         raise NGramError(f"order must be an integer in 1..4, got {order!r}")
@@ -134,17 +132,8 @@ def train_ngram(
     if not 0.0 < discount < 1.0:
         raise NGramError(f"discount must be in (0, 1), got {discount}")
     sents = _normalize_corpus(corpus)
-
-    if unk:
-        freq: dict[str, int] = {}
-        for sent in sents:
-            for w in sent:
-                freq[w] = freq.get(w, 0) + 1
-        sents = [[w if freq[w] > 1 else UNK for w in sent] for sent in sents]
-
     # a dict keeps first-appearance order with constant-time membership
-    reserved = [SENT_START, SENT_END, UNK] if unk else [SENT_START, SENT_END]
-    vocab = SymbolTable(dict.fromkeys(itertools.chain(reserved, *sents)))
+    vocab = SymbolTable(dict.fromkeys(itertools.chain([SENT_START, SENT_END], *sents)))
     bos, eos = vocab.id(SENT_START), vocab.id(SENT_END)
 
     counts: dict[tuple[int, ...], int] = {}
@@ -215,8 +204,8 @@ def _estimate_absdisc(
 def score_sequence(lm: NGramModel, words: Sequence[str]) -> float:
     """Natural-log probability of a whole sentence, including termination.
 
-    Out-of-vocabulary words map to ``<unk>`` when the model was trained with
-    it and otherwise make the score ``-inf``.
+    Out-of-vocabulary words map to ``<unk>`` when the model lists it, as an
+    ARPA file may, and otherwise make the score ``-inf``.
     """
     reserved = {SENT_START, SENT_END, EPSILON}
     ids: list[int] = []

@@ -655,6 +655,7 @@ def loss_and_gradients(model: ToyLasModel, corpus: Sequence[Utterance]):
     return loss, grads
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_model(
     model: ToyLasModel,
     corpus: Sequence[Utterance],
@@ -667,7 +668,8 @@ def train_model(
     The trace records the loss evaluated at the start of each epoch, so a
     zero learning rate yields a constant trace.  The learning rate must be
     finite and non-negative.  A non-finite loss aborts with the epoch number
-    in the error, and so do non-finite parameters after the last update.
+    in the error, and so do non-finite parameters after the last update,
+    with none of numpy's overflow warnings on the way.
     """
     if epochs < 1:
         raise ScorerError(f"epochs must be >= 1, got {epochs}")

@@ -30,7 +30,7 @@ def main() -> int:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        readers = build_quickstart(root)
+        readers, _ = build_quickstart(root)
 
         @settings(max_examples=args.examples, database=None, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])

@@ -12,6 +12,7 @@ import shutil
 
 import pytest
 
+from fusedec import cli as cli_mod
 from fusedec import sweep as sweep_mod
 from fusedec.cli import main
 from fusedec.fst import SymbolTable, read_fst_text
@@ -176,6 +177,19 @@ class TestDecodeCommand:
         assert code == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weights", [
+        ("--fusion", "beam", "--lm-weight", "1e308"),
+        ("--fusion", "both", "--lm-weight", "1e308", "--lm-weight-nbest", "1e308", "--coverage-weight", "1e308"),
+    ])
+    def test_weights_that_overflow_fail_with_one_line_and_no_results(self, pipeline, tmp_path, capsys, weights):
+        out = tmp_path / "x.jsonl"
+        code = main(decode_args(pipeline, out, *weights))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: the weights overflow") and err.count("\n") == 1
+        assert "1e+308" in err
+        assert not out.exists()
+
     def test_missing_required_flag_exits_two(self, pipeline):
         with pytest.raises(SystemExit) as err:
             main(["decode", "--task", str(pipeline / "task")])
@@ -301,6 +315,18 @@ class TestSweepCommand:
         ])
         assert code == 1
         assert capsys.readouterr().err == "error: sweep point 1 (beam weight 0.1) failed: synthetic failure\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_a_point_whose_weight_overflows_fails_the_sweep(self, pipeline, tmp_path, capsys):
+        code = main([
+            "sweep", "--task", str(pipeline / "task"),
+            "--lexicon", str(pipeline / "lexicon.txt"), "--lm", str(pipeline / "lm.arpa"),
+            "--which", "beam", "--grid", "1e308,1e308", "--out", str(tmp_path / "x.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: sweep point 0 (beam weight 1e+308) failed: the weights overflow")
+        assert err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
 
@@ -430,6 +456,19 @@ class TestTrainScorerCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: lr must be finite and non-negative")
         assert err.count("\n") == 1
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 2.4 GiB for an array", ""])
+    def test_running_out_of_memory_is_one_line(self, pipeline, tmp_path, capsys, monkeypatch, message):
+        # a real model that large would take gigabytes before failing
+        def init(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_mod.ToyLasModel, "init", init)
+        ckpt = tmp_path / "model.npz"
+        code = main(["train-scorer", "--task", str(pipeline / "task"), "--epochs", "1", "--out", str(ckpt)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
         assert not ckpt.exists()
 
 

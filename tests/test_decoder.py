@@ -1279,6 +1279,27 @@ class TestDecode:
             assert hb.words == hn.words
             assert hb.total_cost == pytest.approx(hn.total_cost, abs=1e-12)
 
+    def test_an_in_beam_weight_whose_total_overflows_is_refused(self, homophone):
+        # "eye" costs 2.08 under the grammar, and 1e308 * 2.08 is +inf
+        _, resources, alphabet = homophone
+        scorer = TableScorer(alphabet, {"u0": point_rows(alphabet, ["ay", EOW, EOS])})
+        with pytest.raises(DecodeError, match=r"overflow.*lm_weight 1e\+308"):
+            decode(scorer, resources, make_utt(), DecodeConfig(fusion="beam", lm_weight=1e308))
+
+    @pytest.mark.parametrize("lam", [0.1, 1e308])
+    def test_a_coverage_weight_whose_reward_overflows_is_refused(self, homophone, lam):
+        # the reward alone would make every total -inf, and with an
+        # infinite lattice cost it would be NaN, which no cut ever keeps
+        _, resources, alphabet = homophone
+        rows = point_rows(alphabet, ["ay", EOW, "ae", "m", EOW, EOS])
+        scorer = TableScorer(alphabet, {"u0": rows})
+        cfg = DecodeConfig(fusion="both", lm_weight=lam, lm_weight_nbest=lam, coverage_weight=1e308)
+        with pytest.raises(DecodeError, match=r"overflow.*coverage_weight 1e\+308"):
+            decode(scorer, resources, make_utt(), cfg)
+        # the search itself refuses before it starts
+        with pytest.raises(DecodeError, match=r"overflow.*coverage_weight 1e\+308"):
+            fused_beam_search(scorer, resources.graph_for(alphabet), make_utt(), cfg)
+
     def test_result_dict_shape(self, homophone):
         _, resources, alphabet = homophone
         rows = point_rows(alphabet, ["ay", EOW, EOS])

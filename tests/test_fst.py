@@ -17,7 +17,6 @@ from fusedec.fst import (
     WeightedFst,
     build_fst,
     compose,
-    linear_fst,
     output_weights,
     output_weights_batch,
     read_fst_text,
@@ -431,9 +430,9 @@ def assert_same_machine(got: WeightedFst, want: WeightedFst) -> None:
 
 
 class TestComposeMatchesReference:
-    """``compose`` looks labels up from the sparser side; the machine it
-    returns must be the reference's, state numbering included, with no
-    tolerance on any weight."""
+    """``compose`` looks labels up from the right side, whichever side is
+    sparser; the machine it returns must be the reference's, state
+    numbering included, with no tolerance on any weight."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), eps_prob=st.sampled_from([0.0, 0.2, 0.5]))

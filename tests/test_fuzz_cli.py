@@ -10,9 +10,16 @@ or truncating lines, or by putting a token such as ``nan``, ``1e400`` or
 wrong type or deleting it.  Every run must return 0, 1 or 2 without an
 exception, and a failing run must print exactly one line.
 
-The budget is fixed and derandomized, so tier-1 runs the same examples each
-time.  ``tests/fuzz_cli_deep.py`` runs the same property for longer, with
-fresh randomness.
+A second case sets each float flag of the quickstart's commands to each of
+a few extreme values, such as ``1e308``, ``5e-324`` and ``nan``, one run
+per pair.  The same property holds, and every JSON or JSONL file a run
+writes must hold no ``NaN`` or ``Infinity``, which are not JSON.  Integer
+size, count and epoch flags are never set this way: an extreme size makes
+the program allocate gigabytes before it fails.
+
+The mutation budget is fixed and derandomized, so tier-1 runs the same
+examples each time.  ``tests/fuzz_cli_deep.py`` runs the mutation property
+for longer, with fresh randomness.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import contextlib
 import io
 import json
 import math
+import shutil
 import warnings
 from pathlib import Path
 
@@ -35,12 +43,20 @@ CORPUS = "I am\nI am\nI am\neye\nan eye\n"
 TOKENS = ["nan", "inf", "-inf", "1e400", "-1", "0", "<eow>", "<eos>", "<sos>", "<eps>", "", "x y", "\t", "null", "{}"]
 WRONG_TYPES = [None, "x", "", -1, 0, 2**70, 1e400, math.nan, True, [], [[]], {}]
 TASK_FILES = ("lexicon.txt", "phones.syms", "lm.arpa", "utterances.jsonl", "meta.json")
+FLOAT_VALUES = ["1e308", "-1e308", "5e-324", "-0.0", "nan", "inf", "1e400"]
+# (command, flag) pairs; "--grid" sets the grid's last cell
+FLOAT_FLAGS = [
+    ("decode", "--lm-weight"), ("decode", "--lm-weight-nbest"), ("decode", "--coverage-weight"),
+    ("decode", "--coverage-threshold"), ("sweep", "--grid"), ("split", "--grid-sum"),
+    ("synth", "--noise"), ("train-lm", "--discount"), ("train-scorer", "--lr"),
+]
 
 
-def build_quickstart(root: Path) -> dict[str, list[list[str]]]:
+def build_quickstart(root: Path) -> tuple[dict[str, list[list[str]]], dict[str, list[str]]]:
     """Write the quickstart's files under ``root`` and return, for each
     file a mutation may target, the argument lists of the commands that
-    read it."""
+    read it, and the argument lists :data:`FLOAT_FLAGS` names, each
+    writing under ``root / "flags"``."""
     (root / "lexicon.txt").write_text(LEXICON, encoding="utf-8")
     (root / "corpus.txt").write_text(CORPUS, encoding="utf-8")
     out = root / "out"
@@ -77,7 +93,18 @@ def build_quickstart(root: Path) -> dict[str, list[list[str]]]:
         "s.ckpt": [with_scorer],
     }
     readers.update({f"task/{name}": task_readers for name in TASK_FILES})
-    return readers
+    flags = root / "flags"
+    both = ["--fusion", "both", "--lm-weight", "0.5", "--lm-weight-nbest", "0.5", "--coverage-weight", "0.1"]
+    commands = {
+        "decode": [*decode[:3], *both, *fused[4:], "--out", str(flags / "results.jsonl")],
+        "sweep": [*sweep[:-1], str(flags / "sweep.csv")],
+        "split": [*sweep[:8], "split", "--grid", "0,0.5", "--grid-sum", "0.5", *sweep[11:-1],
+                  str(flags / "split.csv")],
+        "synth": [*synth[:-1], str(flags / "task")],
+        "train-lm": [*train_lm[:-1], str(flags / "lm.arpa")],
+        "train-scorer": [*train_scorer[:-1], str(flags / "s.ckpt")],
+    }
+    return readers, commands
 
 
 def _leaves(value, path=()):
@@ -168,14 +195,44 @@ def mutations(root: Path, readers: dict):
     return draw_one()
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def check_float_flag(root: Path, commands: dict, command: str, flag: str, value: str) -> None:
+    """Run ``command`` with ``flag`` set to ``value``, or with the grid's
+    last cell set to it, in an empty output directory, and check every JSON
+    or JSONL file the run wrote.  The flag is passed as ``flag=value``, the
+    one way to give a value such as ``-1e308`` that starts with a dash."""
+    argv = list(commands[command])
+    if flag in argv:
+        k = argv.index(flag)
+        if flag == "--grid":
+            value = argv[k + 1].rsplit(",", 1)[0] + "," + value
+        del argv[k : k + 2]
+    argv.append(f"{flag}={value}")
+    flags = root / "flags"
+    shutil.rmtree(flags, ignore_errors=True)
+    flags.mkdir()
+    status, printed = run_cli(argv)
+    assert status in (0, 1, 2), (argv, status)
+    if status:
+        assert printed.count("\n") == 1 and printed.endswith("\n"), (argv, printed)
+    for path in sorted(flags.rglob("*")):
+        if path.suffix in (".json", ".jsonl", ".ckpt"):
+            text = path.read_text(encoding="utf-8")
+            for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+                json.loads(doc, parse_constant=_refuse_constant)
+
+
 @pytest.fixture(scope="module")
 def quickstart(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    return root, build_quickstart(root)
+    return (root, *build_quickstart(root))
 
 
 def test_mutated_inputs_exit_cleanly(quickstart):
-    root, readers = quickstart
+    root, readers, _ = quickstart
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -184,3 +241,10 @@ def test_mutated_inputs_exit_cleanly(quickstart):
         check_mutation(root, readers, *mutation)
 
     property_()
+
+
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+def test_extreme_float_flags_exit_cleanly_and_write_only_json(quickstart, command, flag):
+    root, _, commands = quickstart
+    for value in FLOAT_VALUES:
+        check_float_flag(root, commands, command, flag, value)

@@ -182,15 +182,22 @@ class TestAbsdiscHandCounts:
                 mass = sum(math.exp(lm.conditional_logp(ctx, w)) for w in events)
                 assert mass == pytest.approx(1.0, abs=1e-9), (ctx, smoothing)
 
-    def test_oov_maps_to_unk_only_when_trained(self):
-        corpus = ["a a b", "a c c"]
-        plain = train_ngram(corpus, 2, smoothing="absdisc")
+    def test_oov_maps_to_unk_only_when_trained(self, tmp_path):
+        plain = train_ngram(["a a b", "a c c"], 2, smoothing="absdisc")
         assert score_sequence(plain, ["a", "zzz"]) == -math.inf
-        with_unk = train_ngram(corpus, 2, smoothing="absdisc", unk=True)
-        # b and the unseen word both land on <unk> now
+        # a model whose ARPA file lists <unk> scores an unseen word as <unk>
+        path = tmp_path / "unk.arpa"
+        path.write_text(
+            "\\data\\\nngram 1=4\nngram 2=2\n\n\\1-grams:\n"
+            "-99\t<s>\t-0.2\n-0.5\t</s>\n-0.6\ta\t-0.3\n-0.7\t<unk>\n\n"
+            "\\2-grams:\n-0.1\t<s> a\n-0.4\ta <unk>\n\n\\end\\\n",
+            encoding="utf-8",
+        )
+        with_unk = read_arpa(path)
         got = score_sequence(with_unk, ["a", "zzz"])
         assert math.isfinite(got)
-        assert got == score_sequence(with_unk, ["a", "b"])
+        assert got == score_sequence(with_unk, ["a", "<unk>"])
+        assert score_sequence(with_unk, ["zzz"]) == score_sequence(with_unk, ["<unk>"])
 
 
 class TestFstExport:
