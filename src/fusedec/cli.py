@@ -5,10 +5,13 @@ pronunciation lexicon, train a language model, synthesize a task, train the
 toy attention scorer, decode, sweep fusion weights, and score hypotheses.
 Every run writes its primary output plus a manifest recording the command,
 the flag values, sha256 digests of the inputs, the seed, and the toolkit
-version.  Reruns with the same flags produce byte-identical primary outputs;
-manifests differ only in the duration field.
+version: ``out/manifest.json`` when the output is a directory, else
+``out.manifest.json`` beside it.  Reruns with the same flags produce
+byte-identical primary outputs; manifests differ only in the duration field.
 
-Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
+Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors, each
+failure printed as one line; argparse's refusals are usage errors too.  A
+negative value may follow its flag after a space (``--discount -1e-3``).
 Configuration comes from flags alone, never from environment variables.
 """
 
@@ -19,7 +22,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -33,8 +35,9 @@ from .decoder import (
 )
 from .fst import SymbolTable, write_fst_text
 from .lexicon import EOW, EOW_MODES, LexiconError, compile_lexicon, parse_lexicon
-from .ngram import NGramError, lm_to_fst, read_arpa, train_ngram, write_arpa
+from .ngram import SMOOTHINGS, NGramError, lm_to_fst, read_arpa, train_ngram, write_arpa
 from .scorer import (
+    OPTIMIZERS,
     ToyLasModel,
     load_checkpoint,
     save_checkpoint,
@@ -47,94 +50,99 @@ from .wer import corpus_wer
 
 
 class UsageError(Exception):
-    """Bad flag combination; maps to exit code 2."""
+    """A flag, value or flag combination the command refuses; maps to exit code 2."""
 
 
-@dataclass
-class RunManifest:
-    """What gets written next to each command's primary output."""
-
-    path: Path
-    command: str
-    config: dict
-    inputs: Sequence[str | Path]
-    seed: int | None
-
-    def write(self, duration: float) -> None:
-        digests: dict[str, str] = {}
-        for entry in self.inputs:
-            entry = Path(entry)
-            if entry.is_dir():
-                # skip the directory's own manifests: they hold durations
-                files = sorted(p for p in entry.rglob("*") if p.is_file()
-                               and p.name != "manifest.json" and not p.name.endswith(".manifest.json"))
-            else:
-                files = [entry]
-            for f in files:
-                digests[str(f)] = hashlib.sha256(f.read_bytes()).hexdigest()
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "duration_s": duration,
-            "inputs": digests,
-            "seed": self.seed,
-            "version": __version__,
-        }
-        self.path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
-def _config_echo(args: argparse.Namespace) -> dict:
-    echo = dict(vars(args))
-    echo.pop("func", None)
-    echo.pop("command", None)
-    return echo
+class _Parser(argparse.ArgumentParser):
+    """Refuses by raising :class:`UsageError` that names the (sub)command,
+    and reads a dash followed by anything ``float()`` reads as a value: the
+    private argparse pattern it replaces, pinned by a test, reads -1e-3 as a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = argparse.Namespace(match=_reads_as_float)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _write_manifest(args: argparse.Namespace, inputs: Sequence[str], duration: float) -> None:
+    """Write the run's manifest beside its output, or into it when that is a directory."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    digests: dict[str, str] = {}
+    for entry in map(Path, inputs):
+        if entry.is_dir():
+            # skip the directory's own manifests: they hold durations
+            files = sorted(p for p in entry.rglob("*") if p.is_file()
+                           and p.name != "manifest.json" and not p.name.endswith(".manifest.json"))
+        else:
+            files = [entry]
+        for f in files:
+            digests[str(f)] = hashlib.sha256(f.read_bytes()).hexdigest()
+    payload = {
+        "command": args.command,
+        "config": config,
+        "duration_s": duration,
+        "inputs": digests,
+        "seed": config.get("seed"),
+        "version": __version__,
+    }
+    out = Path(args.out)
+    path = out / "manifest.json" if out.is_dir() else Path(f"{out}.manifest.json")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _lexicon(path: str, eow_mode: str | None = None, phoneset: SymbolTable | None = None):
     """The lexicon file at ``path``, compiled in ``eow_mode`` unless that
     is None; a malformed or empty file raises an error naming it."""
     try:
-        lex = parse_lexicon(_read_text(path), phoneset)
+        lex = parse_lexicon(Path(path).read_text(encoding="utf-8"), phoneset)
         return lex if eow_mode is None else compile_lexicon(lex, eow_mode)
     except LexiconError as err:
         raise LexiconError(f"{path}: {err}") from None
 
 
-def _cmd_compile_lexicon(args: argparse.Namespace) -> RunManifest:
+def _cmd_compile_lexicon(args: argparse.Namespace) -> list[str]:
     phoneset = SymbolTable.read(args.phones) if args.phones else None
     if phoneset is not None and EOW not in phoneset:
         raise ValueError(f"{args.phones}: the phone table lacks {EOW}")
     fst = _lexicon(args.lexicon, args.eow_mode, phoneset)
-    out = Path(args.out)
-    write_fst_text(fst, out)
-    fst.isyms.write(f"{out}.isyms")
-    fst.osyms.write(f"{out}.osyms")
-    inputs = [args.lexicon] + ([args.phones] if args.phones else [])
-    return RunManifest(Path(f"{out}.manifest.json"), "compile-lexicon", _config_echo(args), inputs, None)
+    write_fst_text(fst, args.out)
+    fst.isyms.write(f"{args.out}.isyms")
+    fst.osyms.write(f"{args.out}.osyms")
+    return [args.lexicon] + ([args.phones] if args.phones else [])
 
 
-def _cmd_train_lm(args: argparse.Namespace) -> RunManifest:
-    sentences = [line.split() for line in _read_text(args.corpus).splitlines() if line.strip()]
+def _cmd_train_lm(args: argparse.Namespace) -> list[str]:
+    sentences = [line.split() for line in Path(args.corpus).read_text(encoding="utf-8").splitlines() if line.strip()]
     lm = train_ngram(sentences, args.order, args.smoothing, args.discount)
     write_arpa(lm, args.out)
-    return RunManifest(Path(f"{args.out}.manifest.json"), "train-lm", _config_echo(args), [args.corpus], None)
+    return [args.corpus]
 
 
-def _cmd_synth(args: argparse.Namespace) -> RunManifest:
+def _cmd_synth(args: argparse.Namespace) -> list[str]:
     lex = _lexicon(args.lexicon)
     lm = read_arpa(args.lm)
     task = synth_corpus(args.seed, lex, lm, args.count, args.noise)
     save_task(task, args.out)
-    return RunManifest(
-        Path(args.out) / "manifest.json", "synth", _config_echo(args), [args.lexicon, args.lm], args.seed,
-    )
+    return [args.lexicon, args.lm]
 
 
-def _cmd_train_scorer(args: argparse.Namespace) -> RunManifest:
+def _cmd_train_scorer(args: argparse.Namespace) -> list[str]:
     task = load_task(args.task)
     if not task.utterances:
         raise ValueError(f"task {args.task} has no utterances to train on")
@@ -149,7 +157,7 @@ def _cmd_train_scorer(args: argparse.Namespace) -> RunManifest:
     trace = train_model(model, utts, args.epochs, args.lr, args.optimizer)
     save_checkpoint(model, args.out)
     write_loss_trace(f"{args.out}.loss.csv", trace)
-    return RunManifest(Path(f"{args.out}.manifest.json"), "train-scorer", _config_echo(args), [args.task], args.seed)
+    return [args.task]
 
 
 def _decode_config(args: argparse.Namespace, **fields) -> DecodeConfig:
@@ -178,15 +186,7 @@ def _load_resources(args: argparse.Namespace) -> DecodeResources:
     return DecodeResources(lexicon_fst, lm_fst)
 
 
-def _task_scorer(args: argparse.Namespace, task):
-    if args.scorer:
-        model = load_checkpoint(args.scorer)
-        _, utts = build_table_scorer(task)
-        return model, utts
-    return build_table_scorer(task)
-
-
-def _cmd_decode(args: argparse.Namespace) -> RunManifest:
+def _cmd_decode(args: argparse.Namespace) -> list[str]:
     config = _decode_config(
         args,
         fusion=args.fusion,
@@ -201,12 +201,12 @@ def _cmd_decode(args: argparse.Namespace) -> RunManifest:
     else:
         raise UsageError(f"fusion {args.fusion!r} requires --lexicon and --lm")
     task = load_task(args.task)
-    scorer, utts = _task_scorer(args, task)
-    results = decode_batch(scorer, resources, utts, config)
+    model = load_checkpoint(args.scorer) if args.scorer else None
+    table, utts = build_table_scorer(task)
+    results = decode_batch(table if model is None else model, resources, utts, config)
     text = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in results)
     Path(args.out).write_text(text, encoding="utf-8")
-    inputs = [args.task, *resource_inputs] + ([args.scorer] if args.scorer else [])
-    return RunManifest(Path(f"{args.out}.manifest.json"), "decode", _config_echo(args), inputs, None)
+    return [args.task, *resource_inputs] + ([args.scorer] if args.scorer else [])
 
 
 def _sweep_grid(args: argparse.Namespace) -> list:
@@ -223,7 +223,7 @@ def _sweep_grid(args: argparse.Namespace) -> list:
     return values
 
 
-def _cmd_sweep(args: argparse.Namespace) -> RunManifest:
+def _cmd_sweep(args: argparse.Namespace) -> list[str]:
     grid = _sweep_grid(args)
     config = _decode_config(args)
     resources = _load_resources(args)
@@ -240,15 +240,14 @@ def _cmd_sweep(args: argparse.Namespace) -> RunManifest:
         if point.error is not None:
             raise ValueError(f"sweep point {k} ({args.which} weight {grid[k]!r}) failed: {point.error}")
     write_sweep_csv(result, args.out)
-    inputs = [args.task, args.lexicon, args.lm]
-    return RunManifest(Path(f"{args.out}.manifest.json"), "sweep", _config_echo(args), inputs, None)
+    return [args.task, args.lexicon, args.lm]
 
 
-def _cmd_score(args: argparse.Namespace) -> RunManifest:
+def _cmd_score(args: argparse.Namespace) -> list[str]:
     task = load_task(args.task)
     refs = {utt.uid: utt.words for utt in task.utterances}
     pairs = {}
-    for lineno, line in enumerate(_read_text(args.results).splitlines(), 1):
+    for lineno, line in enumerate(Path(args.results).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         where = f"{args.results}:{lineno}"
@@ -284,7 +283,7 @@ def _cmd_score(args: argparse.Namespace) -> RunManifest:
         f"(del {breakdown.deletions} ins {breakdown.insertions} "
         f"sub {breakdown.substitutions} / {breakdown.ref_count} ref words)"
     )
-    return RunManifest(Path(f"{args.out}.manifest.json"), "score", _config_echo(args), [args.task, args.results], None)
+    return [args.task, args.results]
 
 
 def _add_decode_flags(p: argparse.ArgumentParser) -> None:
@@ -298,7 +297,7 @@ def _add_decode_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fusedec",
         description="Lexicon-constrained beam search with n-gram fusion for toy attention scorers.",
     )
@@ -316,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-lm", help="estimate a backoff n-gram model")
     p.add_argument("--corpus", required=True, help="text file, one sentence per line")
     p.add_argument("--order", type=int, default=2, help="model order, 1 to 4")
-    p.add_argument("--smoothing", choices=("mle", "absdisc"), default="absdisc")
+    p.add_argument("--smoothing", choices=SMOOTHINGS, default="absdisc")
     p.add_argument("--discount", type=float, default=0.4, help="absolute discount amount")
     p.add_argument("--out", required=True, help="output ARPA path")
     p.set_defaults(func=_cmd_train_lm)
@@ -334,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, help="task directory from synth")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--optimizer", choices=("sgd", "adam"), default="adam")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
     p.add_argument("--enc-hidden", type=int, default=16)
     p.add_argument("--dec-hidden", type=int, default=16)
     p.add_argument("--att-dim", type=int, default=8)
@@ -381,18 +380,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    start = time.monotonic()
     try:
-        manifest = args.func(args)
+        args = _build_parser().parse_args(argv)
+        start = time.monotonic()
+        inputs = args.func(args)
+        _write_manifest(args, inputs, time.monotonic() - start)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError, MemoryError) as err:
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
-    manifest.write(time.monotonic() - start)
     return 0
 
 

@@ -54,6 +54,7 @@ from .fst import EPSILON, SymbolTable
 
 SOS = "<sos>"
 EOS = "<eos>"
+OPTIMIZERS = ("sgd", "adam")
 
 _CKPT_VERSION = 3
 # The longest prefix a ToyLasModel decode grows, <eos> not counted.
@@ -675,8 +676,8 @@ def train_model(
         raise ScorerError(f"epochs must be >= 1, got {epochs}")
     if not math.isfinite(lr) or lr < 0:
         raise ScorerError(f"lr must be finite and non-negative, got {lr}")
-    if optimizer not in ("sgd", "adam"):
-        raise ScorerError(f"optimizer must be 'sgd' or 'adam', got {optimizer!r}")
+    if optimizer not in OPTIMIZERS:
+        raise ScorerError(f"optimizer must be one of {OPTIMIZERS}, got {optimizer!r}")
     trace: list[float] = []
     adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
     adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}

@@ -6,6 +6,7 @@ sweep, score, and train-scorer on top of it, plus the exit-code contract
 and byte-level reproducibility of reruns.
 """
 
+import argparse
 import json
 import math
 import shutil
@@ -190,10 +191,10 @@ class TestDecodeCommand:
         assert "1e+308" in err
         assert not out.exists()
 
-    def test_missing_required_flag_exits_two(self, pipeline):
-        with pytest.raises(SystemExit) as err:
-            main(["decode", "--task", str(pipeline / "task")])
-        assert err.value.code == 2
+    def test_missing_required_flag_exits_two(self, pipeline, capsys):
+        assert main(["decode", "--task", str(pipeline / "task")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: fusedec decode: ") and err.count("\n") == 1
 
 
 class TestSweepCommand:
@@ -759,3 +760,71 @@ def test_version_flag_exits_zero(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert "fusedec" in capsys.readouterr().out
+
+
+def test_help_flag_exits_zero(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["decode", "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fusedec decode")
+
+
+# per command: flags that satisfy its required ones, a flag with choices, an int flag
+PARSER_FLAGS = {
+    "compile-lexicon": (["--lexicon", "l", "--out", "o"], "--eow-mode", None),
+    "train-lm": (["--corpus", "c", "--out", "o"], "--smoothing", "--order"),
+    "synth": (["--lexicon", "l", "--lm", "m", "--count", "1", "--out", "o"], None, "--count"),
+    "train-scorer": (["--task", "t", "--out", "o"], "--optimizer", "--epochs"),
+    "decode": (["--task", "t", "--out", "o"], "--fusion", "--beam-width"),
+    "sweep": (["--task", "t", "--lexicon", "l", "--lm", "m", "--which", "beam", "--grid", "0", "--out", "o"],
+              "--which", "--nbest"),
+    "score": (["--task", "t", "--results", "r", "--out", "o"], None, None),
+}
+REFUSALS = [
+    pytest.param(command, argv, id=f"{command}-{kind}")
+    for command, (required, choice, integer) in PARSER_FLAGS.items()
+    for kind, argv in [
+        ("missing", [command, *required[2:]]),
+        ("unknown", [command, *required, "--no-such-flag"]),
+        ("choice", [command, *required, choice, "no-such-choice"] if choice else None),
+        ("int", [command, *required, integer, "1.5x"] if integer else None),
+    ]
+    if argv is not None
+]
+
+
+@pytest.mark.parametrize("command, argv", REFUSALS)
+def test_every_argparse_refusal_is_one_usage_line(command, argv, capsys):
+    assert main(argv) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith(f"usage error: fusedec {command}: ") and printed.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["no-such-command"], ["--no-such-flag", "score", *PARSER_FLAGS["score"][0]]])
+def test_a_refusal_before_the_command_names_the_program(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: fusedec: ") and err.count("\n") == 1
+
+
+def test_argparse_still_has_the_negative_number_hook():
+    # the parser replaces this private attribute so that -1e-3 is a value; an
+    # argparse that renamed it would silently read such values as flags again
+    assert "_negative_number_matcher" in vars(argparse.ArgumentParser())
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E308", "-.5", "-inf", "-NaN"])
+def test_a_negative_value_may_follow_its_flag_after_a_space(pipeline, tmp_path, value, capsys):
+    def run(*spelling):
+        argv = ["train-lm", "--corpus", str(pipeline / "corpus.txt"), *spelling, "--out", str(tmp_path / "lm")]
+        return main(argv), capsys.readouterr().err
+
+    spaced = run("--discount", value)
+    assert spaced == run(f"--discount={value}")
+    assert spaced[0] == 1 and spaced[1].startswith("error: discount must be in (0, 1), got ")
+
+
+def test_a_negative_exponent_weight_reaches_the_config_refusal(pipeline, tmp_path, capsys):
+    assert main(decode_args(pipeline, tmp_path / "r.jsonl", "--fusion", "beam", "--lm-weight", "-1e308")) == 2
+    assert capsys.readouterr().err == "usage error: weights must be non-negative\n"

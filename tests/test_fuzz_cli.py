@@ -11,9 +11,10 @@ wrong type or deleting it.  Every run must return 0, 1 or 2 without an
 exception, and a failing run must print exactly one line.
 
 A second case sets each float flag of the quickstart's commands to each of
-a few extreme values, such as ``1e308``, ``5e-324`` and ``nan``, one run
-per pair.  The same property holds, and every JSON or JSONL file a run
-writes must hold no ``NaN`` or ``Infinity``, which are not JSON.  Integer
+a few extreme values, such as ``1e308``, ``-1e308`` and ``nan``, once as
+``flag=value`` and once as ``flag value``.  The same property holds, both
+spellings must end alike and print the same, and every JSON or JSONL file a
+run writes must hold no ``NaN`` or ``Infinity``, which are not JSON.  Integer
 size, count and epoch flags are never set this way: an extreme size makes
 the program allocate gigabytes before it fails.
 
@@ -202,15 +203,22 @@ def _refuse_constant(name: str):
 def check_float_flag(root: Path, commands: dict, command: str, flag: str, value: str) -> None:
     """Run ``command`` with ``flag`` set to ``value``, or with the grid's
     last cell set to it, in an empty output directory, and check every JSON
-    or JSONL file the run wrote.  The flag is passed as ``flag=value``, the
-    one way to give a value such as ``-1e308`` that starts with a dash."""
+    or JSONL file the run wrote.  The value is given both as ``flag=value``
+    and as ``flag value``, which must end alike and print the same, also
+    for a value such as ``-1e308`` that starts with a dash."""
     argv = list(commands[command])
     if flag in argv:
         k = argv.index(flag)
         if flag == "--grid":
             value = argv[k + 1].rsplit(",", 1)[0] + "," + value
         del argv[k : k + 2]
-    argv.append(f"{flag}={value}")
+    joined = _run_in_empty_flags(root, [*argv, f"{flag}={value}"])
+    assert _run_in_empty_flags(root, [*argv, flag, value]) == joined, (argv, flag, value)
+
+
+def _run_in_empty_flags(root: Path, argv: list[str]) -> tuple[int, str]:
+    """Exit status and everything printed, for one run writing into an
+    emptied ``root / "flags"``, after checking the run's JSON and JSONL."""
     flags = root / "flags"
     shutil.rmtree(flags, ignore_errors=True)
     flags.mkdir()
@@ -223,6 +231,7 @@ def check_float_flag(root: Path, commands: dict, command: str, flag: str, value:
             text = path.read_text(encoding="utf-8")
             for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
                 json.loads(doc, parse_constant=_refuse_constant)
+    return status, printed
 
 
 @pytest.fixture(scope="module")
