@@ -3,7 +3,7 @@
 A word-level language model can enter the search three ways: rescoring an
 n-best list after a plain beam search, adding lattice prefix costs inside
 the search, or both at once.  Lattice costs come from the composed
-lexicon-grammar machine; the scorer supplies the per-step distributions.
+lexicon-grammar machine; the scorer supplies the per-step log-probabilities.
 """
 
 from __future__ import annotations
@@ -401,12 +401,11 @@ def _expand(
     :meth:`FusionGraph.advance`, a token tuple and a live entry.
 
     A scorer step returns one row per live entry or one row standing for
-    them all; any other count raises :class:`DecodeError`.
-    Log-probabilities are taken once per entry of each row the scorer
-    returns, so a row that stands for every live entry costs one
-    ``math.log`` per symbol, not one per child; None marks an entry that is
-    not positive.  ``np.log`` over the row would differ from ``math.log`` in
-    the last bit on some values and change the results.
+    them all; any other count raises :class:`DecodeError`.  A row holds
+    log-probabilities, None where a probability is 0, and the beam reads
+    them as they are: it takes no log itself.  The scorer takes them with
+    ``math.log``, once per distinct probability for a table, so the table
+    scorer's logs cost nothing at any depth of any decode.
 
     Finished entries go into ``best``, the bounded n-best itself: at most
     ``nbest_size`` of them in ``(total, tokens)`` order; once it is full,
@@ -450,16 +449,15 @@ def _expand(
     for depth in range(steps + 1):
         extend = depth < steps
         prev = [e[1][-1] if e[1] else None for e in live]
-        dists, states = step_distributions(scorer, [e[6] for e in live], prev)
+        logs, states = step_distributions(scorer, [e[6] for e in live], prev)
         covs = coverage_count(scorer, states, config.coverage_threshold) if eta > 0.0 else [0] * len(live)
-        if len(dists) not in (1, len(live)):
+        if len(logs) not in (1, len(live)):
             raise DecodeError(
-                f"the scorer returned {len(dists)} rows for {len(live)} live hypotheses; "
+                f"the scorer returned {len(logs)} rows for {len(live)} live hypotheses; "
                 f"a step returns one row for all or one per hypothesis"
             )
-        logs = [[math.log(p) if p > 0.0 else None for p in row] for row in dists.tolist()]
         if len(logs) < len(live):  # one row standing for every state
-            logs *= len(live)
+            logs = [logs[0]] * len(live)
         candidates: list[tuple[float, tuple[int, ...], int, float, float, int]] = []
         cut = math.inf
         for i, (_, tokens, model_score, _, _, lm_state, _) in enumerate(live):

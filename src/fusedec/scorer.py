@@ -9,14 +9,15 @@ which scorer it holds:
   counted) the scorer can grade for this utterance;
 - ``scorer.start(utt) -> state``: per-utterance work, done once (the model
   encodes the features and computes its attention keys here);
-- ``scorer.step(states, tokens) -> (dists, states)``: state ``i`` consumes
+- ``scorer.step(states, tokens) -> (rows, states)``: state ``i`` consumes
   ``tokens[i]`` (``None`` on the first step, which the model reads as
-  ``<sos>``); row ``i`` of ``dists`` is the next-symbol distribution that
-  follows, and ``states[i]`` the state after it.  A scorer whose states
-  all share one distribution may return a single row that stands for
-  every state, as numpy broadcasting does.  Both scorers raise
-  ``ScorerError`` for a step with no state or with a token count other
-  than the state count;
+  ``<sos>``); row ``i`` of ``rows`` holds the next symbol's
+  log-probabilities, and ``states[i]`` the state after it.  A row is a
+  sequence over the alphabet of ``math.log(p)``, with ``None`` where ``p``
+  is 0, so the beam reads it as it is.  A scorer whose states all share
+  one distribution may return a single row that stands for every state.
+  Both scorers raise ``ScorerError`` for a step with no state or with a
+  token count other than the state count;
 - ``scorer.covered(states, threshold) -> counts``: for each state, how
   many encoder frames the hypothesis at it will have covered once it is
   closed with ``<eos>``; never more than the larger of the steps taken and
@@ -32,12 +33,16 @@ encoded twice.
 Distributions are dense float64 arrays of probabilities (at most 1, so no
 step lowers a hypothesis's cost) indexed by symbol id; epsilon and
 ``<sos>`` positions are structurally zero since a decode step can never
-produce them.  Everything runs in float64 so the analytic gradients can be
-checked against central finite differences at tight tolerance.  Training
-and decoding run one ``ToyLasModel`` forward pass, batched over utterances
-in training and over a beam's hypotheses in decoding.  A model is its
-alphabet and its arrays, whose shapes give its sizes; its checkpoint is one
-JSON document of the two (:func:`save_checkpoint`).
+produce them.  A step hands the beam their logs, each taken with
+``math.log`` (``np.log`` differs from it in the last bit on some values):
+the table scorer takes one per distinct probability when it is built, and
+the model one per entry of the rows it steps.  Everything runs in float64
+so the analytic gradients can be checked against central finite
+differences at tight tolerance.  Training and decoding run one
+``ToyLasModel`` forward pass, batched over utterances in training and over
+a beam's hypotheses in decoding.  A model is its alphabet and its arrays,
+whose shapes give its sizes; its checkpoint is one JSON document of the two
+(:func:`save_checkpoint`).
 """
 
 from __future__ import annotations
@@ -135,9 +140,12 @@ class TableScorer:
     The k-th row is the distribution after a prefix of length k, regardless
     of what the prefix contains.  Rows must hold probabilities (in [0, 1],
     so no step lowers a hypothesis's cost), sum to 1 within 1e-9, and put no
-    mass on epsilon or ``<sos>``.  A state is the triple
-    (uid, rows, steps taken); the table has no attention, so each step
-    stands for one covered frame.
+    mass on epsilon or ``<sos>``.  ``rows`` keeps them as read-only arrays,
+    and ``log_rows`` as the rows a step returns: tuples of log-probabilities,
+    None where a probability is 0.  Each distinct probability of the table
+    has its log taken once, here, and its entries share that one float.  A
+    state is the triple (uid, log rows, steps taken); the table has no
+    attention, so each step stands for one covered frame.
     """
 
     def __init__(self, alphabet: SymbolTable, rows: Mapping[str, np.ndarray | Sequence[Sequence[float]]]):
@@ -152,6 +160,8 @@ class TableScorer:
                 raise ScorerError(
                     f"{uid}: rows must be (steps, {len(alphabet)}), got shape {arr.shape}"
                 )
+            if np.any(np.isnan(arr)):
+                raise ScorerError(f"{uid}: NaN in step rows")
             if np.any(arr < 0):
                 raise ScorerError(f"{uid}: negative probability in step rows")
             if np.any(arr > 1):
@@ -165,24 +175,32 @@ class TableScorer:
             arr.setflags(write=False)
             table[uid] = arr
         self.rows = table
+        logs: dict[float, float | None] = {}
 
-    def _rows_for(self, utt: Utterance) -> np.ndarray:
+        def log(p: float) -> float | None:
+            if p not in logs:
+                logs[p] = math.log(p) if p > 0.0 else None
+            return logs[p]
+
+        self.log_rows = {uid: tuple(tuple(map(log, row)) for row in arr.tolist()) for uid, arr in table.items()}
+
+    def _log_rows_for(self, utt: Utterance) -> tuple[tuple[float | None, ...], ...]:
         try:
-            return self.rows[utt.uid]
+            return self.log_rows[utt.uid]
         except KeyError:
             raise ScorerError(f"no step rows stored for utterance {utt.uid!r}") from None
 
     def token_limit(self, utt: Utterance) -> int:
-        return len(self._rows_for(utt)) - 1
+        return len(self._log_rows_for(utt)) - 1
 
-    def start(self, utt: Utterance) -> tuple[str, np.ndarray, int]:
-        return utt.uid, self._rows_for(utt), 0
+    def start(self, utt: Utterance) -> tuple[str, tuple, int]:
+        return utt.uid, self._log_rows_for(utt), 0
 
-    def step(self, states: Sequence[tuple[str, np.ndarray, int]], tokens: Sequence[int | None]):
-        """Row k of the table, for states that all hold one utterance's
-        prefixes of length k, as a beam's live entries at one depth do:
-        one (1, V) row that stands for every state, and the one state that
-        follows them all."""
+    def step(self, states: Sequence[tuple[str, tuple, int]], tokens: Sequence[int | None]):
+        """Log row k of the table, for states that all hold one
+        utterance's prefixes of length k, as a beam's live entries at one
+        depth do: one row that stands for every state, and the one state
+        that follows them all."""
         _check_batch(states, tokens)
         first = states[0]
         uid, rows, k = first
@@ -194,7 +212,7 @@ class TableScorer:
             raise ScorerError(f"prefix of length {k} exceeds the {len(rows)} stored steps for {uid!r}")
         return rows[k : k + 1], [(uid, rows, k + 1)] * len(states)
 
-    def covered(self, states: Sequence[tuple[str, np.ndarray, int]], threshold: float) -> list[int]:
+    def covered(self, states: Sequence[tuple[str, tuple, int]], threshold: float) -> list[int]:
         return [st[2] for st in states]
 
 
@@ -425,12 +443,14 @@ class ToyLasModel:
         return self.init_state(self.encode(utt.features))
 
     def step(self, states: Sequence[DecoderStepState], tokens: Sequence[int | None]):
-        """:meth:`decode_steps` on ``tokens``, reading None as <sos>; a
-        prefix may grow to ``MAX_PREFIX`` symbols."""
+        """:meth:`decode_steps` on ``tokens``, reading None as <sos>, with
+        each row's logs taken entry by entry; a prefix may grow to
+        ``MAX_PREFIX`` symbols."""
         for state in states:
             if state.steps > MAX_PREFIX:
                 raise ScorerError(f"prefix of length {state.steps} exceeds the model's limit of {MAX_PREFIX}")
-        return self.decode_steps(states, [self.sos_id if t is None else t for t in tokens])
+        dists, states = self.decode_steps(states, [self.sos_id if t is None else t for t in tokens])
+        return [[math.log(p) if p > 0.0 else None for p in row] for row in dists.tolist()], states
 
     def covered(self, states: Sequence[DecoderStepState], threshold: float) -> list[int]:
         """For each state, the frames above ``threshold`` after one more
@@ -538,9 +558,11 @@ class ToyLasModel:
 
 
 def step_distributions(scorer, states, tokens):
-    """One protocol step of a beam's live hypotheses: the distributions
-    after ``tokens`` (None on a hypothesis's first step), a row per state
-    or one row for all, and the states that follow them."""
+    """One protocol step of a beam's live hypotheses: the log-probability
+    rows after ``tokens`` (None on a hypothesis's first step), a row per
+    state or one row for all, and the states that follow them.  It returns
+    logs, not distributions; the name stays because bench/tracing.py wraps
+    it by name."""
     return scorer.step(states, tokens)
 
 

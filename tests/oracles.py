@@ -239,6 +239,12 @@ def fused_argmin_bruteforce(rows, eos_id, max_len, lam=0.0, eta=0.0, graph=None)
     return best
 
 
+def log_rows(dists) -> list[list[float | None]]:
+    """Probability rows as a scorer step returns them: ``math.log(p)`` per
+    entry, None where ``p`` is 0."""
+    return [[math.log(p) if p > 0.0 else None for p in row] for row in np.asarray(dists, dtype=np.float64).tolist()]
+
+
 def replay_distribution(scorer, utt, prefix):
     """Next-symbol distribution after ``prefix`` (ids, no <sos>), rebuilt
     from scratch: a table scorer reads row ``len(prefix)``, an attention
@@ -428,12 +434,12 @@ def reference_expand(scorer, utt: Utterance, config: DecodeConfig, graph: Fusion
         extend = depth < steps
         candidates: list[tuple[Hypothesis, object, object]] = []
         for hyp, lm_state, state in live:
-            dists, (state,) = step_distributions(scorer, [state], [hyp.tokens[-1] if hyp.tokens else None])
-            dist = dists[0]
+            logs, (state,) = step_distributions(scorer, [state], [hyp.tokens[-1] if hyp.tokens else None])
             cov = coverage_count(scorer, [state], config.coverage_threshold)[0] if eta > 0.0 else 0
-            for tid in np.flatnonzero(dist > 0.0):
-                tid = int(tid)
-                score = hyp.model_score + math.log(dist[tid])
+            for tid, lp in enumerate(logs[0]):
+                if lp is None:
+                    continue
+                score = hyp.model_score + lp
                 if tid == eos:
                     if graph is not None:
                         stop = graph.final_best(lm_state)

@@ -4,6 +4,7 @@ import json
 import math
 import signal
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusedec import decoder as decoder_mod
+from fusedec import scorer as scorer_mod
 from fusedec.decoder import (
     FUSION_MODES,
     SPACE,
@@ -44,6 +46,7 @@ from fusedec.scorer import EOS, SOS, TableScorer, ToyLasModel, Utterance
 import oracles
 from oracles import (
     fused_argmin_bruteforce,
+    log_rows,
     reference_expand,
     reference_nbest_rescore,
     reference_output_weights,
@@ -1457,7 +1460,7 @@ class ScriptedScorer:
     def step(self, states, tokens):
         prefixes = [() if token is None else (*state, token) for state, token in zip(states, tokens)]
         stop = rows_for(self.alphabet, [{EOS: 1.0}])[0]
-        return np.stack([self.dists.get(prefix, stop) for prefix in prefixes]), prefixes
+        return log_rows([self.dists.get(prefix, stop) for prefix in prefixes]), prefixes
 
     def covered(self, states, threshold):
         counts = []
@@ -1483,9 +1486,9 @@ class RowPerState:
         return self.table.start(utt)
 
     def step(self, states, tokens):
-        dists, nxt = self.table.step(states, tokens)
+        rows, nxt = self.table.step(states, tokens)
         self.widest = max(self.widest, len(states))
-        return np.repeat(dists, len(states), axis=0), nxt
+        return rows * len(states), nxt
 
     def covered(self, states, threshold):
         return self.table.covered(states, threshold)
@@ -1527,14 +1530,38 @@ class TestSharedRows:
             """Returns two rows once three or more states step together."""
 
             def step(self, states, tokens):
-                dists, nxt = super().step(states, tokens)
-                return (np.repeat(dists, 2, axis=0) if len(states) >= 3 else dists), nxt
+                rows, nxt = super().step(states, tokens)
+                return (rows * 2 if len(states) >= 3 else rows), nxt
 
         alphabet = make_alphabet("a", "b", "c")
         rows = rows_for(alphabet, [{"a": 0.3, "b": 0.3, "c": 0.3, EOS: 0.1}] * 3 + [{EOS: 1.0}])
         scorer = TwoRowsForMany(alphabet, {"u0": rows})
         with pytest.raises(DecodeError, match="2 rows for 3 live hypotheses"):
             beam_search(scorer, make_utt(), DecodeConfig(beam_width=4))
+
+
+class TestNoLogInTheBeam:
+    """The beam reads the log-probability rows a scorer hands it as they
+    are: once a table scorer is built, its decodes take no log."""
+
+    def test_a_table_decode_takes_no_log(self, homophone, monkeypatch):
+        _, resources, alphabet = homophone
+        table = TableScorer(alphabet, {"u0": random_rows(alphabet, np.random.default_rng(3), 6)})
+        calls = []
+
+        def log(*args):
+            calls.append(args)
+            return math.log(*args)
+
+        counting = SimpleNamespace(**vars(math))
+        counting.log = log
+        # math.log as the decoder and the scorers look it up
+        monkeypatch.setattr(decoder_mod, "math", counting)
+        monkeypatch.setattr(scorer_mod, "math", counting)
+        fused = decode(table, resources, make_utt(), DecodeConfig(fusion="beam", lm_weight=0.3, beam_width=4))
+        unfused = beam_search(table, make_utt(), DecodeConfig(beam_width=4))
+        assert fused.hypotheses and unfused.entries
+        assert calls == []
 
 
 def split_start_graph(alphabet: SymbolTable, symbols) -> FusionGraph:

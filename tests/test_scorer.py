@@ -30,6 +30,7 @@ from fusedec.scorer import (
 
 from oracles import (
     head_weights,
+    log_rows,
     reference_decode_step,
     reference_state,
     reference_teacher_forced_accuracy,
@@ -60,14 +61,19 @@ def make_utt(alphabet, rng, uid="u0", T=4, words="a b"):
 
 
 def step_one(scorer, state, token):
-    """One protocol step of a single state: (distribution, next state)."""
+    """One protocol step of a single state: (log-probability row, next state)."""
     dists, (state,) = step_distributions(scorer, [state], [token])
     return dists[0], state
 
 
+def bits(rows):
+    """Log-probability rows with each float spelled exactly, in hex."""
+    return [[None if x is None else x.hex() for x in row] for row in rows]
+
+
 def chain(scorer, utt, prefix):
     """Step a scorer from its start state through ``prefix``; returns the
-    distribution after the last step and the state that follows it."""
+    log-probability row after the last step and the state that follows it."""
     dist, state = step_one(scorer, scorer.start(utt), None)
     for y in prefix:
         dist, state = step_one(scorer, state, y)
@@ -106,8 +112,8 @@ class TestTableScorer:
         rows[:, abc_alphabet.id("<eos>")] = [0.0, 0.0, 1.0]
         ts = TableScorer(abc_alphabet, {"u0": rows})
         utt = Utterance("u0", np.zeros((3, 2)), (1,))
-        np.testing.assert_array_equal(chain(ts, utt, [])[0], rows[0])
-        np.testing.assert_array_equal(chain(ts, utt, [1, 2])[0], rows[2])
+        assert list(chain(ts, utt, [])[0]) == log_rows(rows)[0]
+        assert list(chain(ts, utt, [1, 2])[0]) == log_rows(rows)[2]
         assert ts.token_limit(utt) == 2
 
     def test_prefix_beyond_rows(self, abc_alphabet):
@@ -186,10 +192,46 @@ class TestTableScorer:
         for _ in range(k):
             _, state = step_one(ts, state, 1)
         dists, states = step_distributions(ts, [state] * len(tokens), tokens)
-        assert dists.shape == (1, len(alphabet))
-        assert np.array_equal(dists[0], ts.rows["u"][k])
-        assert states == [("u", ts.rows["u"], k + 1)] * len(tokens)
+        assert len(dists) == 1 and len(dists[0]) == len(alphabet)
+        assert list(dists[0]) == log_rows(ts.rows["u"])[k]
+        assert states == [("u", ts.log_rows["u"], k + 1)] * len(tokens)
         assert coverage_count(ts, states, 0.5) == [k + 1] * len(tokens)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(
+            st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any), min_size=1, max_size=5),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_log_rows_are_the_rows_logs_taken_once(self, weights):
+        # small integer weights give exact zeros, repeated values within a
+        # row and across utterances, and rows holding a single 1.0
+        alphabet = SymbolTable(["a", "b", "c", "<sos>", "<eos>"])
+        emittable = [alphabet.id(sym) for sym in ("a", "b", "c", "<eos>")]
+        rows = {}
+        for n, table in enumerate(weights):
+            arr = np.zeros((len(table), len(alphabet)))
+            arr[:, emittable] = table
+            rows[f"u{n}"] = arr / arr.sum(axis=1, keepdims=True)
+        ts = TableScorer(alphabet, rows)
+        shared: dict[float, float | None] = {}
+        for uid, arr in rows.items():
+            got = ts.log_rows[uid]
+            assert type(got) is tuple and all(type(row) is tuple for row in got)
+            assert bits(got) == bits(log_rows(ts.rows[uid]))
+            for row, probs in zip(got, arr.tolist()):
+                for lp, p in zip(row, probs):
+                    # one float object per distinct probability of the table
+                    assert shared.setdefault(p, lp) is lp
+
+    def test_nan_is_refused(self, abc_alphabet):
+        rows = np.zeros((1, len(abc_alphabet)))
+        rows[0, abc_alphabet.id("a")] = 0.5
+        rows[0, abc_alphabet.id("b")] = np.nan
+        with pytest.raises(ScorerError, match="NaN in step rows"):
+            TableScorer(abc_alphabet, {"u0": rows})
 
     def test_states_of_two_depths_are_refused(self, abc_alphabet):
         rows = np.zeros((3, len(abc_alphabet)))
@@ -414,7 +456,7 @@ class TestDecodeStep:
         dist, state = m.decode_step(state, m.sos_id)
         for y in prefix:
             dist, state = m.decode_step(state, y)
-        np.testing.assert_array_equal(chain(m, utt, prefix)[0], dist)
+        assert chain(m, utt, prefix)[0] == log_rows([dist])[0]
 
     def test_prefix_limit(self, abc_alphabet):
         m = tiny_model(abc_alphabet)
@@ -442,11 +484,40 @@ class TestDecodeStep:
             for utt in utts:
                 state, prev = m.start(utt), None
                 for y in utt.reference:
-                    dist, state = step_one(m, state, prev)
-                    total += -math.log(dist[y])
+                    logs, state = step_one(m, state, prev)
+                    total += -logs[y]
                     tokens += 1
                     prev = y
             assert loss == pytest.approx(total / tokens, abs=1e-12)
+
+
+class TestModelStepLogs:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_heads=st.integers(1, 4),
+        frames=st.integers(1, 5),
+        paths=st.lists(st.lists(st.integers(1, 3), max_size=3), min_size=1, max_size=3),
+        picks=st.lists(st.tuples(st.integers(0, 99), st.sampled_from([None, 1, 2, 3, 4])), min_size=1, max_size=6),
+    )
+    def test_step_is_the_logs_of_decode_steps(self, seed, n_heads, frames, paths, picks):
+        # a protocol step is decode_steps' rows, each entry's log taken with
+        # math.log, None where it is 0, and the same states after them
+        alphabet = SymbolTable(["a", "b", "c", "<sos>", "<eos>"])
+        m = tiny_model(alphabet, n_heads=n_heads, seed=seed, scale=6.0)
+        start = m.start(Utterance("u", np.random.default_rng(seed).normal(size=(frames, 3)), (5,)))
+        pool = [start]
+        for path in paths:
+            state = start
+            for y in (m.sos_id, *path):
+                _, state = m.decode_step(state, y)
+                pool.append(state)
+        states = [pool[i % len(pool)] for i, _ in picks]
+        tokens = [y for _, y in picks]
+        rows, after = m.step(states, tokens)
+        dists, want_after = m.decode_steps(states, [m.sos_id if y is None else y for y in tokens])
+        assert bits(rows) == bits(log_rows(dists))
+        assert after == want_after
 
 
 class TestStepBatch:
@@ -486,7 +557,7 @@ class TestStepBatch:
     def test_equal_table_states_need_not_be_one_object(self, abc_alphabet):
         scorer, start = self.start_state("table", abc_alphabet)
         dists, states = scorer.step([start, ("u0", start[1], 0), ("u0", start[1], 0)], [None] * 3)
-        assert dists.shape == (1, len(abc_alphabet)) and states == [("u0", start[1], 1)] * 3
+        assert len(dists) == 1 and len(dists[0]) == len(abc_alphabet) and states == [("u0", start[1], 1)] * 3
 
 
 class TestDecodeSteps:
@@ -851,8 +922,8 @@ class TestProtocolMatchesReplay:
         utt = Utterance("u", np.random.default_rng(seed).normal(size=(frames, 3)), (5,))
         state, prev = m.start(utt), None
         for k in range(len(prefix) + 1):
-            dist, state = step_one(m, state, prev)
-            assert np.array_equal(dist, replay_distribution(m, utt, prefix[:k]))
+            logs, state = step_one(m, state, prev)
+            assert logs == log_rows([replay_distribution(m, utt, prefix[:k])])[0]
             want = replay_coverage(m, utt, (*prefix[:k], m.eos_id), threshold)
             assert coverage_count(m, [state], threshold) == [want]
             prev = prefix[k] if k < len(prefix) else None
@@ -869,8 +940,8 @@ class TestProtocolMatchesReplay:
         prefix = prefix[: ts.token_limit(utt)]
         state = ts.start(utt)
         for k, prev in enumerate((None, *prefix)):
-            dist, state = step_one(ts, state, prev)
-            assert np.array_equal(dist, replay_distribution(ts, utt, prefix[:k]))
+            logs, state = step_one(ts, state, prev)
+            assert list(logs) == log_rows([replay_distribution(ts, utt, prefix[:k])])[0]
             assert coverage_count(ts, [state], 0.5) == [replay_coverage(ts, utt, (*prefix[:k], eos), 0.5)]
 
 
