@@ -10,9 +10,10 @@ version: ``out/manifest.json`` when the output is a directory, else
 byte-identical primary outputs; manifests differ only in the duration field.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors, each
-failure printed as one line; argparse's refusals, a flag value outside its
-range among them, are usage errors too.  A negative value may follow its
-flag after a space (``--discount -1e-3``).
+failure printed as one line; argparse's refusals are usage errors too,
+among them a ``--discount``, ``--noise``, ``--lr`` or ``--epochs`` value
+outside the range its library check takes.  A negative value may follow
+its flag after a space (``--discount -1e-3``).
 Configuration comes from flags alone, never from environment variables.
 """
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -37,17 +37,19 @@ from .decoder import (
 )
 from .fst import SymbolTable, write_fst_text
 from .lexicon import EOW, EOW_MODES, LexiconError, compile_lexicon, parse_lexicon
-from .ngram import SMOOTHINGS, NGramError, lm_to_fst, read_arpa, train_ngram, write_arpa
+from .ngram import SMOOTHINGS, NGramError, check_discount, lm_to_fst, read_arpa, train_ngram, write_arpa
 from .scorer import (
     OPTIMIZERS,
     ToyLasModel,
+    check_epochs,
+    check_lr,
     load_checkpoint,
     save_checkpoint,
     train_model,
     write_loss_trace,
 )
 from .sweep import SWEEP_KINDS, SweepError, sweep_lmw, write_sweep_csv
-from .synth import build_table_scorer, load_task, save_task, synth_corpus, task_alphabet
+from .synth import build_table_scorer, check_noise, load_task, save_task, synth_corpus, task_alphabet
 from .wer import corpus_wer
 
 
@@ -82,23 +84,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _ranged(convert, ok, wants: str):
-    """An argparse type: the flag's text through ``convert``, and a value
-    that ``ok`` refuses is a usage error naming it, ``wants`` saying what
-    the flag takes."""
+def _checked(convert, check):
+    """An argparse type: the flag's text through ``convert``, then through
+    the library's own ``check``, so a value it refuses is a usage error
+    with the library's message."""
 
     def parse(text: str):
         value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{wants}, got {text}")
+        try:
+            check(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
         return value
 
     parse.__name__ = convert.__name__  # argparse names the type when convert refuses the text
     return parse
-
-
-_COUNT = _ranged(int, lambda v: v >= 0, "must be an integer >= 0")
-_SIZE = _ranged(int, lambda v: v >= 1, "must be an integer >= 1")
 
 
 def _write_manifest(args: argparse.Namespace, inputs: Sequence[str], duration: float) -> None:
@@ -335,37 +335,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-lm", help="estimate a backoff n-gram model")
     p.add_argument("--corpus", required=True, help="text file, one sentence per line")
-    p.add_argument("--order", type=_ranged(int, lambda v: 1 <= v <= 4, "must be an integer in 1..4"),
-                   default=2, help="model order, 1 to 4")
+    p.add_argument("--order", type=int, default=2, help="model order, 1 to 4")
     p.add_argument("--smoothing", choices=SMOOTHINGS, default="absdisc")
-    p.add_argument("--discount", type=_ranged(float, lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
-                   default=0.4, help="absolute discount amount")
+    p.add_argument("--discount", type=_checked(float, check_discount), default=0.4,
+                   help="absolute discount amount")
     p.add_argument("--out", required=True, help="output ARPA path")
     p.set_defaults(func=_cmd_train_lm)
 
     p = sub.add_parser("synth", help="sample a synthetic decoding task")
     p.add_argument("--lexicon", required=True, help="word<TAB>phones file")
     p.add_argument("--lm", required=True, help="ARPA model to sample sentences from")
-    p.add_argument("--count", type=_COUNT, required=True, help="number of utterances")
-    p.add_argument("--noise", type=_ranged(float, lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"),
-                   default=0.0, help="phone confusion and feature noise rate")
-    p.add_argument("--seed", type=_COUNT, default=0)
+    p.add_argument("--count", type=int, required=True, help="number of utterances")
+    p.add_argument("--noise", type=_checked(float, check_noise), default=0.0,
+                   help="phone confusion and feature noise rate")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output task directory")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train-scorer", help="fit the toy attention scorer on a task")
     p.add_argument("--task", required=True, help="task directory from synth")
-    p.add_argument("--epochs", type=_SIZE, default=200)
-    p.add_argument("--lr", default=0.05,
-                   type=_ranged(float, lambda v: math.isfinite(v) and v >= 0.0, "must be finite and non-negative"))
+    p.add_argument("--epochs", type=_checked(int, check_epochs), default=200)
+    p.add_argument("--lr", type=_checked(float, check_lr), default=0.05)
     p.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
-    p.add_argument("--enc-hidden", type=_SIZE, default=16)
-    p.add_argument("--dec-hidden", type=_SIZE, default=16)
-    p.add_argument("--att-dim", type=_SIZE, default=8)
-    p.add_argument("--embed-dim", type=_SIZE, default=8)
-    p.add_argument("--heads", type=_SIZE, default=1)
-    p.add_argument("--layers", type=_ranged(int, lambda v: v in (1, 2), "must be 1 or 2"), default=1)
-    p.add_argument("--seed", type=_COUNT, default=0)
+    p.add_argument("--enc-hidden", type=int, default=16)
+    p.add_argument("--dec-hidden", type=int, default=16)
+    p.add_argument("--att-dim", type=int, default=8)
+    p.add_argument("--embed-dim", type=int, default=8)
+    p.add_argument("--heads", type=int, default=1)
+    p.add_argument("--layers", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output checkpoint path (.loss.csv written beside)")
     p.set_defaults(func=_cmd_train_scorer)
 

@@ -404,8 +404,8 @@ def _expand(
     them all; any other count raises :class:`DecodeError`.  A row holds
     log-probabilities, None where a probability is 0, and the beam reads
     them as they are: it takes no log itself.  The scorer takes them with
-    ``math.log``, once per distinct probability for a table, so the table
-    scorer's logs cost nothing at any depth of any decode.
+    ``math.log``; a table takes one per distinct probability, at an
+    utterance's first start, so its logs cost nothing at any depth.
 
     Finished entries go into ``best``, the bounded n-best itself: at most
     ``nbest_size`` of them in ``(total, tokens)`` order; once it is full,

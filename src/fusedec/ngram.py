@@ -111,6 +111,12 @@ def _normalize_corpus(corpus: Sequence[str | Sequence[str]]) -> list[list[str]]:
     return sents
 
 
+def check_discount(discount: float) -> None:
+    """Refuse an absolute discount outside (0, 1)."""
+    if not 0.0 < discount < 1.0:
+        raise NGramError(f"discount must be in (0, 1), got {discount}")
+
+
 def train_ngram(
     corpus: Sequence[str | Sequence[str]],
     order: int,
@@ -129,8 +135,7 @@ def train_ngram(
         raise NGramError(f"order must be an integer in 1..4, got {order!r}")
     if smoothing not in SMOOTHINGS:
         raise NGramError(f"smoothing must be one of {SMOOTHINGS}, got {smoothing!r}")
-    if not 0.0 < discount < 1.0:
-        raise NGramError(f"discount must be in (0, 1), got {discount}")
+    check_discount(discount)
     sents = _normalize_corpus(corpus)
     # a dict keeps first-appearance order with constant-time membership
     vocab = SymbolTable(dict.fromkeys(itertools.chain([SENT_START, SENT_END], *sents)))

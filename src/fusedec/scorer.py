@@ -35,14 +35,14 @@ step lowers a hypothesis's cost) indexed by symbol id; epsilon and
 ``<sos>`` positions are structurally zero since a decode step can never
 produce them.  A step hands the beam their logs, each taken with
 ``math.log`` (``np.log`` differs from it in the last bit on some values):
-the table scorer takes one per distinct probability when it is built, and
-the model one per entry of the rows it steps.  Everything runs in float64
-so the analytic gradients can be checked against central finite
-differences at tight tolerance.  Training and decoding run one
-``ToyLasModel`` forward pass, batched over utterances in training and over
-a beam's hypotheses in decoding.  A model is its alphabet and its arrays,
-whose shapes give its sizes; its checkpoint is one JSON document of the two
-(:func:`save_checkpoint`).
+the table scorer takes one per distinct probability, the first time an
+utterance holding it is started, and the model one per entry of the rows
+it steps.  Everything runs in float64 so the analytic gradients can be
+checked against central finite differences at tight tolerance.  Training
+and decoding run one ``ToyLasModel`` forward pass, batched over utterances
+in training and over a beam's hypotheses in decoding.  A model is its
+alphabet and its arrays, whose shapes give its sizes; its checkpoint is one
+JSON document of the two (:func:`save_checkpoint`).
 """
 
 from __future__ import annotations
@@ -134,18 +134,27 @@ def _check_batch(states: Sequence, tokens: Sequence) -> None:
         )
 
 
+class _LogMemo(dict):
+    """``math.log`` of each probability asked for, None for 0, taken once."""
+
+    def __missing__(self, p: float) -> float | None:
+        log = self[p] = math.log(p) if p > 0.0 else None
+        return log
+
+
 class TableScorer:
     """Explicit per-step rows, keyed by utterance id.
 
     The k-th row is the distribution after a prefix of length k, regardless
     of what the prefix contains.  Rows must hold probabilities (in [0, 1],
     so no step lowers a hypothesis's cost), sum to 1 within 1e-9, and put no
-    mass on epsilon or ``<sos>``.  ``rows`` keeps them as read-only arrays,
-    and ``log_rows`` as the rows a step returns: tuples of log-probabilities,
-    None where a probability is 0.  Each distinct probability of the table
-    has its log taken once, here, and its entries share that one float.  A
-    state is the triple (uid, log rows, steps taken); the table has no
-    attention, so each step stands for one covered frame.
+    mass on epsilon or ``<sos>``.  ``rows`` keeps them as read-only arrays.
+    A step returns them as :meth:`log_rows` does: tuples of
+    log-probabilities, None where a probability is 0, taken when an
+    utterance is first started.  The scorer takes one log per distinct
+    probability, and every entry holding it shares that one float.  A state
+    is the triple (uid, log rows, steps taken); the table has no attention,
+    so each step stands for one covered frame.
     """
 
     def __init__(self, alphabet: SymbolTable, rows: Mapping[str, np.ndarray | Sequence[Sequence[float]]]):
@@ -175,26 +184,29 @@ class TableScorer:
             arr.setflags(write=False)
             table[uid] = arr
         self.rows = table
-        logs: dict[float, float | None] = {}
+        self._logs = _LogMemo()
+        self._log_rows: dict[str, tuple[tuple[float | None, ...], ...]] = {}
 
-        def log(p: float) -> float | None:
-            if p not in logs:
-                logs[p] = math.log(p) if p > 0.0 else None
-            return logs[p]
-
-        self.log_rows = {uid: tuple(tuple(map(log, row)) for row in arr.tolist()) for uid, arr in table.items()}
-
-    def _log_rows_for(self, utt: Utterance) -> tuple[tuple[float | None, ...], ...]:
+    def _rows_for(self, uid: str) -> np.ndarray:
         try:
-            return self.log_rows[utt.uid]
+            return self.rows[uid]
         except KeyError:
-            raise ScorerError(f"no step rows stored for utterance {utt.uid!r}") from None
+            raise ScorerError(f"no step rows stored for utterance {uid!r}") from None
+
+    def log_rows(self, uid: str) -> tuple[tuple[float | None, ...], ...]:
+        """The rows of ``uid`` as its steps return them, built on the first
+        call and kept."""
+        logs = self._log_rows.get(uid)
+        if logs is None:
+            memo = self._logs.__getitem__
+            logs = self._log_rows[uid] = tuple(tuple(map(memo, row)) for row in self._rows_for(uid).tolist())
+        return logs
 
     def token_limit(self, utt: Utterance) -> int:
-        return len(self._log_rows_for(utt)) - 1
+        return len(self._rows_for(utt.uid)) - 1
 
     def start(self, utt: Utterance) -> tuple[str, tuple, int]:
-        return utt.uid, self._log_rows_for(utt), 0
+        return utt.uid, self.log_rows(utt.uid), 0
 
     def step(self, states: Sequence[tuple[str, tuple, int]], tokens: Sequence[int | None]):
         """Log row k of the table, for states that all hold one
@@ -678,6 +690,18 @@ def loss_and_gradients(model: ToyLasModel, corpus: Sequence[Utterance]):
     return loss, grads
 
 
+def check_epochs(epochs: int) -> None:
+    """Refuse a training run of no epochs."""
+    if epochs < 1:
+        raise ScorerError(f"epochs must be >= 1, got {epochs}")
+
+
+def check_lr(lr: float) -> None:
+    """Refuse a learning rate that is not finite and non-negative."""
+    if not math.isfinite(lr) or lr < 0:
+        raise ScorerError(f"lr must be finite and non-negative, got {lr}")
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def train_model(
     model: ToyLasModel,
@@ -694,10 +718,8 @@ def train_model(
     in the error, and so do non-finite parameters after the last update,
     with none of numpy's overflow warnings on the way.
     """
-    if epochs < 1:
-        raise ScorerError(f"epochs must be >= 1, got {epochs}")
-    if not math.isfinite(lr) or lr < 0:
-        raise ScorerError(f"lr must be finite and non-negative, got {lr}")
+    check_epochs(epochs)
+    check_lr(lr)
     if optimizer not in OPTIMIZERS:
         raise ScorerError(f"optimizer must be one of {OPTIMIZERS}, got {optimizer!r}")
     trace: list[float] = []

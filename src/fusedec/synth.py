@@ -54,8 +54,13 @@ class SynthTask:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 <= self.noise < 1.0:
-            raise SynthError(f"noise must be in [0, 1), got {self.noise}")
+        check_noise(self.noise)
+
+
+def check_noise(noise: float) -> None:
+    """Refuse a noise rate outside [0, 1)."""
+    if not 0.0 <= noise < 1.0:
+        raise SynthError(f"noise must be in [0, 1), got {noise}")
 
 
 def real_phones(lexicon: PronLexicon) -> tuple[str, ...]:

@@ -1542,11 +1542,12 @@ class TestSharedRows:
 
 class TestNoLogInTheBeam:
     """The beam reads the log-probability rows a scorer hands it as they
-    are: once a table scorer is built, its decodes take no log."""
+    are: a table scorer takes an utterance's logs when it is first
+    started, one per distinct probability, and its decodes take none."""
 
     def test_a_table_decode_takes_no_log(self, homophone, monkeypatch):
         _, resources, alphabet = homophone
-        table = TableScorer(alphabet, {"u0": random_rows(alphabet, np.random.default_rng(3), 6)})
+        rows = random_rows(alphabet, np.random.default_rng(3), 6)
         calls = []
 
         def log(*args):
@@ -1558,9 +1559,17 @@ class TestNoLogInTheBeam:
         # math.log as the decoder and the scorers look it up
         monkeypatch.setattr(decoder_mod, "math", counting)
         monkeypatch.setattr(scorer_mod, "math", counting)
+        table = TableScorer(alphabet, {"u0": rows, "u1": rows[::-1]})
+        assert calls == []  # building a table takes no log
+        table.start(make_utt())
+        assert sorted(calls) == sorted((p,) for p in set(rows.flat) if p > 0.0)
+        calls.clear()
         fused = decode(table, resources, make_utt(), DecodeConfig(fusion="beam", lm_weight=0.3, beam_width=4))
         unfused = beam_search(table, make_utt(), DecodeConfig(beam_width=4))
         assert fused.hypotheses and unfused.entries
+        assert calls == []
+        # another utterance's rows reuse every log already taken
+        table.start(make_utt("u1"))
         assert calls == []
 
 

@@ -194,7 +194,7 @@ class TestTableScorer:
         dists, states = step_distributions(ts, [state] * len(tokens), tokens)
         assert len(dists) == 1 and len(dists[0]) == len(alphabet)
         assert list(dists[0]) == log_rows(ts.rows["u"])[k]
-        assert states == [("u", ts.log_rows["u"], k + 1)] * len(tokens)
+        assert states == [("u", ts.log_rows("u"), k + 1)] * len(tokens)
         assert coverage_count(ts, states, 0.5) == [k + 1] * len(tokens)
 
     @settings(max_examples=60, deadline=None)
@@ -218,7 +218,7 @@ class TestTableScorer:
         ts = TableScorer(alphabet, rows)
         shared: dict[float, float | None] = {}
         for uid, arr in rows.items():
-            got = ts.log_rows[uid]
+            got = ts.log_rows(uid)
             assert type(got) is tuple and all(type(row) is tuple for row in got)
             assert bits(got) == bits(log_rows(ts.rows[uid]))
             for row, probs in zip(got, arr.tolist()):
