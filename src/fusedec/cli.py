@@ -49,7 +49,7 @@ from .scorer import (
     write_loss_trace,
 )
 from .sweep import SWEEP_KINDS, SweepError, sweep_lmw, write_sweep_csv
-from .synth import build_table_scorer, check_noise, load_task, save_task, synth_corpus, task_alphabet
+from .synth import build_table_scorer, check_noise, load_task, save_task, synth_corpus, task_alphabet, task_utterances
 from .wer import corpus_wer
 
 
@@ -167,7 +167,7 @@ def _cmd_train_scorer(args: argparse.Namespace) -> list[str]:
     task = load_task(args.task)
     if not task.utterances:
         raise ValueError(f"task {args.task} has no utterances to train on")
-    _, utts = build_table_scorer(task)
+    utts = task_utterances(task)
     feat_dim = utts[0].features.shape[1]
     model = ToyLasModel.init(
         task_alphabet(task), feat_dim,
@@ -222,9 +222,8 @@ def _cmd_decode(args: argparse.Namespace) -> list[str]:
     else:
         raise UsageError(f"fusion {args.fusion!r} requires --lexicon and --lm")
     task = load_task(args.task)
-    model = load_checkpoint(args.scorer) if args.scorer else None
-    table, utts = build_table_scorer(task)
-    results = decode_batch(table if model is None else model, resources, utts, config)
+    scorer = load_checkpoint(args.scorer) if args.scorer else build_table_scorer(task)[0]
+    results = decode_batch(scorer, resources, task_utterances(task), config)
     text = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in results)
     Path(args.out).write_text(text, encoding="utf-8")
     return [args.task, *resource_inputs] + ([args.scorer] if args.scorer else [])
@@ -308,12 +307,13 @@ def _cmd_score(args: argparse.Namespace) -> list[str]:
 
 
 def _add_decode_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beam-width", type=int, default=8, help="live hypotheses kept per step")
-    p.add_argument("--nbest", type=int, default=8, help="ranked hypotheses reported per utterance")
-    p.add_argument("--max-steps", type=int, default=64, help="token-length cap per utterance")
-    p.add_argument("--eow-mode", choices=EOW_MODES, default="required",
+    p.add_argument("--beam-width", type=int, default=DecodeConfig.beam_width, help="live hypotheses kept per step")
+    p.add_argument("--nbest", type=int, default=DecodeConfig.nbest_size,
+                   help="ranked hypotheses reported per utterance")
+    p.add_argument("--max-steps", type=int, default=DecodeConfig.max_steps, help="token-length cap per utterance")
+    p.add_argument("--eow-mode", choices=EOW_MODES, default=DecodeConfig.eow_mode,
                    help="whether word boundaries must be emitted")
-    p.add_argument("--coverage-threshold", type=float, default=0.5,
+    p.add_argument("--coverage-threshold", type=float, default=DecodeConfig.coverage_threshold,
                    help="attention mass for a frame to count as covered")
 
 
@@ -370,12 +370,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a task and write ranked hypotheses")
     p.add_argument("--task", required=True, help="task directory from synth")
     p.add_argument("--scorer", help="checkpoint from train-scorer; defaults to the task's emission table")
-    p.add_argument("--fusion", choices=FUSION_MODES, default="none")
+    p.add_argument("--fusion", choices=FUSION_MODES, default=DecodeConfig.fusion)
     p.add_argument("--lexicon", help="word<TAB>phones file; required for fused modes")
     p.add_argument("--lm", help="ARPA model; required for fused modes")
-    p.add_argument("--lm-weight", type=float, default=0.0, help="in-search language model weight")
-    p.add_argument("--lm-weight-nbest", type=float, default=None, help="rescoring language model weight")
-    p.add_argument("--coverage-weight", type=float, default=0.0)
+    p.add_argument("--lm-weight", type=float, default=DecodeConfig.lm_weight, help="in-search language model weight")
+    p.add_argument("--lm-weight-nbest", type=float, default=DecodeConfig.lm_weight_nbest,
+                   help="rescoring language model weight")
+    p.add_argument("--coverage-weight", type=float, default=DecodeConfig.coverage_weight)
     _add_decode_flags(p)
     p.add_argument("--out", required=True, help="output JSONL path, one result per utterance")
     p.set_defaults(func=_cmd_decode)

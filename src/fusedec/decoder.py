@@ -400,12 +400,12 @@ def _expand(
     Only the ``beam_width`` cheapest candidates get
     :meth:`FusionGraph.advance`, a token tuple and a live entry.
 
-    A scorer step returns one row per live entry or one row standing for
-    them all; any other count raises :class:`DecodeError`.  A row holds
-    log-probabilities, None where a probability is 0, and the beam reads
-    them as they are: it takes no log itself.  The scorer takes them with
-    ``math.log``; a table takes one per distinct probability, at an
-    utterance's first start, so its logs cost nothing at any depth.
+    A scorer step returns one row per live entry; any other count raises
+    :class:`DecodeError`.  A row holds log-probabilities, None where a
+    probability is 0, and the beam reads them as they are: it takes no log
+    itself.  The scorer takes them with ``math.log``; a table takes one per
+    distinct probability, at an utterance's first start, so its logs cost
+    nothing at any depth.
 
     Finished entries go into ``best``, the bounded n-best itself: at most
     ``nbest_size`` of them in ``(total, tokens)`` order; once it is full,
@@ -451,13 +451,11 @@ def _expand(
         prev = [e[1][-1] if e[1] else None for e in live]
         logs, states = step_distributions(scorer, [e[6] for e in live], prev)
         covs = coverage_count(scorer, states, config.coverage_threshold) if eta > 0.0 else [0] * len(live)
-        if len(logs) not in (1, len(live)):
+        if len(logs) != len(live):
             raise DecodeError(
                 f"the scorer returned {len(logs)} rows for {len(live)} live hypotheses; "
-                f"a step returns one row for all or one per hypothesis"
+                f"a step returns one row per hypothesis"
             )
-        if len(logs) < len(live):  # one row standing for every state
-            logs = [logs[0]] * len(live)
         candidates: list[tuple[float, tuple[int, ...], int, float, float, int]] = []
         cut = math.inf
         for i, (_, tokens, model_score, _, _, lm_state, _) in enumerate(live):
@@ -543,8 +541,8 @@ def nbest_rescore(
     graph: FusionGraph,
     lm_weight: float,
     *,
-    nbest_size: int = 8,
-    coverage_weight: float = 0.0,
+    nbest_size: int = DecodeConfig.nbest_size,
+    coverage_weight: float = DecodeConfig.coverage_weight,
 ) -> tuple[tuple[WordHypothesis, ...], int]:
     """Turn the entries :func:`_expand` returns into ranked word
     hypotheses; returns ``(hypotheses, unparsed)``.
@@ -622,18 +620,13 @@ class DecodeResult:
     unparsed: int
 
     @property
-    def strategy(self) -> str:
-        """The fusion mode of ``config``."""
-        return self.config.fusion
-
-    @property
     def words(self) -> tuple[str, ...]:
         return self.hypotheses[0].words if self.hypotheses else ()
 
     def to_dict(self) -> dict:
         return {
             "uid": self.uid,
-            "strategy": self.strategy,
+            "strategy": self.config.fusion,
             "config": {
                 "lm_weight": self.config.lm_weight,
                 "lm_weight_nbest": self.config.lm_weight_nbest,

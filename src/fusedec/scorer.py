@@ -14,10 +14,9 @@ which scorer it holds:
   ``<sos>``); row ``i`` of ``rows`` holds the next symbol's
   log-probabilities, and ``states[i]`` the state after it.  A row is a
   sequence over the alphabet of ``math.log(p)``, with ``None`` where ``p``
-  is 0, so the beam reads it as it is.  A scorer whose states all share
-  one distribution may return a single row that stands for every state.
-  Both scorers raise ``ScorerError`` for a step with no state or with a
-  token count other than the state count;
+  is 0, so the beam reads it as it is.  Both scorers raise
+  ``ScorerError`` for a step with no state or with a token count other
+  than the state count;
 - ``scorer.covered(states, threshold) -> counts``: for each state, how
   many encoder frames the hypothesis at it will have covered once it is
   closed with ``<eos>``; never more than the larger of the steps taken and
@@ -146,15 +145,16 @@ class TableScorer:
     """Explicit per-step rows, keyed by utterance id.
 
     The k-th row is the distribution after a prefix of length k, regardless
-    of what the prefix contains.  Rows must hold probabilities (in [0, 1],
-    so no step lowers a hypothesis's cost), sum to 1 within 1e-9, and put no
-    mass on epsilon or ``<sos>``.  ``rows`` keeps them as read-only arrays.
-    A step returns them as :meth:`log_rows` does: tuples of
-    log-probabilities, None where a probability is 0, taken when an
-    utterance is first started.  The scorer takes one log per distinct
-    probability, and every entry holding it shares that one float.  A state
-    is the triple (uid, log rows, steps taken); the table has no attention,
-    so each step stands for one covered frame.
+    of what the prefix contains.  An utterance has at least one row, and
+    rows must hold probabilities (in [0, 1], so no step lowers a
+    hypothesis's cost), sum to 1 within 1e-9, and put no mass on epsilon or
+    ``<sos>``.  ``rows`` keeps them as read-only arrays.  A step returns one
+    per state, as :meth:`log_rows` holds them: tuples of log-probabilities,
+    None where a probability is 0, taken when an utterance is first started.
+    The scorer takes one log per distinct probability, and every entry
+    holding it shares that one float.  A state is the triple (uid, log rows,
+    steps taken); the table has no attention, so each step stands for one
+    covered frame.
     """
 
     def __init__(self, alphabet: SymbolTable, rows: Mapping[str, np.ndarray | Sequence[Sequence[float]]]):
@@ -165,7 +165,7 @@ class TableScorer:
         table: dict[str, np.ndarray] = {}
         for uid, r in rows.items():
             arr = np.asarray(r, dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[1] != len(alphabet):
+            if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != len(alphabet):
                 raise ScorerError(
                     f"{uid}: rows must be (steps, {len(alphabet)}), got shape {arr.shape}"
                 )
@@ -209,10 +209,10 @@ class TableScorer:
         return utt.uid, self.log_rows(utt.uid), 0
 
     def step(self, states: Sequence[tuple[str, tuple, int]], tokens: Sequence[int | None]):
-        """Log row k of the table, for states that all hold one
-        utterance's prefixes of length k, as a beam's live entries at one
-        depth do: one row that stands for every state, and the one state
-        that follows them all."""
+        """Log row k of the table once per state, for states that all
+        hold one utterance's prefixes of length k, as a beam's live entries
+        at one depth do: the one row object each time, so no row is copied,
+        and the one state that follows them all."""
         _check_batch(states, tokens)
         first = states[0]
         uid, rows, k = first
@@ -222,7 +222,7 @@ class TableScorer:
                 raise ScorerError("a table step takes the states of one utterance at one depth")
         if k >= len(rows):
             raise ScorerError(f"prefix of length {k} exceeds the {len(rows)} stored steps for {uid!r}")
-        return rows[k : k + 1], [(uid, rows, k + 1)] * len(states)
+        return (rows[k],) * len(states), [(uid, rows, k + 1)] * len(states)
 
     def covered(self, states: Sequence[tuple[str, tuple, int]], threshold: float) -> list[int]:
         return [st[2] for st in states]
@@ -571,10 +571,10 @@ class ToyLasModel:
 
 def step_distributions(scorer, states, tokens):
     """One protocol step of a beam's live hypotheses: the log-probability
-    rows after ``tokens`` (None on a hypothesis's first step), a row per
-    state or one row for all, and the states that follow them.  It returns
-    logs, not distributions; the name stays because bench/tracing.py wraps
-    it by name."""
+    rows after ``tokens`` (None on a hypothesis's first step), one per
+    state, and the states that follow them.  It returns logs, not
+    distributions; the name stays because bench/tracing.py wraps it by
+    name."""
     return scorer.step(states, tokens)
 
 

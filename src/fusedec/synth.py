@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fst import SymbolTable
+from .fst import EPSILON, SymbolTable
 from .lexicon import EOW, PronLexicon, parse_lexicon
 from .ngram import NGramModel, read_arpa, write_arpa
 from .scorer import EOS, SOS, TableScorer, Utterance, as_features
@@ -65,7 +65,7 @@ def check_noise(noise: float) -> None:
 
 def real_phones(lexicon: PronLexicon) -> tuple[str, ...]:
     """The acoustic phone inventory: the phoneset minus epsilon and <eow>."""
-    return tuple(p for p in lexicon.phoneset if p not in ("<eps>", EOW))
+    return tuple(p for p in lexicon.phoneset if p not in (EPSILON, EOW))
 
 
 def _sample_sentence(rng, lm: NGramModel, allowed: list[int]) -> list[int]:
@@ -140,6 +140,14 @@ def synth_corpus(
 def task_alphabet(task: SynthTask) -> SymbolTable:
     """Scorer alphabet for the task: phones, <eow>, then the control symbols."""
     return SymbolTable([*real_phones(task.lexicon), EOW, SOS, EOS])
+
+
+def task_utterances(task: SynthTask) -> list[Utterance]:
+    """Each utterance's features, with the :func:`task_alphabet` ids of its
+    targets and then ``<eos>`` as its reference."""
+    alphabet = task_alphabet(task)
+    eos = alphabet.id(EOS)
+    return [Utterance(sutt.uid, sutt.features, (*alphabet.encode(sutt.targets), eos)) for sutt in task.utterances]
 
 
 def build_table_scorer(

@@ -479,6 +479,18 @@ class TestTrainScorerCommand:
         assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
         assert not ckpt.exists()
 
+    def test_a_trained_scorer_needs_no_emission_table(self, pipeline, tmp_path, monkeypatch):
+        # train-scorer and decode --scorer read the task's utterances alone
+        def no_table(*args, **kwargs):
+            raise AssertionError("an emission table was built")
+
+        monkeypatch.setattr(cli_mod, "build_table_scorer", no_table)
+        ckpt = tmp_path / "model.json"
+        assert main(["train-scorer", "--task", str(pipeline / "task"), "--epochs", "1", "--out", str(ckpt)]) == 0
+        out = tmp_path / "scored.jsonl"
+        assert main(decode_args(pipeline, out, "--scorer", str(ckpt), "--fusion", "beam")) == 0
+        assert len(out.read_text().splitlines()) == 12
+
 
 def _edited_checkpoint(task, ckpt, edit=None):
     """A checkpoint for ``task`` at the default sizes, its JSON document

@@ -1228,7 +1228,7 @@ class TestDecode:
         cfg = DecodeConfig(fusion="beam", lm_weight=0.3)
         result = decode(scorer, resources, make_utt(), cfg)
         assert result.words == ("I", "am")
-        assert result.strategy == "beam"
+        assert result.config.fusion == "beam"
         assert result.complete
 
     def test_nbest_strategy_end_to_end(self, homophone):
@@ -1472,8 +1472,9 @@ class ScriptedScorer:
 
 
 class RowPerState:
-    """A table scorer that returns its one shared row once per state, as a
-    scorer with a (B, V) step does."""
+    """A table scorer that returns a copy of its row for each state, as a
+    scorer with a (B, V) step does, where the table returns one row object
+    for them all."""
 
     def __init__(self, table: TableScorer):
         self.table, self.alphabet = table, table.alphabet
@@ -1488,15 +1489,16 @@ class RowPerState:
     def step(self, states, tokens):
         rows, nxt = self.table.step(states, tokens)
         self.widest = max(self.widest, len(states))
-        return rows * len(states), nxt
+        return [list(row) for row in rows], nxt
 
     def covered(self, states, threshold):
         return self.table.covered(states, threshold)
 
 
 class TestSharedRows:
-    """A row that stands for every live entry decodes exactly as one copy
-    of it per entry."""
+    """A table step hands every live entry the one row object, which
+    decodes exactly as a copy of it per entry; a step that returns any
+    other count of rows than one per entry is refused."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
@@ -1525,13 +1527,27 @@ class TestSharedRows:
         assert json.dumps(decode(per_state, resources, make_utt(), cfg).to_dict()) == shared
         assert per_state.widest > 1
 
+    def test_one_row_for_many_states_is_refused(self):
+        class OneRowForMany(TableScorer):
+            """Returns only the first row once two or more states step together."""
+
+            def step(self, states, tokens):
+                rows, nxt = super().step(states, tokens)
+                return (rows[:1] if len(states) >= 2 else rows), nxt
+
+        alphabet = make_alphabet("a", "b", "c")
+        rows = rows_for(alphabet, [{"a": 0.3, "b": 0.3, "c": 0.3, EOS: 0.1}] * 3 + [{EOS: 1.0}])
+        scorer = OneRowForMany(alphabet, {"u0": rows})
+        with pytest.raises(DecodeError, match=r"1 rows for \d+ live hypotheses"):
+            beam_search(scorer, make_utt(), DecodeConfig(beam_width=4))
+
     def test_a_step_with_neither_one_row_nor_one_per_state_is_refused(self):
         class TwoRowsForMany(TableScorer):
             """Returns two rows once three or more states step together."""
 
             def step(self, states, tokens):
                 rows, nxt = super().step(states, tokens)
-                return (rows * 2 if len(states) >= 3 else rows), nxt
+                return (rows[:2] if len(states) >= 3 else rows), nxt
 
         alphabet = make_alphabet("a", "b", "c")
         rows = rows_for(alphabet, [{"a": 0.3, "b": 0.3, "c": 0.3, EOS: 0.1}] * 3 + [{EOS: 1.0}])

@@ -160,6 +160,12 @@ class TestTableScorer:
         with pytest.raises(ScorerError, match="ghost"):
             ts.token_limit(utt)
 
+    def test_no_rows_refused(self, abc_alphabet):
+        # a table that cannot even emit <eos> would decode to no words at score 0
+        v = len(abc_alphabet)
+        with pytest.raises(ScorerError, match=re.escape(f"u0: rows must be (steps, {v}), got shape (0, {v})")):
+            TableScorer(abc_alphabet, {"u0": np.zeros((0, v))})
+
     def test_alphabet_needs_eos(self):
         with pytest.raises(ScorerError, match="<eos>"):
             TableScorer(SymbolTable(["a"]), {})
@@ -180,8 +186,8 @@ class TestTableScorer:
         tokens=st.lists(st.sampled_from([None, 1, 2]), min_size=1, max_size=8),
     )
     def test_one_depth_steps_to_its_row(self, seed, steps, depth, tokens):
-        # B states at one depth get row k of the table bit for bit, as one
-        # row standing for every state, and all move to depth k + 1
+        # B states at one depth each get row k of the table bit for bit, the
+        # one row object it keeps, and all move to depth k + 1
         alphabet = SymbolTable(["a", "b", "<sos>", "<eos>"])
         rows = np.random.default_rng(seed).random((steps, len(alphabet)))
         rows[:, [0, alphabet.id("<sos>")]] = 0.0
@@ -192,7 +198,7 @@ class TestTableScorer:
         for _ in range(k):
             _, state = step_one(ts, state, 1)
         dists, states = step_distributions(ts, [state] * len(tokens), tokens)
-        assert len(dists) == 1 and len(dists[0]) == len(alphabet)
+        assert len(dists) == len(tokens) and all(row is ts.log_rows("u")[k] for row in dists)
         assert list(dists[0]) == log_rows(ts.rows["u"])[k]
         assert states == [("u", ts.log_rows("u"), k + 1)] * len(tokens)
         assert coverage_count(ts, states, 0.5) == [k + 1] * len(tokens)
@@ -557,7 +563,8 @@ class TestStepBatch:
     def test_equal_table_states_need_not_be_one_object(self, abc_alphabet):
         scorer, start = self.start_state("table", abc_alphabet)
         dists, states = scorer.step([start, ("u0", start[1], 0), ("u0", start[1], 0)], [None] * 3)
-        assert len(dists) == 1 and len(dists[0]) == len(abc_alphabet) and states == [("u0", start[1], 1)] * 3
+        assert len(dists) == 3 and all(row is scorer.log_rows("u0")[0] for row in dists)
+        assert len(dists[0]) == len(abc_alphabet) and states == [("u0", start[1], 1)] * 3
 
 
 class TestDecodeSteps:

@@ -15,6 +15,7 @@ from fusedec.synth import (
     save_task,
     synth_corpus,
     task_alphabet,
+    task_utterances,
 )
 from fusedec.wer import corpus_wer
 
@@ -159,6 +160,13 @@ class TestTableScorerBuild:
         alphabet = scorer.alphabet
         for sutt, utt in zip(task.utterances, utts):
             assert alphabet.decode(utt.reference) == (*sutt.targets, EOS)
+
+    def test_task_utterances_are_the_tables_utterances(self, lexicon, lm):
+        task = synth_corpus(5, lexicon, lm, 4, 0.1)
+        _, utts = build_table_scorer(task)
+        alone = task_utterances(task)
+        assert [(u.uid, u.reference) for u in alone] == [(u.uid, u.reference) for u in utts]
+        assert all(np.array_equal(a.features, u.features) for a, u in zip(alone, utts))
 
     def test_eow_free_rows_with_floor(self, lexicon, lm):
         task = synth_corpus(5, lexicon, lm, 3, 0.0)
